@@ -33,7 +33,6 @@ from .frobenius import (
     frobenius_series,
     indicial_exponents,
     pole_order,
-    solution_space_dim,
 )
 from .fusion import (
     IntertwinerData,
@@ -125,7 +124,6 @@ __all__ = [
     "pole_order",
     "indicial_exponents",
     "frobenius_series",
-    "solution_space_dim",
     "IntertwinerData",
     "heisenberg_intertwiner",
     "zero_intertwiner",

@@ -3,8 +3,9 @@
 Each invocation parses a single config file, realizes the requested
 truncated structures, runs one command, and emits a schema-versioned
 JSON report on stdout (or to ``--out``).  Reports are deterministic:
-byte-identical across repeated runs, cache states and worker counts,
-which is why the worker count, output path and cache location are also
+byte-identical across repeated runs and cache states.  ``--threads``
+(and ``[run] threads``) is still accepted and checked to be positive,
+but has no effect; it, the output path and the cache location are
 excluded from the configuration hash echoed in the report.  Failures
 are emitted as machine-readable error objects with a distinct exit
 code per error family (see :mod:`vertexbound.errors`).
@@ -99,7 +100,7 @@ def _intertwiner(config, voa, name):
 # ----------------------------------------------------------------------
 # command bodies: each returns (payload, certification)
 
-def _cmd_graded_dims(config, threads, cache):
+def _cmd_graded_dims(config, cache):
     voa = realize_voa(config.require_voa(), config.depth + _gen_weight(config))
     module = _named_module(config, voa, cache)
     rep = graded_dims(module, config.depth)
@@ -119,7 +120,7 @@ def _cmd_graded_dims(config, threads, cache):
     return payload, _certification(good, warnings)
 
 
-def _cmd_cm_quotient(config, threads, cache):
+def _cmd_cm_quotient(config, cache):
     pad = _gen_weight(config) + config.m - 1
     voa = realize_voa(config.require_voa(), config.depth + pad)
     module = _named_module(config, voa, cache)
@@ -133,7 +134,7 @@ def _cmd_cm_quotient(config, threads, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_complement(config, threads, cache):
+def _cmd_complement(config, cache):
     pad = _gen_weight(config) + config.m - 1
     voa = realize_voa(config.require_voa(), config.depth + pad)
     module = _named_module(config, voa, cache)
@@ -149,7 +150,7 @@ def _cmd_complement(config, threads, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_reduce(config, threads, cache):
+def _cmd_reduce(config, cache):
     left, right, left_basis, right_basis = _complement_pair(config, cache)
     p_key = parse_partition(config.param("left_key", ""), "[command] left_key")
     q_key = parse_partition(config.param("right_key", ""), "[command] right_key")
@@ -164,7 +165,7 @@ def _cmd_reduce(config, threads, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_ode(config, threads, cache):
+def _cmd_ode(config, cache):
     _left, _right, left_basis, right_basis = _complement_pair(config, cache)
     system = assemble_ode(left_basis, right_basis)
     payload = {
@@ -175,12 +176,12 @@ def _cmd_ode(config, threads, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_bound(config, threads, cache):
+def _cmd_bound(config, cache):
     _left, _right, left_basis, right_basis = _complement_pair(config, cache)
     return fusion_bound(left_basis, right_basis).to_json(), _certification(config.depth)
 
 
-def _cmd_frobenius(config, threads, cache):
+def _cmd_frobenius(config, cache):
     _left, _right, left_basis, right_basis = _complement_pair(config, cache)
     system = assemble_ode(left_basis, right_basis)
     data = indicial_exponents(system)
@@ -220,7 +221,7 @@ def _cmd_frobenius(config, threads, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_join(config, threads, cache):
+def _cmd_join(config, cache):
     names = config.require_param("intertwiners").split()
     voa = realize_voa(config.require_voa(), config.depth)
     _spot_check(cache, [voa])
@@ -239,7 +240,7 @@ def _cmd_join(config, threads, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_compare(config, threads, cache):
+def _cmd_compare(config, cache):
     voa = realize_voa(config.require_voa(), config.depth)
     _spot_check(cache, [voa])
     first = _intertwiner(config, voa, config.require_param("first"))
@@ -247,7 +248,7 @@ def _cmd_compare(config, threads, cache):
     return compare(first, second).to_json(), _certification(config.depth)
 
 
-def _cmd_log_bound(config, threads, cache):
+def _cmd_log_bound(config, cache):
     text = config.require_param("orders")
     orders = [parse_integer(p, "[command] orders", minimum=1) for p in text.split(",")]
     if len(orders) != 3:
@@ -262,10 +263,10 @@ def _cmd_log_bound(config, threads, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_identity_suite(config, threads, cache):
+def _cmd_identity_suite(config, cache):
     voa = realize_voa(config.require_voa(), config.depth)
     module = _named_module(config, voa, cache)
-    report = run_identity_suite(module, threads=threads)
+    report = run_identity_suite(module)
     return report.summary(), _certification(config.depth)
 
 
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depth", type=int, default=None,
                         help="override the [run] depth")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker count; reports are identical for any value")
+                        help="accepted for compatibility (must be >= 1); has no effect")
     return parser
 
 
@@ -319,11 +320,10 @@ def main(argv=None) -> int:
         config = RunConfig.from_file(args.config)
         if args.depth is not None:
             config = config.with_depth(args.depth)
-        threads = args.threads if args.threads is not None else config.threads
-        if threads < 1:
+        if args.threads is not None and args.threads < 1:
             raise ConfigError("--threads must be a positive integer")
         cache = ModeMatrixCache(config.cache_dir)
-        payload, certification = _COMMANDS[args.command](config, threads, cache)
+        payload, certification = _COMMANDS[args.command](config, cache)
         report = {
             "schema": REPORT_SCHEMA,
             "command": args.command,

@@ -29,9 +29,9 @@ shortcut or as explicit ``(parts):coeff`` terms::
 Module and intertwiner sections are named (``[module.NAME]``); the
 ``[command]`` section holds per-command parameters, while the command
 itself is chosen on the command line.  The canonical form of a parsed
-configuration excludes volatile plumbing (thread count, output path,
-cache directory), so its hash identifies the mathematical content of a
-run and nothing else.
+configuration excludes volatile plumbing (the ignored thread count,
+output path, cache directory), so its hash identifies the mathematical
+content of a run and nothing else.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ class RunConfig:
 
     ``canonical`` is a nested plain-data image of everything that can
     influence a result; :meth:`config_hash` digests it.  Plumbing that
-    cannot (worker count, output path, cache directory) lives outside.
+    cannot (the ignored thread count, output path, cache directory) lives
+    outside.
     """
 
     depth: int

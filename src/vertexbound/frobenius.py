@@ -375,8 +375,3 @@ def frobenius_series(system: OdeSystem, exponent, depth: int,
                 f"substitution check failed at (k, log, comp, value) = {bad[0]}"
             )
     return solutions
-
-
-def solution_space_dim(system: OdeSystem) -> int:
-    """Dimension bound for the local solution space: the system size."""
-    return system.dimension

@@ -944,18 +944,22 @@ def _solve_witness(lower: IntertwinerData, upper: IntertwinerData):
                         if coeffs:
                             add_row(coeffs, QZERO)
 
+    # one reduction of the augmented matrix [A | b]: a pivot in the last
+    # column means no solution, fewer than ``total`` pivots a non-unique one
     entries = {}
     for i, coeffs in enumerate(rows):
         for j, value in coeffs.items():
             entries[(i, j)] = value
-    matrix = ExactMatrix.from_entries(len(rows), total, entries)
-    solution = matrix.solve(rhs)
-    if solution is None:
+        if rhs[i]:
+            entries[(i, total)] = rhs[i]
+    reduced, pivots = ExactMatrix.from_entries(len(rows), total + 1, entries).rref()
+    if any(col == total for _, col in pivots):
         return None
-    if total and matrix.nullspace():
+    if len(pivots) < total:
         raise InternalInvariantViolation(
             "order witness is not unique; the inputs are not surjective"
         )
+    solution = [reduced.entry(row, total) for row, _ in pivots]
     blocks = {}
     for n, base in offsets.items():
         d1 = low_t.dim(n + shift)

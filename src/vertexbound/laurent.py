@@ -229,13 +229,3 @@ class LaurentPoly:
             else:
                 parts.append(f"{c}*z^{p}")
         return " + ".join(parts)
-
-
-def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Product of two Laurent polynomials."""
-    return a * b
-
-
-def laurent_derivative(a: LaurentPoly) -> LaurentPoly:
-    """Formal derivative of a Laurent polynomial."""
-    return a.derivative()

@@ -4,52 +4,39 @@ Everything here is deterministic: row reduction always eliminates with the
 leftmost available pivot column and, among rows with a nonzero entry in
 that column, the smallest row index.  Rank, reduced row echelon form,
 nullspace bases, and membership solutions are therefore reproducible
-across runs, worker counts, and storage layouts.
-
-Matrices keep their entries either densely (row-major lists) or as a
-sparse map, chosen by a 25% density heuristic at construction time; the
-choice is invisible in every computed result.
+across runs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputShapeError
 from .laurent import Q, QONE, QZERO
-
-#: Matrices with at most this fraction of nonzero entries store a sparse map.
-SPARSE_DENSITY_THRESHOLD = Fraction(1, 4)
 
 
 class ExactMatrix:
     """A rows-by-cols matrix of exact rationals.
 
-    The internal storage is an implementation detail; all arithmetic and
-    reduction routines produce identical results for dense and sparse
-    layouts, which the test suite checks by forcing both.
+    Only the nonzero entries are stored, as a ``{(i, j): value}`` map in
+    row-major order.
     """
 
-    __slots__ = ("rows", "cols", "_dense", "_sparse")
+    __slots__ = ("rows", "cols", "_entries")
 
-    def __init__(self, rows: int, cols: int, dense=None, sparse=None):
+    def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise InputShapeError("matrix dimensions must be non-negative")
         self.rows = rows
         self.cols = cols
-        self._dense = dense
-        self._sparse = sparse
+        self._entries = dict(sorted(entries.items())) if entries else {}
 
     # ------------------------------------------------------------------
     # construction
 
     @classmethod
-    def from_rows(cls, data, cols=None, storage=None) -> "ExactMatrix":
+    def from_rows(cls, data, cols=None) -> "ExactMatrix":
         """Build from an iterable of rows (sequences of rationals).
 
-        ``cols`` is only needed when ``data`` is empty.  ``storage`` may
-        force ``"dense"`` or ``"sparse"``; by default the density
-        heuristic decides.
+        ``cols`` is only needed when ``data`` is empty.
         """
         data = [list(map(Q, row)) for row in data]
         nrows = len(data)
@@ -69,10 +56,10 @@ class ExactMatrix:
             for j, c in enumerate(row)
             if c
         }
-        return cls._build(nrows, ncols, entries, storage)
+        return cls(nrows, ncols, entries)
 
     @classmethod
-    def from_entries(cls, rows: int, cols: int, entries, storage=None) -> "ExactMatrix":
+    def from_entries(cls, rows: int, cols: int, entries) -> "ExactMatrix":
         """Build from a ``{(i, j): value}`` map of nonzero entries."""
         clean = {}
         for (i, j), value in entries.items():
@@ -81,39 +68,19 @@ class ExactMatrix:
             c = Q(value)
             if c:
                 clean[(i, j)] = c
-        return cls._build(rows, cols, clean, storage)
+        return cls(rows, cols, clean)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls.from_entries(n, n, {(i, i): QONE for i in range(n)})
 
-    @classmethod
-    def _build(cls, rows, cols, entries, storage):
-        total = rows * cols
-        if storage is None:
-            storage = "sparse" if total and Fraction(len(entries), total) <= SPARSE_DENSITY_THRESHOLD else "dense"
-            if total == 0:
-                storage = "sparse"
-        if storage == "sparse":
-            return cls(rows, cols, sparse=dict(sorted(entries.items())))
-        dense = [[QZERO] * cols for _ in range(rows)]
-        for (i, j), c in entries.items():
-            dense[i][j] = c
-        return cls(rows, cols, dense=dense)
-
     # ------------------------------------------------------------------
     # access
-
-    @property
-    def storage(self) -> str:
-        return "dense" if self._dense is not None else "sparse"
 
     def entry(self, i: int, j: int) -> Q:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise InputShapeError(f"index {(i, j)} outside {self.rows}x{self.cols}")
-        if self._dense is not None:
-            return self._dense[i][j]
-        return self._sparse.get((i, j), QZERO)
+        return self._entries.get((i, j), QZERO)
 
     def row(self, i: int) -> tuple:
         return tuple(self.entry(i, j) for j in range(self.cols))
@@ -122,14 +89,7 @@ class ExactMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def nonzero_entries(self) -> dict:
-        if self._sparse is not None:
-            return dict(self._sparse)
-        return {
-            (i, j): c
-            for i, row in enumerate(self._dense)
-            for j, c in enumerate(row)
-            if c
-        }
+        return dict(self._entries)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -137,21 +97,20 @@ class ExactMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.nonzero_entries() == other.nonzero_entries()
+            and self._entries == other._entries
         )
 
     def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols}, {self.storage})"
+        return f"ExactMatrix({self.rows}x{self.cols})"
 
     # ------------------------------------------------------------------
     # arithmetic
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._build(
+        return ExactMatrix(
             self.cols,
             self.rows,
-            {(j, i): c for (i, j), c in self.nonzero_entries().items()},
-            None,
+            {(j, i): c for (i, j), c in self._entries.items()},
         )
 
     def matvec(self, vec) -> tuple:
@@ -159,7 +118,7 @@ class ExactMatrix:
         if len(vec) != self.cols:
             raise InputShapeError("vector length does not match column count")
         out = [QZERO] * self.rows
-        for (i, j), c in self.nonzero_entries().items():
+        for (i, j), c in self._entries.items():
             if vec[j]:
                 out[i] += c * vec[j]
         return tuple(out)
@@ -167,12 +126,11 @@ class ExactMatrix:
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise InputShapeError("inner dimensions do not match")
-        mine = self.nonzero_entries()
         theirs = {}
-        for (k, j), c in other.nonzero_entries().items():
+        for (k, j), c in other._entries.items():
             theirs.setdefault(k, []).append((j, c))
         out = {}
-        for (i, k), a in mine.items():
+        for (i, k), a in self._entries.items():
             for j, b in theirs.get(k, ()):
                 key = (i, j)
                 s = out.get(key, QZERO) + a * b
@@ -180,7 +138,7 @@ class ExactMatrix:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return ExactMatrix._build(self.rows, other.cols, out, None)
+        return ExactMatrix(self.rows, other.cols, out)
 
     # ------------------------------------------------------------------
     # reduction
@@ -188,7 +146,7 @@ class ExactMatrix:
     def _working_rows(self) -> list:
         """Mutable sparse copies of the rows, for elimination."""
         rows = [dict() for _ in range(self.rows)]
-        for (i, j), c in self.nonzero_entries().items():
+        for (i, j), c in self._entries.items():
             rows[i][j] = c
         return rows
 
@@ -202,12 +160,8 @@ class ExactMatrix:
         """
         work = self._working_rows()
         pivots = _eliminate(work, self.cols)
-        entries = {
-            (i, j): c
-            for i, row in enumerate(work)
-            for j, c in sorted(row.items())
-        }
-        return ExactMatrix._build(self.rows, self.cols, entries, None), pivots
+        entries = {(i, j): c for i, row in enumerate(work) for j, c in row.items()}
+        return ExactMatrix(self.rows, self.cols, entries), pivots
 
     def rank(self) -> int:
         work = self._working_rows()
@@ -310,7 +264,7 @@ def solve_membership(basis_vectors, target):
         raise InputShapeError("membership vectors must share one length")
     if not vectors:
         return () if not any(target) else None
-    columns = ExactMatrix._build(
+    columns = ExactMatrix(
         len(target),
         len(vectors),
         {
@@ -319,7 +273,6 @@ def solve_membership(basis_vectors, target):
             for i, c in enumerate(vec)
             if c
         },
-        None,
     )
     return columns.solve(target)
 

@@ -18,12 +18,10 @@ identity is never an artifact of dropped terms.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import InputShapeError, TruncationError
 from .laurent import Q, QONE, QZERO, binomial
-from .linalg import ExactMatrix
 from .voa import LevelCapExceeded, raw_acc, raw_combine
 
 
@@ -345,62 +343,6 @@ def mode_action(v: GradedVector, k: int, w: GradedVector) -> GradedVector:
     return GradedVector.from_raw(module, out, truncated)
 
 
-def mode_matrix(module, v: GradedVector, k: int, source_level: int) -> ExactMatrix:
-    """Matrix block of ``v_k`` from one source level of the module."""
-    if v.homogeneous_level() is None:
-        raise InputShapeError("matrix blocks require a homogeneous acting element")
-    target = source_level + v.homogeneous_level() - k - 1
-    rows = module.dim(target) if 0 <= target <= module.depth else 0
-    entries = {}
-    if rows:
-        for col, key in enumerate(module.keys(source_level)):
-            image = mode_action(v, k, GradedVector.basis_vector(module, key))
-            if image.truncated:
-                raise TruncationError("mode block is not certified at this depth")
-            for row, c in enumerate(image.coords_at(target)):
-                if c:
-                    entries[(row, col)] = c
-    return ExactMatrix.from_entries(rows, module.dim(source_level), entries)
-
-
-@dataclass
-class ModeAction:
-    """The action of one mode as matrix blocks per source level."""
-
-    module: object
-    v: GradedVector
-    k: int
-    blocks: dict = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, module, v, k, source_levels) -> "ModeAction":
-        blocks = {n: mode_matrix(module, v, k, n) for n in source_levels}
-        return cls(module, v, k, blocks)
-
-    def apply(self, w: GradedVector) -> GradedVector:
-        if w.module is not self.module:
-            raise InputShapeError("vector belongs to a different realization")
-        v_level = self.v.homogeneous_level()
-        out = {}
-        truncated = w.truncated or self.v.truncated
-        for level in w.levels():
-            if level not in self.blocks:
-                raise InputShapeError(f"no block for source level {level}")
-            target = level + v_level - self.k - 1
-            if target < 0:
-                continue
-            if target > self.module.depth:
-                truncated = True
-                continue
-            image = self.blocks[level].matvec(w.components[level])
-            if any(image):
-                keys = self.module.keys(target)
-                for i, c in enumerate(image):
-                    if c:
-                        raw_acc(out, keys[i], c)
-        return GradedVector.from_raw(self.module, out, truncated)
-
-
 # ----------------------------------------------------------------------
 # identity checks
 
@@ -652,7 +594,7 @@ def _run_suite_task(module, task, report):
                     )
 
 
-def run_identity_suite(module, max_failures: int = 20, threads: int = 1) -> IdentitySuiteReport:
+def run_identity_suite(module, max_failures: int = 20) -> IdentitySuiteReport:
     """Check the commutator and iterate identities exhaustively.
 
     Quantifies over all pairs of homogeneous basis elements of the
@@ -661,10 +603,6 @@ def run_identity_suite(module, max_failures: int = 20, threads: int = 1) -> Iden
     the truncation window.  Also checks the vacuum axioms.  Failures are
     collected (up to ``max_failures``) rather than raising, so a report
     always comes back.
-
-    With ``threads > 1`` the task list is split into contiguous blocks
-    and the per-block counts and failures are merged back in block
-    order, so the report does not depend on the worker count.
     """
     voa = module.voa
     report = IdentitySuiteReport(module=module.describe(), depth=module.depth)
@@ -689,31 +627,7 @@ def run_identity_suite(module, max_failures: int = 20, threads: int = 1) -> Iden
                     report.vacuum_checked += 1
                     if not mode_action(v, k, vac).is_zero():
                         report.failures.append(("creation", k, module.label(key)))
-    tasks = _suite_tasks(module)
-    if threads > 1 and len(tasks) > 1:
-        # shared engine memos are only ever extended with identical
-        # values, so concurrent reads are safe; build them eagerly to
-        # avoid a first-write race on the cache attributes
-        engine_for(module)
-        engine_for(voa)
-        blocks = []
-        step = -(-len(tasks) // threads)
-        for start in range(0, len(tasks), step):
-            blocks.append(tasks[start:start + step])
-
-        def run_block(block):
-            sub = IdentitySuiteReport(module=report.module, depth=report.depth)
-            for task in block:
-                _run_suite_task(module, task, sub)
-            return sub
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for sub in pool.map(run_block, blocks):
-                report.commutator_checked += sub.commutator_checked
-                report.associativity_checked += sub.associativity_checked
-                report.failures.extend(sub.failures)
-    else:
-        for task in tasks:
-            _run_suite_task(module, task, report)
+    for task in _suite_tasks(module):
+        _run_suite_task(module, task, report)
     del report.failures[max_failures:]
     return report

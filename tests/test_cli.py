@@ -246,6 +246,27 @@ def test_reports_byte_identical_across_threads(tmp_path, capsys):
     assert first == second
 
 
+def test_threads_flag_is_accepted_and_has_no_effect(tmp_path, capsys):
+    config = write_config(tmp_path, FOCK_INI)
+    argv = ["identity-suite", "--config", config, "--depth", "2"]
+    code, plain = run_cli(argv, capsys)
+    assert code == 0
+    assert run_cli(argv + ["--threads", "2"], capsys) == (0, plain)
+
+
+def test_non_positive_threads_are_config_errors(tmp_path, capsys):
+    config = write_config(tmp_path, FOCK_INI)
+    code, report = run_json(["cm-quotient", "--config", config, "--threads", "0"], capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["exit_code"] == 2
+    config = write_config(tmp_path, FOCK_INI.replace("m = 1", "m = 1\nthreads = 0"))
+    code, report = run_json(["cm-quotient", "--config", config], capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["exit_code"] == 2
+
+
 def test_reports_byte_identical_across_cache_states(tmp_path, capsys):
     config = write_config(tmp_path, FOCK_INI)
     argv = ["graded-dims", "--config", config]

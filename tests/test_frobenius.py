@@ -20,7 +20,6 @@ from vertexbound.frobenius import (
     frobenius_series,
     indicial_exponents,
     pole_order,
-    solution_space_dim,
 )
 from vertexbound.laurent import LaurentPoly
 from vertexbound.linalg import ExactMatrix
@@ -243,8 +242,8 @@ def test_frobenius_rejects_non_exponent():
 
 
 def test_solution_space_dim():
-    assert solution_space_dim(fock_system()) == 1
-    assert solution_space_dim(manual_system(4, {})) == 4
+    assert fock_system().dimension == 1
+    assert manual_system(4, {}).dimension == 4
 
 
 def test_solution_json_schema():

@@ -8,7 +8,7 @@ import pytest
 
 from bruteforce import fock_top_correlator
 from vertexbound.cofinite import choose_complement, cm_quotient_dims
-from vertexbound.errors import InputShapeError
+from vertexbound.errors import InputShapeError, InternalInvariantViolation
 from vertexbound.fusion import (
     IntertwinerData,
     compare,
@@ -251,6 +251,15 @@ def test_levelwise_inconsistent_twists_are_incomparable():
         h.source_left, h.source_right, h.target, h.depth, 0, twisted,
     )
     assert compare(odd, h).relation == "incomparable"
+
+
+def test_non_unique_witness_is_an_invariant_violation():
+    # with no series entries only the commutation rows constrain f, and
+    # every scalar multiple of the identity on the Fock target solves them
+    h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 3)
+    empty = IntertwinerData(h.source_left, h.source_right, h.target, h.depth)
+    with pytest.raises(InternalInvariantViolation):
+        compare(empty, empty)
 
 
 def test_compare_requires_a_common_source_pair():

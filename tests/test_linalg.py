@@ -33,34 +33,12 @@ def test_membership_shape_errors():
         solve_membership([(1, 2, 3)], (1, 2))
 
 
-def test_storage_heuristic():
-    dense = ExactMatrix.from_rows([[1, 2], [3, 4]])
-    assert dense.storage == "dense"
-    sparse = ExactMatrix.from_entries(10, 10, {(0, 0): Q(1)})
-    assert sparse.storage == "sparse"
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_rank_matches_sympy(seed):
     rng = random.Random(seed)
     rows = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
     mat = ExactMatrix.from_rows(rows)
     assert mat.rank() == sympy_rank(rows)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_results_are_representation_independent(seed):
-    rng = random.Random(100 + seed)
-    rows = random_matrix(rng, 5, 4, density=0.3)
-    dense = ExactMatrix.from_rows(rows, storage="dense")
-    sparse = ExactMatrix.from_rows(rows, storage="sparse")
-    assert dense.storage == "dense" and sparse.storage == "sparse"
-    rd, pd = dense.rref()
-    rs, ps = sparse.rref()
-    assert pd == ps and rd == rs
-    assert dense.nullspace() == sparse.nullspace()
-    rhs = [Q(i) for i in range(5)]
-    assert dense.solve(rhs) == sparse.solve(rhs)
 
 
 def test_rref_is_canonical_and_idempotent():

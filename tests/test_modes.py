@@ -9,14 +9,12 @@ from bruteforce import sugawara_L
 from vertexbound.errors import InputShapeError, TruncationError
 from vertexbound.modes import (
     GradedVector,
-    ModeAction,
     check_associativity,
     check_commutator,
     engine_for,
     generator_vector,
     l_minus_one_shift,
     mode_action,
-    mode_matrix,
     omega_vector,
     run_identity_suite,
     vacuum_vector,
@@ -243,23 +241,6 @@ def test_identity_suite_small_runs_clean():
     vir_report = run_identity_suite(VermaModule(VirasoroVoa(Q(1, 2), depth=4), Q(1, 16)))
     assert vir_report.all_passed
     assert vir_report.total_checked > 100
-
-
-# ----------------------------------------------------------------------
-# matrix blocks
-
-def test_mode_matrix_blocks_agree_with_action():
-    voa = HeisenbergVoa(depth=5)
-    fock = FockModule(voa, Q(1))
-    v = GradedVector.from_raw(voa, {(1, 1): Q(1, 2)})  # the conformal vector
-    action = ModeAction.build(fock, v, 1, range(0, 5))
-    rng = random.Random(3)
-    for level in range(0, 5):
-        coords = [Q(rng.randint(-2, 2)) for _ in range(fock.dim(level))]
-        w = GradedVector(fock, {level: tuple(coords)})
-        assert action.apply(w) == mode_action(v, 1, w)
-    block = mode_matrix(fock, v, 1, 2)
-    assert block.rows == fock.dim(2) and block.cols == fock.dim(2)
 
 
 def test_engine_memo_is_reused():
