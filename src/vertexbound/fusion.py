@@ -10,7 +10,10 @@ finite level leaves a finite table of exact rational vectors.  The table
 is the whole object.  Joins pair two tables component-wise and span the
 paired coefficients level by level, which is the two-factor case of the
 product construction over all targets; the order relation "Y1 <= Y2" is
-decided by solving for the unique module map f with f . Y2 = Y1.
+decided by solving for the unique module map f with f . Y2 = Y1.  Y2 must
+be surjective: its coefficients at level n then fix the block f_n alone,
+so f is solved one level at a time and its commutation with the
+generator modes is checked afterwards on the solved blocks.
 
 The concrete generator of examples is the free-boson vertex operator
 Fock(lam) x Fock(mu) -> Fock(lam+mu), assembled from oscillator
@@ -542,10 +545,6 @@ class SpanModule(BaseRealization):
     def label(self, key) -> str:
         return f"s{key[0]}.{key[1]}"
 
-    def ambient_row(self, key) -> tuple:
-        """The stored ambient coordinate row of one basis key."""
-        return self._rows[key[0]][key[1]]
-
     def coords_in_span(self, ambient_coords, level: int):
         """Span coordinates of an ambient vector, or None if outside."""
         rows = self._rows.get(level)
@@ -675,7 +674,8 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
                     coords[i + base] = c
             coords = tuple(coords)
             paired[(skey, level)] = coords
-            spans[level].add(coords)
+            if spans[level].rank < ambient.dim(level):
+                spans[level].add(coords)
     _saturate_spans(spans, ambient, depth)
     target = SpanModule(
         ambient, {n: spans[n].basis_rows() for n in range(depth + 1)}, depth,
@@ -707,9 +707,9 @@ class PairOrderWitness:
     """A module map f with f . Y_upper = Y_lower, as per-level blocks.
 
     ``blocks[n]`` sends level n of the upper target to level n + shift
-    of the lower one; missing blocks are zero maps.  The witness is the
-    unique solution of the combined linear system (series matching plus
-    commutation with the generator modes).
+    of the lower one; missing blocks are zero maps.  Each block is the
+    unique solution of the series matching at its level; the blocks
+    together commute with the generator modes.
     """
 
     lower: IntertwinerData
@@ -826,7 +826,14 @@ def _zero_witness_or_none(lower, upper, shift):
 
 
 def _solve_witness(lower: IntertwinerData, upper: IntertwinerData):
-    """The unique f with f . Y_upper = Y_lower, or None if none exists."""
+    """The unique f with f . Y_upper = Y_lower, or None if none exists.
+
+    The upper coefficients at level n fix the block f_n on their own:
+    each series key gives one row ``[c_up | c_low]``, and the reduced
+    echelon form of those rows is ``[I | f_n^T]`` exactly when a unique
+    solution exists.  Commutation with the generator modes is then
+    checked on the solved blocks.
+    """
     low_t = lower.target
     up_t = upper.target
     if not _has_content(upper):
@@ -838,140 +845,79 @@ def _solve_witness(lower: IntertwinerData, upper: IntertwinerData):
         return _zero_witness_or_none(lower, upper, None)
     shift = int(shift_q)
 
-    offsets = {}
-    total = 0
-    for n in range(upper.depth + 1):
-        d2 = up_t.dim(n)
-        t = n + shift
-        if d2 and 0 <= t <= low_t.depth and low_t.dim(t):
-            offsets[n] = total
-            total += low_t.dim(t) * d2
-
-    def var(n, r, c):
-        return offsets[n] + r * up_t.dim(n) + c
-
-    rows = []
-    rhs = []
-
-    def add_row(coeffs: dict, value):
-        rows.append(coeffs)
-        rhs.append(value)
-
-    # series matching: f applied to each recorded upper coefficient must
-    # reproduce the lower one at the aligned weight slot
-    skeys = sorted(set(upper.series) | set(lower.series),
-                   key=lambda t: (sum(t[0]), t[0], sum(t[1]), t[1], t[2]))
-    for skey in skeys:
+    # a lower coefficient whose aligned upper coefficient vanishes (or
+    # lies below the lowest weight) cannot be reached by any f
+    for skey, low_entry in lower.series.items():
         up_entry = upper.series.get(skey, {})
-        low_entry = lower.series.get(skey, {})
-        slots = {lt + shift for lt in up_entry} | set(low_entry)
-        for t in sorted(slots):
+        for t, coords1 in low_entry.items():
             n = t - shift
-            if t < 0 or t > low_t.depth:
+            if not (0 <= t <= low_t.depth) or n > upper.depth or not any(coords1):
                 continue
-            coords1 = low_entry.get(t)
-            if n < 0:
-                # the upper coefficient vanishes below the lowest weight
-                if coords1 and any(coords1):
-                    return None
-                continue
-            if n > upper.depth:
-                continue
-            coords2 = up_entry.get(n)
+            coords2 = up_entry.get(n) if n >= 0 else None
             if not coords2 or not any(coords2):
-                if coords1 and any(coords1):
-                    return None
-                continue
-            if n not in offsets:
-                if coords1 and any(coords1):
-                    return None
-                continue
-            d1 = low_t.dim(t)
-            for r in range(d1):
-                coeffs = {}
-                for c, value in enumerate(coords2):
-                    if value:
-                        coeffs[var(n, r, c)] = value
-                add_row(coeffs, coords1[r] if coords1 else QZERO)
+                return None
 
-    # module-map property: f commutes with every generator mode that
-    # stays inside both truncations
+    # series matching, one level at a time
+    rows = {
+        n: [] for n in range(upper.depth + 1)
+        if up_t.dim(n) and 0 <= n + shift <= low_t.depth and low_t.dim(n + shift)
+    }
+    for skey, up_entry in upper.series.items():
+        low_entry = lower.series.get(skey, {})
+        for n, coords2 in up_entry.items():
+            if n in rows and any(coords2):
+                coords1 = low_entry.get(n + shift) or (QZERO,) * low_t.dim(n + shift)
+                rows[n].append(tuple(coords2) + tuple(coords1))
+    blocks = {}
+    deficient = None
+    for n, level_rows in rows.items():
+        d1, d2 = low_t.dim(n + shift), up_t.dim(n)
+        reduced, pivots = ExactMatrix.from_rows(level_rows, d1 + d2).rref()
+        if any(col >= d2 for _, col in pivots):
+            return None
+        if len(pivots) < d2:
+            if deficient is None:
+                deficient = (n, len(pivots), d2)
+            continue
+        # pivot row i reads [e_col | column col of f_n]
+        pivot_col = dict(pivots)
+        entries = {
+            (j - d2, pivot_col[i]): value
+            for (i, j), value in reduced.nonzero_entries().items()
+            if j >= d2
+        }
+        if entries:
+            blocks[n] = ExactMatrix.from_entries(d1, d2, entries)
+    if deficient is not None:
+        n, rank, dim = deficient
+        raise InternalInvariantViolation(
+            f"order witness is not unique: the upper coefficients at level {n}"
+            f" have rank {rank} < {dim}; the inputs are not surjective"
+        )
+
+    # module-map property: f_{n2} . M_up = M_low . f_n for every generator
+    # mode that stays inside both truncations (missing blocks are zero)
     voa = up_t.voa
     if voa is not None:
         gw = voa.gen_weight
         for n in range(upper.depth + 1):
-            d2n = up_t.dim(n)
-            if not d2n:
-                continue
             for k in range(n + gw - 1 - upper.depth, n + gw):
                 n2 = n + gw - 1 - k
                 t, t2 = n + shift, n2 + shift
-                if t > low_t.depth or t2 > low_t.depth or t2 < 0:
+                if n not in blocks and n2 not in blocks:
                     continue
-                d1t2 = low_t.dim(t2)
-                if not d1t2:
+                if t > low_t.depth or t2 > low_t.depth or t2 < 0:
                     continue
                 try:
                     m_up = _level_matrix(up_t, k, n, n2)
                 except LevelCapExceeded:
                     continue
-                if 0 <= t <= low_t.depth and low_t.dim(t) and n in offsets:
-                    m_low = _level_matrix(low_t, k, t, t2)
-                else:
-                    m_low = None
-                up_entries = m_up.nonzero_entries()
-                low_entries = m_low.nonzero_entries() if m_low is not None else {}
-                for c in range(d2n):
-                    for r in range(d1t2):
-                        coeffs = {}
-                        if n2 in offsets:
-                            for c2 in range(up_t.dim(n2)):
-                                value = up_entries.get((c2, c))
-                                if value:
-                                    coeffs[var(n2, r, c2)] = (
-                                        coeffs.get(var(n2, r, c2), QZERO) + value
-                                    )
-                        if m_low is not None:
-                            for r1 in range(low_t.dim(t)):
-                                value = low_entries.get((r, r1))
-                                if value:
-                                    key = var(n, r1, c)
-                                    coeffs[key] = coeffs.get(key, QZERO) - value
-                        # keys can collide and cancel exactly (a level
-                        # preserving mode acts by the same scalar on both
-                        # sides), leaving a vacuous row
-                        coeffs = {k2: v for k2, v in coeffs.items() if v}
-                        if coeffs:
-                            add_row(coeffs, QZERO)
-
-    # one reduction of the augmented matrix [A | b]: a pivot in the last
-    # column means no solution, fewer than ``total`` pivots a non-unique one
-    entries = {}
-    for i, coeffs in enumerate(rows):
-        for j, value in coeffs.items():
-            entries[(i, j)] = value
-        if rhs[i]:
-            entries[(i, total)] = rhs[i]
-    reduced, pivots = ExactMatrix.from_entries(len(rows), total + 1, entries).rref()
-    if any(col == total for _, col in pivots):
-        return None
-    if len(pivots) < total:
-        raise InternalInvariantViolation(
-            "order witness is not unique; the inputs are not surjective"
-        )
-    solution = [reduced.entry(row, total) for row, _ in pivots]
-    blocks = {}
-    for n, base in offsets.items():
-        d1 = low_t.dim(n + shift)
-        d2 = up_t.dim(n)
-        block_entries = {}
-        for r in range(d1):
-            for c in range(d2):
-                value = solution[base + r * d2 + c]
-                if value:
-                    block_entries[(r, c)] = value
-        if block_entries:
-            blocks[n] = ExactMatrix.from_entries(d1, d2, block_entries)
+                lhs = blocks[n2].matmul(m_up).nonzero_entries() if n2 in blocks else {}
+                rhs = {}
+                if n in blocks:
+                    rhs = _level_matrix(low_t, k, t, t2).matmul(blocks[n]).nonzero_entries()
+                if lhs != rhs:
+                    return None
     return PairOrderWitness(lower=lower, upper=upper, shift=shift, blocks=blocks)
 
 
@@ -981,6 +927,12 @@ def compare(p1: IntertwinerData, p2: IntertwinerData) -> ComparisonResult:
     ``less_eq`` means p1 <= p2, witnessed by the unique module map from
     the second target onto the first intertwining the series; both ways
     give ``equivalent``, neither gives ``incomparable``.
+
+    Each witness is solved level by level from the series alone, so the
+    upper datum must be surjective on every level the witness maps.  A
+    level whose coefficients fall short of the target dimension raises
+    ``InternalInvariantViolation`` (unless the series already rule the
+    witness out); the module-map property is never used to pin it down.
     """
     _require_matching_sources(p1, p2)
     forward = _solve_witness(p1, p2)

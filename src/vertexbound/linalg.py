@@ -3,8 +3,7 @@
 Everything here is deterministic: row reduction always eliminates with the
 leftmost available pivot column and, among rows with a nonzero entry in
 that column, the smallest row index.  Rank, reduced row echelon form,
-nullspace bases, and membership solutions are therefore reproducible
-across runs.
+nullspace bases, and solutions are therefore reproducible across runs.
 """
 
 from __future__ import annotations
@@ -249,32 +248,6 @@ def _eliminate(rows: list, width: int) -> list:
         if next_row == nrows:
             break
     return pivots
-
-
-def solve_membership(basis_vectors, target):
-    """Express ``target`` over ``basis_vectors``, or None if impossible.
-
-    ``basis_vectors`` is a sequence of equal-length coordinate vectors;
-    the result is the canonical coefficient tuple of the deterministic
-    solver (free coefficients zero).
-    """
-    vectors = [tuple(map(Q, v)) for v in basis_vectors]
-    target = tuple(map(Q, target))
-    if any(len(v) != len(target) for v in vectors):
-        raise InputShapeError("membership vectors must share one length")
-    if not vectors:
-        return () if not any(target) else None
-    columns = ExactMatrix(
-        len(target),
-        len(vectors),
-        {
-            (i, j): c
-            for j, vec in enumerate(vectors)
-            for i, c in enumerate(vec)
-            if c
-        },
-    )
-    return columns.solve(target)
 
 
 class RowSpan:

@@ -88,13 +88,6 @@ def raw_combine(out: dict, other: dict, factor=QONE) -> None:
         raw_acc(out, key, coeff * factor)
 
 
-def raw_scaled(raw: dict, factor) -> dict:
-    factor = Q(factor)
-    if not factor:
-        return {}
-    return {key: coeff * factor for key, coeff in raw.items()}
-
-
 class LevelCapExceeded(Exception):
     """Internal signal: a hard-capped realization was pushed past its cap.
 

@@ -254,12 +254,65 @@ def test_levelwise_inconsistent_twists_are_incomparable():
 
 
 def test_non_unique_witness_is_an_invariant_violation():
-    # with no series entries only the commutation rows constrain f, and
-    # every scalar multiple of the identity on the Fock target solves them
+    # with no series entries no level of f is pinned by the series, so the
+    # witness is not unique (every scalar multiple of the identity on the
+    # Fock target is a module map)
     h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 3)
     empty = IntertwinerData(h.source_left, h.source_right, h.target, h.depth)
     with pytest.raises(InternalInvariantViolation):
         compare(empty, empty)
+
+
+def test_compare_requires_surjective_data():
+    h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 3)
+    # drop every level-2 image: the series no longer fix f_2, although
+    # commutation with the generator modes would
+    gapped = {
+        skey: {level: coords for level, coords in images.items() if level != 2}
+        for skey, images in h.series.items()
+    }
+    d = IntertwinerData(h.source_left, h.source_right, h.target, h.depth, 0, gapped)
+    assert not d.is_surjective()
+    with pytest.raises(InternalInvariantViolation, match="level 2"):
+        compare(d, d)
+    assert compare(h, d).relation == "incomparable"
+    assert compare(d, h).relation == "incomparable"
+
+
+def _witness_cases():
+    h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 3)
+    twist = h.scale(Q(-2, 3))
+    joined = join(h, h.scale(2))
+    deep = heisenberg_intertwiner(1, 1, 4)
+    deep_join = join(deep, deep.scale(3))
+    return [(h, twist), (twist, joined), (deep_join, deep)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_witnesses_commute_with_the_generator_modes(case):
+    # an oracle for the module-map check that goes through the mode
+    # engine instead of the level matrices the solver multiplies
+    p1, p2 = _witness_cases()[case]
+    result = compare(p1, p2)
+    witnesses = [w for w in (result.witness, result.reverse_witness) if w is not None]
+    assert witnesses
+    checked = 0
+    for witness in witnesses:
+        up = witness.upper.target
+        g = GradedVector.from_raw(up.voa, dict(up.voa.generator_raw))
+        gw = up.voa.gen_weight
+        for n in range(up.depth + 1):
+            for key in up.keys(n):
+                v = GradedVector.basis_vector(up, key)
+                image = witness.apply(v)
+                for k in range(n + gw - 1 - up.depth, n + gw):
+                    left = witness.apply(mode_action(g, k, v))
+                    right = mode_action(g, k, image)
+                    if left.truncated or right.truncated:
+                        continue
+                    assert left == right
+                    checked += 1
+    assert checked > 20
 
 
 def test_compare_requires_a_common_source_pair():

@@ -7,7 +7,7 @@ import pytest
 
 from bruteforce import sympy_rank
 from vertexbound.errors import InputShapeError
-from vertexbound.linalg import ExactMatrix, RowSpan, solve_membership
+from vertexbound.linalg import ExactMatrix, RowSpan
 
 
 def random_matrix(rng, rows, cols, density=0.6):
@@ -18,19 +18,28 @@ def random_matrix(rng, rows, cols, density=0.6):
     ]
 
 
+# membership of a vector in the span of others: the spanning vectors are
+# the columns of the matrix, and ``solve`` gives the coefficients
+
+
 def test_membership_example():
-    assert solve_membership([(1, 1), (1, -1)], (2, 0)) == (Q(1), Q(1))
+    # columns (1, 1) and (1, -1)
+    mat = ExactMatrix.from_rows([[1, 1], [1, -1]])
+    assert mat.solve((2, 0)) == (Q(1), Q(1))
 
 
 def test_membership_failure_and_empty():
-    assert solve_membership([(1, 0), (2, 0)], (0, 1)) is None
-    assert solve_membership([], (0, 0)) == ()
-    assert solve_membership([], (1, 0)) is None
+    # columns (1, 0) and (2, 0) miss (0, 1)
+    assert ExactMatrix.from_rows([[1, 2], [0, 0]]).solve((0, 1)) is None
+    no_columns = ExactMatrix(2, 0)
+    assert no_columns.solve((0, 0)) == ()
+    assert no_columns.solve((1, 0)) is None
 
 
 def test_membership_shape_errors():
+    # one column of length 3 against a right-hand side of length 2
     with pytest.raises(InputShapeError):
-        solve_membership([(1, 2, 3)], (1, 2))
+        ExactMatrix.from_rows([[1], [2], [3]]).solve((1, 2))
 
 
 @pytest.mark.parametrize("seed", range(8))
