@@ -18,7 +18,7 @@ is too short the solver refuses instead of returning a thin space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .cofinite import log_power_bound
 from .errors import (
@@ -89,53 +89,111 @@ def _synthetic_division(coeffs: list, root: Q) -> list:
     return out
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    if n == 0:
+def _poly_divmod(num: list, den: list):
+    """Quotient and remainder of descending coefficient lists.
+
+    ``den`` has a nonzero leading coefficient; the zero polynomial is
+    the empty list.
+    """
+    rem = list(num)
+    quot = []
+    for i in range(len(num) - len(den) + 1):
+        c = rem[i] / den[0]
+        quot.append(c)
+        if c:
+            for j, d in enumerate(den):
+                rem[i + j] -= c * d
+    rem = rem[len(quot):]
+    while rem and not rem[0]:
+        rem.pop(0)
+    return quot, rem
+
+
+def _derivative(coeffs: list) -> list:
+    degree = len(coeffs) - 1
+    return [c * (degree - k) for k, c in enumerate(coeffs[:-1])]
+
+
+def _square_free_part(coeffs: list) -> list:
+    """``f / gcd(f, f')``: the same roots, each simple."""
+    a, b = coeffs, _derivative(coeffs)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return _poly_divmod(coeffs, a)[0]
+
+
+def _primitive(coeffs: list) -> list:
+    """The coprime integer polynomial that is a positive multiple of ``coeffs``."""
+    denom = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denom) for c in coeffs]
+    common = gcd(*ints)
+    return [c // common for c in ints]
+
+
+def _scaled_value(ints: list, x: Q) -> int:
+    """``den(x)^deg * f(x)`` for integer ``f``: exact, with the sign of ``f(x)``."""
+    num, den = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in ints:
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
+def _sign_variations(chain: list, x: Q) -> int:
+    signs = [v > 0 for v in (_scaled_value(p, x) for p in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _distinct_rational_roots(coeffs: list) -> list:
+    """Rational roots of a square-free polynomial, by Sturm bisection.
+
+    Scaled to primitive integer coefficients with leading coefficient
+    ``L``, a rational root ``p/q`` has ``q | L``, so two of them lie at
+    least ``1/L^2`` apart.  Sturm's theorem counts the real roots in a
+    half-open interval ``(lo, hi]``; bisecting from the Cauchy bound
+    until an interval holds one root and is narrower than ``1/L^2``
+    leaves one candidate, the best approximation of its midpoint with
+    denominator at most ``L``, which is checked exactly.  The number of
+    steps is polynomial in the degree and the coefficient sizes; no
+    integer is ever factored.
+    """
+    if len(coeffs) < 2:
         return []
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    chain = [coeffs, _derivative(coeffs)]
+    while True:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    chain = [_primitive(p) for p in chain]
+    lead = abs(chain[0][0])
+    width = Q(1, lead * lead)
+    bound = Q(2 + max(abs(c) for c in chain[0][1:]) // lead)
+    found = []
+    stack = [(-bound, bound, _sign_variations(chain, -bound), _sign_variations(chain, bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1 and hi - lo < width:
+            candidate = ((lo + hi) / 2).limit_denominator(lead)
+            if not _scaled_value(chain[0], candidate):
+                found.append(candidate)
+        elif v_lo > v_hi:
+            mid = (lo + hi) / 2
+            v_mid = _sign_variations(chain, mid)
+            stack.append((lo, mid, v_lo, v_mid))
+            stack.append((mid, hi, v_mid, v_hi))
+    return found
 
 
 def _rational_roots(coeffs: list):
     """All rational roots with multiplicity, plus the rootless remainder."""
-    # clear denominators for the rational root theorem
     remaining = list(coeffs)
     roots = {}
-    while len(remaining) > 1:
-        # strip trailing zeros: root 0 with its multiplicity
-        if not remaining[-1]:
-            roots[QZERO] = roots.get(QZERO, 0) + 1
-            remaining = remaining[:-1]
-            continue
-        denom_lcm = 1
-        for c in remaining:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        scaled = [c * denom_lcm for c in remaining]
-        lead = int(scaled[0])
-        const = int(scaled[-1])
-        found = None
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for sign in (1, -1):
-                    candidate = Q(sign * p, q)
-                    if not _poly_eval(remaining, candidate):
-                        found = candidate
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots[found] = roots.get(found, 0) + 1
-        remaining = _synthetic_division(remaining, found)
+    for root in _distinct_rational_roots(_square_free_part(coeffs)):
+        while len(remaining) > 1 and not _poly_eval(remaining, root):
+            roots[root] = roots.get(root, 0) + 1
+            remaining = _synthetic_division(remaining, root)
     return roots, remaining
 
 
@@ -191,9 +249,9 @@ class IndicialData:
 def indicial_exponents(system: OdeSystem) -> IndicialData:
     """Eigenvalues of the residue matrix, exactly.
 
-    Rational roots come from the rational root theorem on the exact
-    characteristic polynomial; a rootless remainder is factored over Q
-    and reported symbolically.
+    Rational roots come from Sturm bisection on the exact characteristic
+    polynomial, in time polynomial in its size; a rootless remainder is
+    factored over Q and reported symbolically.
     """
     order = pole_order(system)
     if order > 1:

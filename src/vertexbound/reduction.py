@@ -27,6 +27,14 @@ The two rewrite moves:
 Iterating under a fixed decomposition order terminates and yields the
 first-order system ``d/dz A = B A`` for ``A_{ij} = <theta, Y(p^i,z)q^j>``
 by rewriting ``Y(L(-1)p^i, z) = d/dz Y(p^i,z)``.
+
+The rewrite is bilinear in ``(p, q)``, so ``reduce`` expands both
+arguments over their basis monomials and sums a table entry per pair of
+monomials.  An entry holds the two moves run once on that pair, its
+subterms read from the table in turn, as a plain ``{(i, j): LaurentPoly}``
+map.  The table hangs off the left basis beside the decomposition memo,
+keyed by the right basis, and is freed with the bases; callers always
+receive a fresh combination, never an entry.
 """
 
 from __future__ import annotations
@@ -216,8 +224,12 @@ class CorrelatorCombination:
         """In-place ``self += factor * other``."""
         if other.left_basis is not self.left_basis or other.right_basis is not self.right_basis:
             raise InputShapeError("combinations over different bases cannot be merged")
-        for key, poly in other._entries.items():
-            merged = self._entries.get(key, LaurentPoly.zero()) + factor * poly
+        self._add(other._entries, factor)
+
+    def _add(self, entries: dict, factor) -> None:
+        """In-place ``self += factor * entries``; ``factor`` is a LaurentPoly or a scalar."""
+        for key, poly in entries.items():
+            merged = self._entries.get(key, LaurentPoly.zero()) + poly * factor
             if merged.is_zero():
                 self._entries.pop(key, None)
             else:
@@ -293,7 +305,8 @@ def reduce(p: GradedVector, q: GradedVector,
     """Rewrite ``<theta, Y(p,z)q>`` over the complement basis pairs.
 
     The coefficients depend only on ``(p, q)`` and the two bases; they
-    are exact Laurent polynomials in ``z`` and ``z^{-1}``.
+    are exact Laurent polynomials in ``z`` and ``z^{-1}``.  The result
+    is a fresh combination the caller may mutate.
     """
     total = _check_reduce_inputs(p, q, left_basis, right_basis)
     if total is None:
@@ -301,7 +314,24 @@ def reduce(p: GradedVector, q: GradedVector,
     return _reduce(p, q, left_basis, right_basis, total)
 
 
+def _table_for(left_basis: ComplementBasis, right_basis: ComplementBasis) -> dict:
+    """The ``(p_key, q_key) -> entries`` table of one basis pair.
+
+    It hangs off the left basis beside the decomposition memo and holds
+    the right basis, so the ``id`` key cannot be reused while it lives;
+    it is freed with the left basis.
+    """
+    tables = getattr(left_basis, "_pair_tables", None)
+    if tables is None:
+        tables = left_basis._pair_tables = {}
+    slot = tables.get(id(right_basis))
+    if slot is None:
+        slot = tables[id(right_basis)] = (right_basis, {})
+    return slot[1]
+
+
 def _reduce(p, q, left_basis, right_basis, budget) -> CorrelatorCombination:
+    """Bilinear expansion of ``(p, q)`` over the basis-pair table."""
     out = CorrelatorCombination(left_basis, right_basis)
     if p.is_zero() or q.is_zero():
         return out
@@ -310,7 +340,25 @@ def _reduce(p, q, left_basis, right_basis, budget) -> CorrelatorCombination:
         raise InternalInvariantViolation(
             "combined weight failed to decrease during rewriting"
         )
-    voa = p.module.voa
+    table = _table_for(left_basis, right_basis)
+    q_raw = q.to_raw()
+    for p_key, a in p.to_raw().items():
+        for q_key, b in q_raw.items():
+            entry = table.get((p_key, q_key))
+            if entry is None:
+                entry = _pair_entry(p_key, q_key, left_basis, right_basis)
+                table[(p_key, q_key)] = entry
+            out._add(entry, a * b)
+    return out
+
+
+def _pair_entry(p_key, q_key, left_basis, right_basis) -> dict:
+    """Both moves run once on the basis monomials ``p_key`` and ``q_key``."""
+    voa = left_basis.module.voa
+    p = GradedVector.basis_vector(left_basis.module, p_key)
+    q = GradedVector.basis_vector(right_basis.module, q_key)
+    lp, lq = p.homogeneous_level(), q.homogeneous_level()
+    out = CorrelatorCombination(left_basis, right_basis)
     pairs, complement = _solver_for(left_basis).decompose(p)
     for v_key, a_key, coeff in pairs:
         # left move: only Y(a,z) v_h q with h >= 0 survives theta
@@ -326,12 +374,12 @@ def _reduce(p, q, left_basis, right_basis, budget) -> CorrelatorCombination:
             sub = _reduce(a_vec, vq, left_basis, right_basis, lp + lq - 1)
             out.accumulate(sub, LaurentPoly.monomial(-h - 1, coeff))
     for idx, alpha in complement:
-        part = _reduce_complement_left(idx, q, left_basis, right_basis, budget)
+        part = _reduce_complement_left(idx, q, left_basis, right_basis)
         out.accumulate(part, LaurentPoly.monomial(0, alpha))
-    return out
+    return out._entries
 
 
-def _reduce_complement_left(i: int, q, left_basis, right_basis, budget) -> CorrelatorCombination:
+def _reduce_complement_left(i: int, q, left_basis, right_basis) -> CorrelatorCombination:
     """Rewrite with the left slot already the complement vector ``p^i``."""
     out = CorrelatorCombination(left_basis, right_basis)
     p_vec = left_basis.vectors[i]

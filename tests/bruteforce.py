@@ -218,6 +218,64 @@ def fock_top_correlator(p_raw: dict, lam: Q, q_raw: dict, mu: Q) -> dict:
 
 
 # ----------------------------------------------------------------------
+# correlator rewriting by the two moves, recursed plainly
+
+def plain_correlator_reduction(p, q, split_left, split_right, act, level) -> dict:
+    """Rewrite ``<theta, Y(p,z) q>`` by the left and right moves alone.
+
+    No memo and no table: every step recurses on the vectors it was
+    given, as the moves are stated.  The caller supplies the primitives:
+
+    * ``split_left(p)`` and ``split_right(q)`` return ``(pairs,
+      complement)`` with ``x = sum v_{-1} a + sum alpha * x_i``, where
+      ``pairs`` is ``[(v, a)]`` and ``complement`` is ``[(i, alpha, x_i)]``;
+    * ``act(v, n, w)`` is the mode action ``v_n w``, or None when zero;
+    * ``level(x)`` is the weight of a homogeneous vector.
+
+    Returns ``{(i, j): {power: coefficient}}`` with zeros dropped.
+    """
+    def add(target, source, shift, scale):
+        for key, poly in source.items():
+            slot = target.setdefault(key, {})
+            for power, c in poly.items():
+                value = slot.get(power + shift, 0) + scale * c
+                if value:
+                    slot[power + shift] = value
+                else:
+                    slot.pop(power + shift, None)
+            if not slot:
+                del target[key]
+
+    def rewrite(p, q):
+        out = {}
+        pairs, complement = split_left(p)
+        for v, a in pairs:
+            # left move: z^{-h-1} <theta, Y(a,z) v_h q>, h >= 0
+            for h in range(level(v) + level(q)):
+                vq = act(v, h, q)
+                if vq is not None:
+                    add(out, rewrite(a, vq), -h - 1, 1)
+        for i, alpha, p_i in complement:
+            add(out, rewrite_right(i, p_i, q), 0, alpha)
+        return out
+
+    def rewrite_right(i, p_i, q):
+        out = {}
+        pairs, complement = split_right(q)
+        for v, b in pairs:
+            # right move: (-1)^{m+1} z^{-1-m} <theta, Y(v_m p^i, z) b>, m >= 0
+            for m in range(level(v) + level(p_i)):
+                vp = act(v, m, p_i)
+                if vp is not None:
+                    add(out, rewrite(vp, b), -1 - m, (-1) ** (m + 1))
+        for j, beta, _ in complement:
+            add(out, {(i, j): {0: 1}}, 0, beta)
+        return out
+
+    return rewrite(p, q)
+
+
+# ----------------------------------------------------------------------
 # frozen Virasoro values (hand-computed from the bracket
 # [L(m), L(n)] = (m-n) L(m+n) + c/12 (m^3 - m) delta_{m+n,0})
 

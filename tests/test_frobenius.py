@@ -1,12 +1,17 @@
 """Tests for the local solver at the regular singular point."""
 
+import json
 import random
+import signal
+import textwrap
+from contextlib import contextmanager
 from fractions import Fraction as Q
 
 import pytest
 import sympy
 
 from bruteforce import fock_top_correlator
+from vertexbound.cli import main
 from vertexbound.cofinite import choose_complement
 from vertexbound.errors import (
     InputShapeError,
@@ -56,6 +61,20 @@ def fock_system(lam=1, mu=2, depth=6):
     return assemble_ode(lbasis, rbasis)
 
 
+@contextmanager
+def time_limit(seconds):
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # ----------------------------------------------------------------------
 # pole order and characteristic data
 
@@ -98,6 +117,30 @@ def test_rational_root_extraction():
     # zero roots strip cleanly
     roots, remainder = _rational_roots([Q(1), Q(-1), Q(0), Q(0)])
     assert roots == {Q(0): 2, Q(1): 1}
+
+
+def test_rational_roots_match_sympy_on_random_products():
+    # products of linear factors with large numerators and denominators
+    # and of irreducible quadratics; sympy's factorization is the oracle
+    rng = random.Random(11)
+    t = sympy.Symbol("t")
+    for _ in range(40):
+        poly = sympy.Integer(1)
+        for _ in range(rng.randint(0, 4)):
+            poly *= t - sympy.Rational(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 6))
+        for _ in range(rng.randint(0, 2)):
+            poly *= t ** 2 + rng.randint(-10 ** 6, 10 ** 6) * t + rng.randint(1, 10 ** 9) * 7 + 3
+        coeffs = [Q(int(c.p), int(c.q)) for c in sympy.Poly(poly, t).all_coeffs()]
+        expected = {}
+        for factor, mult in sympy.factor_list(poly)[1]:
+            if sympy.Poly(factor, t).degree() == 1:
+                a, b = sympy.Poly(factor, t).all_coeffs()
+                root = -b / a
+                expected[Q(int(root.p), int(root.q))] = int(mult)
+        with time_limit(5):
+            roots, remainder = _rational_roots(coeffs)
+        assert roots == expected
+        assert len(remainder) - 1 == len(coeffs) - 1 - sum(expected.values())
 
 
 def test_indicial_exponents_fock():
@@ -252,3 +295,49 @@ def test_solution_json_schema():
     assert payload["exponent"] == "2"
     assert payload["depth"] == 3
     assert payload["terms"] == [{"k": 0, "log_power": 0, "vector": ["1"]}]
+
+
+# ----------------------------------------------------------------------
+# huge exponents: root finding is bounded in time
+
+HUGE_LAM, HUGE_MU = 1000000007, 1000000009
+
+
+def test_huge_charge_exponent_is_found_in_bounded_time():
+    # residue lam*mu ~ 10^18: trial division up to its square root hung
+    with time_limit(5):
+        data = indicial_exponents(fock_system(HUGE_LAM, HUGE_MU, depth=5))
+    assert data.exponents == [(Q(HUGE_LAM * HUGE_MU), 1)]
+    assert data.irreducible_factors == []
+
+
+def test_huge_charge_frobenius_cli_in_bounded_time(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VERTEXBOUND_CACHE", str(tmp_path / "cache"))
+    config = tmp_path / "huge.ini"
+    config.write_text(textwrap.dedent(f"""
+        [run]
+        depth = 4
+
+        [voa]
+        kind = heisenberg
+
+        [module.f1]
+        kind = fock
+        charge = {HUGE_LAM}
+
+        [module.f2]
+        kind = fock
+        charge = {HUGE_MU}
+
+        [command]
+        left = f1
+        right = f2
+    """), encoding="utf-8")
+    with time_limit(5):
+        code = main(["frobenius", "--config", str(config)])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    exponent = str(HUGE_LAM * HUGE_MU)
+    assert exponent == "1000000016000000063"
+    assert payload["indicial"]["exponents"] == [{"value": exponent, "multiplicity": 1}]
+    assert payload["series"][0]["solutions"][0]["exponent"] == exponent

@@ -1,11 +1,13 @@
 """Tests for correlator rewriting, the induced ODE, and fusion bounds."""
 
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from bruteforce import fock_top_correlator
+from bruteforce import fock_top_correlator, plain_correlator_reduction
+from vertexbound import reduction
 from vertexbound.cofinite import choose_complement
 from vertexbound.errors import InputShapeError, TruncationError
 from vertexbound.laurent import LaurentPoly
@@ -232,6 +234,139 @@ def test_reduce_window_guard():
             GradedVector.basis_vector(right, (3,)),
             lbasis, rbasis,
         )
+
+
+# ----------------------------------------------------------------------
+# the basis-pair table
+
+def ising_sigma_eps(depth=5):
+    c = Q(1, 2)
+    voa = VirasoroVoa(c, depth + 2)
+
+    def quotient(h):
+        return QuotientModule(VermaModule(voa, h), [level2_singular_vector(c, h)])
+
+    left, right = quotient(Q(1, 16)), quotient(Q(1, 2))
+    return left, right, choose_complement(left, depth), choose_complement(right, depth)
+
+
+def basis_pairs(left, right, top):
+    return [
+        (p_key, q_key)
+        for total in range(top + 1)
+        for a in range(total + 1)
+        for p_key in left.keys(a)
+        for q_key in right.keys(total - a)
+    ]
+
+
+def plain(comb):
+    return {key: poly.terms for key, poly in comb.items()}
+
+
+def reduce_keys(p_key, q_key, lbasis, rbasis):
+    return reduce(GradedVector.basis_vector(lbasis.module, p_key),
+                  GradedVector.basis_vector(rbasis.module, q_key), lbasis, rbasis)
+
+
+def oracle_reduction(p_key, q_key, lbasis, rbasis):
+    def splitter(basis):
+        def split(x):
+            pairs, e = express_in_c1_plus_complement(x, basis)
+            complement = []
+            for i, (level, key) in enumerate(basis.labels):
+                alpha = e.coords_at(level)[basis.module.index(key)]
+                if alpha:
+                    complement.append((i, alpha, basis.vectors[i]))
+            return pairs, complement
+        return split
+
+    def act(v, n, w):
+        out = mode_action(v, n, w)
+        assert not out.truncated
+        return None if out.is_zero() else out
+
+    return plain_correlator_reduction(
+        GradedVector.basis_vector(lbasis.module, p_key),
+        GradedVector.basis_vector(rbasis.module, q_key),
+        splitter(lbasis), splitter(rbasis), act, lambda x: x.homogeneous_level(),
+    )
+
+
+@pytest.mark.parametrize("make, top", [
+    (ising_sigma_eps, 5),
+    (lambda depth: fock_pair(depth=depth + 1), 6),
+], ids=["ising-sigma-eps", "fock-1-2"])
+def test_table_matches_plain_recursion(make, top):
+    left, right, lbasis, rbasis = make(top)
+    pairs = basis_pairs(left, right, top)
+    rng = random.Random(top)
+    rng.shuffle(pairs)
+    expected = {pair: oracle_reduction(*pair, lbasis, rbasis) for pair in pairs}
+    for pair in pairs:
+        assert plain(reduce_keys(*pair, lbasis, rbasis)) == expected[pair], pair
+    # fresh bases, another order: the labels are deterministic
+    _, _, fresh_left, fresh_right = make(top)
+    rng.shuffle(pairs)
+    for pair in pairs:
+        assert plain(reduce_keys(*pair, fresh_left, fresh_right)) == expected[pair], pair
+
+
+def test_mutating_a_result_leaves_the_table_alone():
+    left, right, lbasis, rbasis = fock_pair()
+    low = reduce_keys((1,), (1,), lbasis, rbasis)
+    high = reduce_keys((2, 1), (1,), lbasis, rbasis)
+    before = (low.to_json(), high.to_json())
+    low.accumulate(low, LaurentPoly.monomial(3, Q(5)))
+    high.accumulate(CorrelatorCombination.unit(lbasis, rbasis, 0, 0), LaurentPoly.one())
+    assert low.to_json() != before[0] and high.to_json() != before[1]
+    again = (reduce_keys((1,), (1,), lbasis, rbasis), reduce_keys((2, 1), (1,), lbasis, rbasis))
+    assert tuple(c.to_json() for c in again) == before
+    _, _, fresh_left, fresh_right = fock_pair()
+    assert reduce_keys((3, 1), (1,), lbasis, rbasis).to_json() == \
+        reduce_keys((3, 1), (1,), fresh_left, fresh_right).to_json()
+
+
+def test_window_refusal_leaves_later_results_unchanged():
+    left, right, lbasis, rbasis = ising_sigma_eps(4)
+    pairs = basis_pairs(left, right, 4)
+    before = [plain(reduce_keys(*pair, lbasis, rbasis)) for pair in pairs]
+    with pytest.raises(TruncationError):
+        reduce_keys((3,), (2,), lbasis, rbasis)
+    assert [plain(reduce_keys(*pair, lbasis, rbasis)) for pair in pairs] == before
+    _, _, fresh_left, fresh_right = ising_sigma_eps(4)
+    assert [plain(reduce_keys(*pair, fresh_left, fresh_right)) for pair in pairs] == before
+
+
+def fock_level_sweep(lbasis, rbasis, level):
+    left, right = lbasis.module, rbasis.module
+    for a in range(level + 1):
+        for p_key in left.keys(a):
+            for q_key in right.keys(level - a):
+                reduce_keys(p_key, q_key, lbasis, rbasis)
+
+
+def test_ode_after_a_full_sweep_matches_fresh_bases():
+    _, _, lbasis, rbasis = fock_pair(depth=8)
+    fock_level_sweep(lbasis, rbasis, 7)
+    swept = json.dumps(assemble_ode(lbasis, rbasis).to_json(), sort_keys=True)
+    _, _, fresh_left, fresh_right = fock_pair(depth=8)
+    assert swept == json.dumps(assemble_ode(fresh_left, fresh_right).to_json(), sort_keys=True)
+
+
+def test_each_basis_pair_is_computed_at_most_once(monkeypatch):
+    left, right, lbasis, rbasis = fock_pair(depth=8)
+    computed = []
+    entry = reduction._pair_entry
+
+    def counting(p_key, q_key, *bases):
+        computed.append((p_key, q_key))
+        return entry(p_key, q_key, *bases)
+
+    monkeypatch.setattr(reduction, "_pair_entry", counting)
+    fock_level_sweep(lbasis, rbasis, 7)
+    assert computed
+    assert len(computed) <= len(basis_pairs(left, right, 7))
 
 
 # ----------------------------------------------------------------------
