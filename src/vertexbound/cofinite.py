@@ -13,6 +13,12 @@ The single nontrivial enumeration detail: our algebras have
 ``V_0 = Q|0>`` and no negative weights, and the vacuum contributes
 ``1_{-m} u = 0`` for ``m >= 2`` (and is excluded by ``wt > 0`` for
 ``m = 1``), so spanning generators always run over ``wt(v) >= 1``.
+
+Assembly stops at a level once its span is the whole level: the rank is
+bounded by ``dim M_(n)`` and the reduced echelon form of a full span is
+the identity, so the images left over could change nothing.  Above the
+cofiniteness window every level of ``C_1(M)`` is full, so this skips
+most of the mode-engine work there.
 """
 
 from __future__ import annotations
@@ -100,7 +106,14 @@ def _check_cm_guard(module, m: int, depth: int) -> None:
 
 
 def build_cm(module, m: int, depth: int) -> CmSubspace:
-    """Assemble C_m(M) spanning sets and their exact ranks per level."""
+    """Assemble C_m(M) spanning sets and their exact ranks per level.
+
+    Level n stops enumerating ``(v, u)`` pairs once its span has rank
+    ``dim M_(n)``.  This is exact: the rank cannot exceed the dimension,
+    and the reduced echelon form of a full span is the identity whatever
+    vectors built it, so ranks and ``basis_rows()`` are unchanged.  The
+    depth guard still runs first, so no refusal is skipped.
+    """
     _check_cm_guard(module, m, depth)
     engine = engine_for(module) if module.voa is not None else None
     voa = module.voa
@@ -108,13 +121,19 @@ def build_cm(module, m: int, depth: int) -> CmSubspace:
     for n in range(depth + 1):
         dim_n = module.dim(n)
         span = RowSpan(dim_n)
-        for wt in range(1, n - m + 2) if voa is not None else ():
-            u_level = n - wt - m + 1
-            for v_key in voa.keys(wt):
-                for u_key in module.keys(u_level):
-                    image = engine.apply_word(v_key, -m, u_key)
-                    if image:
-                        span.add(module.coords(image, n))
+        # ascending weight, so the cheap low-weight words fill the span first
+        pairs = (
+            (v_key, u_key)
+            for wt in (range(1, n - m + 2) if voa is not None else ())
+            for v_key in voa.keys(wt)
+            for u_key in module.keys(n - wt - m + 1)
+        )
+        for v_key, u_key in pairs:
+            if span.rank == dim_n:
+                break
+            image = engine.apply_word(v_key, -m, u_key)
+            if image:
+                span.add(module.coords(image, n))
         levels[n] = CmLevel(level=n, dim=dim_n, rank=span.rank, span=span)
     return CmSubspace(module, m, depth, levels)
 
@@ -160,6 +179,8 @@ class ComplementBasis:
 
 def _greedy_level_complement(module, span: RowSpan, level: int, needed: int) -> list:
     """Earliest basis monomials completing a span to the full level."""
+    if not needed:
+        return []
     chosen = []
     working = RowSpan(span.width)
     for row in span.basis_rows():

@@ -602,6 +602,8 @@ def _saturate_spans(spans: dict, ambient, depth: int) -> None:
             for row in spans[n].basis_rows():
                 for k in range(n + gw - 1 - depth, n + gw):
                     n2 = n + gw - 1 - k
+                    if spans[n2].rank == spans[n2].width:
+                        continue  # a full span cannot grow
                     out_raw = {}
                     for col, c in enumerate(row):
                         if not c:

@@ -4,10 +4,12 @@ from fractions import Fraction as Q
 from math import factorial
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import partition_count, sympy_rank
+from vertexbound import linalg
 from vertexbound.cofinite import (
     build_cm,
     choose_complement,
@@ -54,20 +56,40 @@ def level2_quotient(depth=8):
     )
 
 
-def c1_rank_oracle(module, level) -> int:
-    """Exhaustive C_1 spanning rank through the public vector layer.
+def cm_spanning_rows(module, m, level) -> list:
+    """Every ``v_{-m} u`` landing at ``level``, through the public vector layer.
 
-    Enumerates every homogeneous (v, u) pair without any of the engine's
-    level bookkeeping and lets sympy do the elimination.
+    Runs over all homogeneous pairs with ``wt(v) > 1 - m``, the vacuum
+    included when ``m >= 2``, without any of the engine's level
+    bookkeeping or early stopping.
     """
     rows = []
-    for wt in range(1, level + 1):
+    for wt in range(max(0, 2 - m), level - m + 2):
         for v in basis_vectors(module.voa, wt):
-            for u in basis_vectors(module, level - wt):
-                image = mode_action(v, -1, u)
+            for u in basis_vectors(module, level - wt - m + 1):
+                image = mode_action(v, -m, u)
                 assert not image.truncated
                 rows.append(image.coords_at(level))
-    return sympy_rank(rows)
+    return rows
+
+
+def c1_rank_oracle(module, level) -> int:
+    """Exhaustive C_1 spanning rank, eliminated by sympy."""
+    return sympy_rank(cm_spanning_rows(module, 1, level))
+
+
+def cm_rref_oracle(module, m, level) -> list:
+    """Nonzero rows of sympy's rref of the exhaustive C_m spanning set."""
+    rows = cm_spanning_rows(module, m, level)
+    if not rows:
+        return []
+    reduced, pivots = sympy.Matrix(
+        [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]
+    ).rref()
+    return [
+        tuple(Q(int(c.p), int(c.q)) for c in reduced.row(i))
+        for i in range(len(pivots))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +134,57 @@ def test_negative_charge_fock_matches_oracle():
     dims = cm_quotient_dims(fock, 1, 4)
     for n in range(5):
         assert fock.dim(n) - c1_rank_oracle(fock, n) == dims[n]
+
+
+def oracle_modules():
+    heis = HeisenbergVoa(9)
+    vir = VirasoroVoa(Q(1, 2), 9)
+    ising = [
+        QuotientModule(VermaModule(vir, h), [level2_singular_vector(Q(1, 2), h)])
+        for h in (Q(1, 16), Q(1, 2))
+    ]
+    return [
+        ("heisenberg", heis, 6),
+        ("fock(1)", FockModule(heis, 1), 6),
+        ("fock(-2)", FockModule(heis, -2), 6),
+        ("virasoro c=1/2", vir, 6),
+        ("verma h=1/16", VermaModule(vir, Q(1, 16)), 6),
+        ("ising sigma", ising[0], 6),
+        ("ising epsilon", ising[1], 6),
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_cm_spans_equal_the_exhaustive_rref(m):
+    # the stop rule may skip images; the reduced rows must not notice
+    for name, module, depth in oracle_modules():
+        cm = build_cm(module, m, depth)
+        for n in range(depth + 1):
+            expected = cm_rref_oracle(module, m, n)
+            assert cm.levels[n].span.basis_rows() == expected, (name, m, n)
+            assert cm.levels[n].rank == len(expected), (name, m, n)
+
+
+@pytest.mark.parametrize("which", ["fock", "sigma"])
+def test_build_cm_never_feeds_a_full_span(monkeypatch, which):
+    if which == "fock":
+        module = FockModule(HeisenbergVoa(10), 1)
+    else:
+        vir = VirasoroVoa(Q(1, 2), 11)
+        module = QuotientModule(
+            VermaModule(vir, Q(1, 16)), [level2_singular_vector(Q(1, 2), Q(1, 16))]
+        )
+    full_adds = []
+    original = linalg.RowSpan.add
+
+    def counting_add(self, vec):
+        full_adds.append(self.rank == self.width)
+        return original(self, vec)
+
+    monkeypatch.setattr(linalg.RowSpan, "add", counting_add)
+    cm = build_cm(module, 1, 9)
+    assert full_adds and not any(full_adds)
+    assert cm.levels[9].rank == module.dim(9)
 
 
 # ----------------------------------------------------------------------

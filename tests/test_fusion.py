@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from bruteforce import fock_top_correlator
+from vertexbound import linalg
 from vertexbound.cofinite import choose_complement, cm_quotient_dims
 from vertexbound.errors import InputShapeError, InternalInvariantViolation
 from vertexbound.fusion import (
@@ -176,6 +177,22 @@ def test_join_with_the_zero_datum_recovers_the_factor():
     assert [recovered.target.dim(n) for n in range(5)] == [h.target.dim(n) for n in range(5)]
     assert compare(recovered, h).relation == "equivalent"
     assert join(zero, zero).target.dim(0) == 0
+
+
+def test_join_never_feeds_a_full_level_span(monkeypatch):
+    full_adds = []
+    original = linalg.RowSpan.add
+
+    def counting_add(self, vec):
+        full_adds.append(self.rank == self.width)
+        return original(self, vec)
+
+    monkeypatch.setattr(linalg.RowSpan, "add", counting_add)
+    h = heisenberg_intertwiner(1, 2, 4)
+    zero = zero_intertwiner(h.source_left, h.source_right, 4)
+    join(h, zero)
+    join(h, h.scale(3))
+    assert full_adds and not any(full_adds)
 
 
 def test_join_rejects_mismatched_sources():
