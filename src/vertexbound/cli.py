@@ -1,19 +1,14 @@
 """Command-line front end: one command per run, one JSON report out.
 
 Each invocation parses a single config file, realizes the requested
-truncated structures, runs one command, and emits a schema-versioned
-JSON report on stdout (or to ``--out``).  Reports are deterministic:
-byte-identical across repeated runs and cache states.  ``--threads``
+truncated structures, runs one command on them, and emits a
+schema-versioned JSON report on stdout (or to ``--out``).  Reports are
+deterministic: byte-identical across repeated runs.  ``--threads``
 (and ``[run] threads``) is still accepted and checked to be positive,
-but has no effect; it, the output path and the cache location are
-excluded from the configuration hash echoed in the report.  Failures
-are emitted as machine-readable error objects with a distinct exit
-code per error family (see :mod:`vertexbound.errors`).
-
-Realized algebras and modules are round-tripped through the on-disk
-generator-matrix cache, which re-derives a random sample of blocks on
-every load; the engine itself always recomputes from the realization,
-so a stale cache can be detected but never silently believed.
+but has no effect; it and the output path are excluded from the
+configuration hash echoed in the report.  Failures are emitted as
+machine-readable error objects with a distinct exit code per error
+family (see :mod:`vertexbound.errors`).
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ import argparse
 import json
 import sys
 
-from .cache import ModeMatrixCache
 from .cofinite import choose_complement, cm_quotient_dims, graded_dims, log_power_bound
 from .config import RunConfig, parse_integer, parse_partition, parse_rational
 from .errors import ConfigError, VertexboundError
@@ -55,25 +49,15 @@ def _certified_depth(flags) -> int:
     return depth
 
 
-def _spot_check(cache, modules) -> None:
-    # persist-and-verify: each realization round-trips through the
-    # cache, which recomputes a random sample of blocks per load
-    for module in modules:
-        cache.load_or_build(module)
-
-
-def _named_module(config, voa, cache):
+def _named_module(config, voa):
     """The module a single-module command acts on (``voa`` = adjoint)."""
     name = config.param("module", "voa")
     if name == "voa":
-        _spot_check(cache, [voa])
         return voa
-    module = realize_module(config.module_spec(name), voa)
-    _spot_check(cache, [voa, module])
-    return module
+    return realize_module(config.module_spec(name), voa)
 
 
-def _complement_pair(config, cache):
+def _complement_pair(config):
     """Left/right modules over one shared algebra, with complements.
 
     The realization depth is padded by ``gen_weight + m - 1`` so the
@@ -83,7 +67,6 @@ def _complement_pair(config, cache):
     voa = realize_voa(config.require_voa(), config.depth + pad)
     left = realize_module(config.module_spec(config.require_param("left")), voa)
     right = realize_module(config.module_spec(config.require_param("right")), voa)
-    _spot_check(cache, [voa, left, right])
     left_basis = choose_complement(left, config.depth, m=config.m)
     right_basis = choose_complement(right, config.depth, m=config.m)
     return left, right, left_basis, right_basis
@@ -100,9 +83,9 @@ def _intertwiner(config, voa, name):
 # ----------------------------------------------------------------------
 # command bodies: each returns (payload, certification)
 
-def _cmd_graded_dims(config, cache):
+def _cmd_graded_dims(config):
     voa = realize_voa(config.require_voa(), config.depth + _gen_weight(config))
-    module = _named_module(config, voa, cache)
+    module = _named_module(config, voa)
     rep = graded_dims(module, config.depth)
     payload = {
         "module": rep.module,
@@ -120,10 +103,10 @@ def _cmd_graded_dims(config, cache):
     return payload, _certification(good, warnings)
 
 
-def _cmd_cm_quotient(config, cache):
+def _cmd_cm_quotient(config):
     pad = _gen_weight(config) + config.m - 1
     voa = realize_voa(config.require_voa(), config.depth + pad)
-    module = _named_module(config, voa, cache)
+    module = _named_module(config, voa)
     dims = cm_quotient_dims(module, config.m, config.depth)
     payload = {
         "module": module.describe(),
@@ -134,10 +117,10 @@ def _cmd_cm_quotient(config, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_complement(config, cache):
+def _cmd_complement(config):
     pad = _gen_weight(config) + config.m - 1
     voa = realize_voa(config.require_voa(), config.depth + pad)
-    module = _named_module(config, voa, cache)
+    module = _named_module(config, voa)
     basis = choose_complement(module, config.depth, m=config.m)
     payload = {
         "module": basis.module.describe(),
@@ -150,8 +133,8 @@ def _cmd_complement(config, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_reduce(config, cache):
-    left, right, left_basis, right_basis = _complement_pair(config, cache)
+def _cmd_reduce(config):
+    left, right, left_basis, right_basis = _complement_pair(config)
     p_key = parse_partition(config.param("left_key", ""), "[command] left_key")
     q_key = parse_partition(config.param("right_key", ""), "[command] right_key")
     p = GradedVector.basis_vector(left, p_key)
@@ -165,8 +148,8 @@ def _cmd_reduce(config, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_ode(config, cache):
-    _left, _right, left_basis, right_basis = _complement_pair(config, cache)
+def _cmd_ode(config):
+    _left, _right, left_basis, right_basis = _complement_pair(config)
     system = assemble_ode(left_basis, right_basis)
     payload = {
         "left": left_basis.module.describe(),
@@ -176,13 +159,13 @@ def _cmd_ode(config, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_bound(config, cache):
-    _left, _right, left_basis, right_basis = _complement_pair(config, cache)
+def _cmd_bound(config):
+    _left, _right, left_basis, right_basis = _complement_pair(config)
     return fusion_bound(left_basis, right_basis).to_json(), _certification(config.depth)
 
 
-def _cmd_frobenius(config, cache):
-    _left, _right, left_basis, right_basis = _complement_pair(config, cache)
+def _cmd_frobenius(config):
+    _left, _right, left_basis, right_basis = _complement_pair(config)
     system = assemble_ode(left_basis, right_basis)
     data = indicial_exponents(system)
     series_depth = parse_integer(
@@ -221,10 +204,9 @@ def _cmd_frobenius(config, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_join(config, cache):
+def _cmd_join(config):
     names = config.require_param("intertwiners").split()
     voa = realize_voa(config.require_voa(), config.depth)
-    _spot_check(cache, [voa])
     joined = _intertwiner(config, voa, names[0])
     for name in names[1:]:
         joined = join(joined, _intertwiner(config, voa, name))
@@ -240,15 +222,14 @@ def _cmd_join(config, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_compare(config, cache):
+def _cmd_compare(config):
     voa = realize_voa(config.require_voa(), config.depth)
-    _spot_check(cache, [voa])
     first = _intertwiner(config, voa, config.require_param("first"))
     second = _intertwiner(config, voa, config.require_param("second"))
     return compare(first, second).to_json(), _certification(config.depth)
 
 
-def _cmd_log_bound(config, cache):
+def _cmd_log_bound(config):
     text = config.require_param("orders")
     orders = [parse_integer(p, "[command] orders", minimum=1) for p in text.split(",")]
     if len(orders) != 3:
@@ -263,9 +244,9 @@ def _cmd_log_bound(config, cache):
     return payload, _certification(config.depth)
 
 
-def _cmd_identity_suite(config, cache):
+def _cmd_identity_suite(config):
     voa = realize_voa(config.require_voa(), config.depth)
-    module = _named_module(config, voa, cache)
+    module = _named_module(config, voa)
     report = run_identity_suite(module)
     return report.summary(), _certification(config.depth)
 
@@ -322,8 +303,7 @@ def main(argv=None) -> int:
             config = config.with_depth(args.depth)
         if args.threads is not None and args.threads < 1:
             raise ConfigError("--threads must be a positive integer")
-        cache = ModeMatrixCache(config.cache_dir)
-        payload, certification = _COMMANDS[args.command](config, cache)
+        payload, certification = _COMMANDS[args.command](config)
         report = {
             "schema": REPORT_SCHEMA,
             "command": args.command,

@@ -167,9 +167,6 @@ class ComplementBasis:
     def __len__(self):
         return len(self.vectors)
 
-    def at_level(self, level: int) -> list:
-        return [v for v, (lv, _) in zip(self.vectors, self.labels) if lv == level]
-
     def describe_labels(self) -> list:
         return [
             {"level": level, "monomial": self.module.label(key)}

@@ -29,9 +29,11 @@ shortcut or as explicit ``(parts):coeff`` terms::
 Module and intertwiner sections are named (``[module.NAME]``); the
 ``[command]`` section holds per-command parameters, while the command
 itself is chosen on the command line.  The canonical form of a parsed
-configuration excludes volatile plumbing (the ignored thread count,
-output path, cache directory), so its hash identifies the mathematical
-content of a run and nothing else.
+configuration excludes volatile plumbing (the ignored thread count
+and the output path), so its hash identifies the mathematical content
+of a run and nothing else.  ``[run]`` takes only ``depth``, ``m``,
+``threads`` and ``out``; any other key is refused with a
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ from fractions import Fraction
 from .errors import ConfigError
 from .laurent import Q, format_rational
 from .voa import ModuleSpec, VoaSpec, level2_singular_vector
-
-VOLATILE_RUN_KEYS = ("threads", "out", "cache_dir")
 
 _TERM_RE = re.compile(r"^\(([\d,\s]*)\)\s*:\s*(\S+)$")
 
@@ -138,15 +138,13 @@ class RunConfig:
 
     ``canonical`` is a nested plain-data image of everything that can
     influence a result; :meth:`config_hash` digests it.  Plumbing that
-    cannot (the ignored thread count, output path, cache directory) lives
-    outside.
+    cannot (the ignored thread count and the output path) lives outside.
     """
 
     depth: int
     m: int
     threads: int
     out: str | None
-    cache_dir: str | None
     voa: VoaSpec | None
     modules: dict
     intertwiners: dict
@@ -176,7 +174,7 @@ class RunConfig:
         if not parser.has_section("run"):
             raise ConfigError("config needs a [run] section with a depth")
         run = dict(parser.items("run"))
-        known_run = {"depth", "m", "threads", "out", "cache_dir"}
+        known_run = {"depth", "m", "threads", "out"}
         for key in run:
             if key not in known_run:
                 raise ConfigError(f"[run]: unknown key {key!r}")
@@ -186,7 +184,6 @@ class RunConfig:
         m = parse_integer(run.get("m", "1"), "[run] m", minimum=1)
         threads = parse_integer(run.get("threads", "1"), "[run] threads", minimum=1)
         out = run.get("out") or None
-        cache_dir = run.get("cache_dir") or None
 
         voa_spec = None
         if parser.has_section("voa"):
@@ -219,7 +216,6 @@ class RunConfig:
             m=m,
             threads=threads,
             out=out,
-            cache_dir=cache_dir,
             voa=voa_spec,
             modules=modules,
             intertwiners=intertwiners,

@@ -109,9 +109,6 @@ class LaurentPoly:
         """Smallest exponent with nonzero coefficient, or None if zero."""
         return min(self._terms) if self._terms else None
 
-    def max_exponent(self):
-        return max(self._terms) if self._terms else None
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -211,10 +208,6 @@ class LaurentPoly:
             {"power": p, "num": str(self._terms[p].numerator), "den": str(self._terms[p].denominator)}
             for p in sorted(self._terms)
         ]
-
-    @classmethod
-    def from_json_terms(cls, items) -> "LaurentPoly":
-        return cls({int(t["power"]): Q(int(t["num"]), int(t["den"])) for t in items})
 
     def __repr__(self):
         if not self._terms:

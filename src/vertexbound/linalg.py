@@ -105,13 +105,6 @@ class ExactMatrix:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            {(j, i): c for (i, j), c in self._entries.items()},
-        )
-
     def matvec(self, vec) -> tuple:
         vec = [Q(v) for v in vec]
         if len(vec) != self.cols:

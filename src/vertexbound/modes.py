@@ -278,14 +278,6 @@ class ModeEngine:
                     raw_acc(out, fin_key, scale * fin_coeff)
         return out
 
-    def apply_raw(self, v_raw: dict, k: int, w_raw: dict) -> dict:
-        """Bilinear extension of :meth:`apply_word` to raw elements."""
-        out = {}
-        for w_key, w_coeff in w_raw.items():
-            for v_word, v_coeff in v_raw.items():
-                raw_combine(out, self.apply_word(v_word, k, w_key), v_coeff * w_coeff)
-        return out
-
 
 def engine_for(module) -> ModeEngine:
     engine = getattr(module, "_mode_engine", None)

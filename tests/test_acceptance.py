@@ -352,7 +352,13 @@ ALL_COMMANDS = (
 
 def test_criterion_8_deterministic_reports(announce, tmp_path, monkeypatch):
     with criterion(announce, 8, "deterministic reports"):
-        monkeypatch.setenv("VERTEXBOUND_CACHE", str(tmp_path / "cache"))
+        # a command writes nothing but its report: neither where the
+        # cache variable points nor under HOME
+        cache_dir = tmp_path / "cache"
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("VERTEXBOUND_CACHE", str(cache_dir))
+        monkeypatch.setenv("HOME", str(home))
         config = tmp_path / "run.ini"
         config.write_text(textwrap.dedent(ACCEPTANCE_INI), encoding="utf-8")
         for command in ALL_COMMANDS:
@@ -368,3 +374,5 @@ def test_criterion_8_deterministic_reports(announce, tmp_path, monkeypatch):
             report = json.loads(single.read_text(encoding="utf-8"))
             assert report["command"] == command
             assert "payload" in report
+        for directory in (cache_dir, home):
+            assert [p for p in directory.rglob("*") if p.is_file()] == [], directory

@@ -6,11 +6,6 @@ import pytest
 from vertexbound.cli import main
 
 
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("VERTEXBOUND_CACHE", str(tmp_path / "cache"))
-
-
 FOCK_INI = """
 [run]
 depth = 4
@@ -267,17 +262,13 @@ def test_non_positive_threads_are_config_errors(tmp_path, capsys):
     assert report["error"]["exit_code"] == 2
 
 
-def test_reports_byte_identical_across_cache_states(tmp_path, capsys):
-    config = write_config(tmp_path, FOCK_INI)
-    argv = ["graded-dims", "--config", config]
-    _, cold = run_cli(argv, capsys)
-    _, warm = run_cli(argv, capsys)
-    assert cold == warm
-    # poison the cache; the spot check forces a rebuild, bytes unchanged
-    for path in (tmp_path / "cache").glob("*.json"):
-        path.write_text("{", encoding="utf-8")
-    _, rebuilt = run_cli(argv, capsys)
-    assert rebuilt == cold
+def test_cache_dir_key_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, FOCK_INI.replace("m = 1", "m = 1\ncache_dir = /tmp/x"))
+    code, report = run_json(["graded-dims", "--config", config], capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["exit_code"] == 2
+    assert "cache_dir" in report["error"]["message"]
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

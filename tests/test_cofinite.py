@@ -328,8 +328,11 @@ def test_complement_plus_c1_spans_each_level():
             continue
         for n in range(4):
             rows = [list(r) for r in cm.levels[n].span.basis_rows()]
-            for vec in basis.at_level(n):
-                rows.append(vec.coords_at(n))
+            rows.extend(
+                vec.coords_at(n)
+                for vec, (level, _) in zip(basis.vectors, basis.labels)
+                if level == n
+            )
             assert sympy_rank(rows) == module.dim(n)
 
 

@@ -30,7 +30,6 @@ def test_minimal_defaults():
     assert config.m == 1
     assert config.threads == 1
     assert config.out is None
-    assert config.cache_dir is None
     assert config.voa is None
     assert config.modules == {}
     assert config.intertwiners == {}
@@ -46,6 +45,8 @@ def test_run_section_required():
 def test_unknown_run_key_rejected():
     with pytest.raises(ConfigError):
         load("[run]\ndepth = 2\ncolour = blue\n")
+    with pytest.raises(ConfigError):
+        load("[run]\ndepth = 2\ncache_dir = /tmp/x\n")
 
 
 def test_unknown_section_rejected():
@@ -207,7 +208,6 @@ def test_volatile_keys_do_not_change_hash():
     depth = 3
     threads = 8
     out = /tmp/report.json
-    cache_dir = /tmp/elsewhere
     """)
     assert base.config_hash() == noisy.config_hash()
 

@@ -311,8 +311,7 @@ def test_huge_charge_exponent_is_found_in_bounded_time():
     assert data.irreducible_factors == []
 
 
-def test_huge_charge_frobenius_cli_in_bounded_time(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("VERTEXBOUND_CACHE", str(tmp_path / "cache"))
+def test_huge_charge_frobenius_cli_in_bounded_time(tmp_path, capsys):
     config = tmp_path / "huge.ini"
     config.write_text(textwrap.dedent(f"""
         [run]
