@@ -9,6 +9,11 @@ but has no effect; it and the output path are excluded from the
 configuration hash echoed in the report.  Failures are emitted as
 machine-readable error objects with a distinct exit code per error
 family (see :mod:`vertexbound.errors`).
+
+``join`` and ``compare`` build the free-boson intertwiner once per
+command: every name they read must share the source charges, which is
+checked before anything is built, and each name is the one build times
+its scale.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ import sys
 
 from .cofinite import choose_complement, cm_quotient_dims, graded_dims, log_power_bound
 from .config import RunConfig, parse_integer, parse_partition, parse_rational
-from .errors import ConfigError, VertexboundError
+from .errors import ConfigError, InputShapeError, VertexboundError
 from .frobenius import frobenius_series, indicial_exponents
-from .fusion import compare, heisenberg_intertwiner, join
+from .fusion import SOURCE_MISMATCH, compare, heisenberg_intertwiner, join
 from .laurent import QONE, format_rational
 from .modes import GradedVector, run_identity_suite
 from .reduction import assemble_ode, fusion_bound, reduce
@@ -72,12 +77,21 @@ def _complement_pair(config):
     return left, right, left_basis, right_basis
 
 
-def _intertwiner(config, voa, name):
-    params = config.intertwiner_params(name)
-    datum = heisenberg_intertwiner(params.lam, params.mu, config.depth, voa=voa)
-    if params.scale != QONE:
-        datum = datum.scale(params.scale)
-    return datum
+def _intertwiners(config, voa, names) -> list:
+    """The named intertwiners, scaled copies of one free-boson build.
+
+    ``join`` and ``compare`` need one source pair, so every name must
+    carry the charges (lam, mu) of the first; a mismatch is refused
+    before anything is built, with the error ``join``/``compare`` raise.
+    ``names`` may be a lazy iterable; each is looked up as it comes.
+    """
+    params = []
+    for name in names:
+        params.append(config.intertwiner_params(name))
+        if (params[-1].lam, params[-1].mu) != (params[0].lam, params[0].mu):
+            raise InputShapeError(SOURCE_MISMATCH)
+    base = heisenberg_intertwiner(params[0].lam, params[0].mu, config.depth, voa=voa)
+    return [base if p.scale == QONE else base.scale(p.scale) for p in params]
 
 
 # ----------------------------------------------------------------------
@@ -207,9 +221,9 @@ def _cmd_frobenius(config):
 def _cmd_join(config):
     names = config.require_param("intertwiners").split()
     voa = realize_voa(config.require_voa(), config.depth)
-    joined = _intertwiner(config, voa, names[0])
-    for name in names[1:]:
-        joined = join(joined, _intertwiner(config, voa, name))
+    joined, *rest = _intertwiners(config, voa, names)
+    for datum in rest:
+        joined = join(joined, datum)
     certificate = joined.surjectivity_certificate()
     payload = {
         **joined.to_json(),
@@ -224,8 +238,8 @@ def _cmd_join(config):
 
 def _cmd_compare(config):
     voa = realize_voa(config.require_voa(), config.depth)
-    first = _intertwiner(config, voa, config.require_param("first"))
-    second = _intertwiner(config, voa, config.require_param("second"))
+    names = (config.require_param(key) for key in ("first", "second"))
+    first, second = _intertwiners(config, voa, names)
     return compare(first, second).to_json(), _certification(config.depth)
 
 

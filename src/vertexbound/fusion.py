@@ -16,18 +16,24 @@ so f is solved one level at a time and its commutation with the
 generator modes is checked afterwards on the solved blocks.
 
 The concrete generator of examples is the free-boson vertex operator
-Fock(lam) x Fock(mu) -> Fock(lam+mu), assembled from oscillator
-exponentials; scalar twists, joins and the zero datum derive from it.
+Fock(lam) x Fock(mu) -> Fock(lam+mu) (Frenkel-Lepowsky-Meurman, ch. 4),
+assembled from the closed forms of its two oscillator exponentials:
+the annihilating one is tabulated once per w, the creating one once per
+build and applied once per pair (u, w), to the normal-ordered states of
+every splitting of u summed together.  Scalar twists, joins and the
+zero datum derive from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import factorial
 
 from .errors import InputShapeError, InternalInvariantViolation
 from .laurent import LaurentPoly, Q, QONE, QZERO, binomial, format_rational
 from .linalg import ExactMatrix, RowSpan
-from .modes import GradedVector, generator_vector, mode_action
+from .modes import GradedVector
 from .voa import (
     BaseRealization,
     DirectSumModule,
@@ -36,6 +42,7 @@ from .voa import (
     LevelCapExceeded,
     _insert_part,
     _remove_part,
+    partitions_of,
     raw_acc,
 )
 
@@ -55,45 +62,46 @@ def _state_acc(out: dict, key, value) -> None:
         out.pop(key, None)
 
 
-def _ann_exponential(states: dict, lam) -> dict:
-    """Apply exp(-lam sum_{j>=1} a(j) z^-j / j)."""
-    total = dict(states)
-    if not lam:
-        return total
-    layer = dict(states)
-    step = 0
-    while layer:
-        step += 1
-        image = {}
-        for (part, zoff), coeff in layer.items():
-            for j in set(part):
-                # a(j) against one matching part: bracket j * count,
-                # exponential weight -lam/j
-                value = -lam * part.count(j) * coeff
-                _state_acc(image, (_remove_part(part, j), zoff - j), value)
-        layer = {key: value / step for key, value in image.items()}
-        for key, value in layer.items():
-            _state_acc(total, key, value)
-    return total
+def _creation_terms(lam, depth: int) -> list:
+    """exp(lam sum_{t>=1} a(-t) z^t / t), tabulated by z-power up to depth.
+
+    ``terms[s]`` lists ``(nu, lam^len(nu) / z_nu)`` over the partitions nu
+    of s, where z_nu = prod_t t^{m_t} m_t! for m_t parts equal to t.
+    """
+    terms = []
+    for s in range(depth + 1):
+        row = []
+        for nu in partitions_of(s):
+            z_nu = 1
+            for t in set(nu):
+                m = nu.count(t)
+                z_nu *= t ** m * factorial(m)
+            coeff = lam ** len(nu) / z_nu
+            if coeff:
+                row.append((nu, coeff))
+        terms.append(row)
+    return terms
 
 
-def _cre_exponential(states: dict, lam, bound: int) -> dict:
-    """Apply exp(lam sum_{t>=1} a(-t) z^t / t), keeping zoff <= bound."""
-    total = {key: value for key, value in states.items() if key[1] <= bound}
+def _annihilation_states(w_key: tuple, lam) -> dict:
+    """exp(-lam sum_{j>=1} a(j) z^-j / j) applied to a(-w_key)|mu>.
+
+    Removing k_t of the m_t parts equal to t has coefficient
+    prod_t C(m_t, k_t) (-lam)^{k_t} and lowers the z-power by t k_t.
+    """
+    states = {(w_key, 0): QONE}
     if not lam:
-        return total
-    layer = dict(total)
-    step = 0
-    while layer:
-        step += 1
+        return states
+    for t in sorted(set(w_key)):
+        m = w_key.count(t)
         image = {}
-        for (part, zoff), coeff in layer.items():
-            for t in range(1, bound - zoff + 1):
-                _state_acc(image, (_insert_part(part, t), zoff + t), lam * coeff / t)
-        layer = {key: value / step for key, value in image.items()}
-        for key, value in layer.items():
-            _state_acc(total, key, value)
-    return total
+        for (part, zoff), coeff in states.items():
+            for k in range(m + 1):
+                image[(part, zoff - t * k)] = coeff * binomial(m, k) * (-lam) ** k
+                if k < m:
+                    part = _remove_part(part, t)
+        states = image
+    return states
 
 
 def _ann_factor(states: dict, n: int, mu) -> dict:
@@ -124,43 +132,66 @@ def _cre_factor(states: dict, n: int, bound: int) -> dict:
     return out
 
 
-def _fock_vertex_images(u_key: tuple, w_key: tuple, lam, mu, cap: int) -> dict:
+def _annihilated(table: dict, chosen: tuple, mu) -> dict:
+    """Annihilation halves of the factors ``chosen`` applied to ``table[()]``.
+
+    Annihilation halves commute, so one entry per multiset of factors
+    serves every u that contains it; ``table`` memoises them.
+    """
+    states = table.get(chosen)
+    if states is None:
+        states = _ann_factor(_annihilated(table, chosen[:-1], mu), chosen[-1], mu)
+        table[chosen] = states
+    return states
+
+
+def _fock_vertex_images(u_key: tuple, annihilated: dict, mu, creation: list,
+                        lw: int, cap: int) -> dict:
     """Coefficients of Y(u, z) w in Fock(lam + mu), by target level.
 
     Returns {t: {partition: coeff}} where the level-t part multiplies
-    z^(lam*mu + t - |u| - |w|).  The normal ordering splits each
-    derivative field into creation and annihilation halves; annihilation
-    halves (and the annihilating exponential) act first, so the creation
-    side can be truncated at the level cap without loss.
+    z^(lam*mu + t - |u| - |w|), for w at level ``lw``.  ``annihilated``
+    holds the annihilating exponential already applied to w (under the
+    key ``()``), and ``creation`` the tabulated creating exponential.
+
+    The normal ordering splits each derivative field of u into creation
+    and annihilation halves; annihilation halves act first, so the
+    creation side can be truncated at the level cap without loss.  Equal
+    parts of u give equal fields, so a splitting is fixed by how many
+    copies of each part annihilate, weighted by the binomial count of
+    the orderings that reach it.  Creation operators commute, so the
+    normal-ordered states of all splittings are summed first and the
+    creating exponential is applied to the sum once.
     """
     lu = sum(u_key)
-    lw = sum(w_key)
     bound = cap - lu - lw
-    base = _ann_exponential({(w_key, 0): QONE}, lam)
-    k = len(u_key)
-    out = {}
-    for mask in range(1 << k):
-        states = base
-        for pos in range(k):
-            if mask >> pos & 1:
-                states = _ann_factor(states, u_key[pos], mu)
-                if not states:
-                    break
+    counts = [(n, u_key.count(n)) for n in sorted(set(u_key), reverse=True)]
+    ordered = {}
+    for split in product(*(range(m + 1) for _, m in counts)):
+        chosen = tuple(n for (n, _), a in zip(counts, split) for _ in range(a))
+        states = _annihilated(annihilated, chosen, mu)
         if not states:
             continue
-        for pos in range(k):
-            if not (mask >> pos & 1):
-                states = _cre_factor(states, u_key[pos], bound)
-        states = _cre_exponential(states, lam, bound)
-        for (part, zoff), coeff in states.items():
-            level = zoff + lu + lw
-            if level < 0 or level > cap or not coeff:
-                continue
-            if sum(part) != level:
-                raise InternalInvariantViolation(
-                    "vertex kernel lost track of the z-grading"
-                )
-            _state_acc(out.setdefault(level, {}), part, coeff)
+        weight = 1
+        for (n, m), a in zip(counts, split):
+            weight *= binomial(m, a)
+            for _ in range(m - a):
+                states = _cre_factor(states, n, bound)
+        for key, coeff in states.items():
+            if key[1] <= bound:
+                _state_acc(ordered, key, weight * coeff)
+    out = {}
+    for (part, zoff), coeff in ordered.items():
+        level = zoff + lu + lw
+        if sum(part) != level:
+            raise InternalInvariantViolation(
+                "vertex kernel lost track of the z-grading"
+            )
+        for size, terms in enumerate(creation[:bound - zoff + 1]):
+            raw = out.setdefault(level + size, {})
+            for nu, c in terms:
+                merged = tuple(sorted(part + nu, reverse=True)) if nu else part
+                _state_acc(raw, merged, coeff * c)
     return {level: raw for level, raw in out.items() if raw}
 
 
@@ -347,48 +378,6 @@ class IntertwinerData:
     def is_surjective(self) -> bool:
         return all(rank == dim for rank, dim in self.surjectivity_certificate().values())
 
-    def commutator_defect(self, u_key, w_key, mode: int, final_level: int,
-                          j: int = 0):
-        """Defect of the transported commutator identity, or None.
-
-        Checks, at one output level, that
-
-            g_n (u_{(j,m)} w) - u_{(j,m)} (g_n w)
-                = sum_i C(n, i) (g_i u)_{(j, n+m-i)} w
-
-        for the algebra generator g.  Returns the difference as a vector
-        in the target, or None when truncation clips any contributor.
-        """
-        voa = self.target.voa
-        if voa is None:
-            return GradedVector.zero(self.target)
-        gw = voa.gen_weight
-        inner_level = final_level + 1 + mode - gw
-        if not (0 <= inner_level <= self.depth) or final_level > self.depth:
-            return None
-        u_vec = GradedVector.basis_vector(self.source_left, u_key)
-        w_vec = GradedVector.basis_vector(self.source_right, w_key)
-        m = self.mode_index(u_key, w_key, inner_level)
-        g = generator_vector(voa)
-        lhs = mode_action(g, mode, self.series_vector(u_key, w_key, j, inner_level))
-        swapped = self.image_of(u_vec, mode_action(g, mode, w_vec), j, m)
-        rhs = GradedVector.zero(self.target)
-        u_level = self.source_left.level_of(u_key)
-        for i in range(0, u_level + gw):
-            c = binomial(mode, i)
-            if not c:
-                continue
-            gu = mode_action(g, i, u_vec)
-            if gu.truncated:
-                return None
-            if gu.is_zero():
-                continue
-            rhs = rhs + self.image_of(gu, w_vec, j, mode + m - i).scale(c)
-        defect = lhs - swapped - rhs
-        if defect.truncated:
-            return None
-        return defect
-
     # -- derived data --------------------------------------------------
 
     def scale(self, factor) -> "IntertwinerData":
@@ -452,8 +441,11 @@ def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     Built from the oscillator exponentials: the zero mode contributes
     the charge and the overall z^(lam*mu), each oscillator factor of u
     becomes a derivative field split into normal-ordered halves, and the
-    two exponentials of lam spread the answer across target levels.  All
-    images up to the truncation depth are exact rationals.
+    two exponentials of lam spread the answer across target levels.
+    Both exponentials are closed forms, tabulated for this call only:
+    the creating one once, the annihilating one once per w; the creating
+    one acts once per pair (u, w).  All images up to the truncation
+    depth are exact rationals.
     """
     lam = Q(lam)
     mu = Q(mu)
@@ -466,18 +458,22 @@ def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     left = FockModule(voa, lam, depth)
     right = FockModule(voa, mu, depth)
     target = FockModule(voa, lam + mu, depth)
+    creation = _creation_terms(lam, depth)
+    w_keys = [w_key for lw in range(depth + 1) for w_key in right.keys(lw)]
+    annihilated = {w_key: {(): _annihilation_states(w_key, lam)} for w_key in w_keys}
     series = {}
     for lu in range(depth + 1):
         for u_key in left.keys(lu):
-            for lw in range(depth + 1):
-                for w_key in right.keys(lw):
-                    images = _fock_vertex_images(u_key, w_key, lam, mu, depth)
-                    if not images:
-                        continue
-                    series[(u_key, w_key, 0)] = {
-                        level: target.coords(raw, level)
-                        for level, raw in sorted(images.items())
-                    }
+            for w_key in w_keys:
+                images = _fock_vertex_images(
+                    u_key, annihilated[w_key], mu, creation, sum(w_key), depth,
+                )
+                if not images:
+                    continue
+                series[(u_key, w_key, 0)] = {
+                    level: target.coords(raw, level)
+                    for level, raw in sorted(images.items())
+                }
     return IntertwinerData(left, right, target, depth, 0, series)
 
 
@@ -620,10 +616,13 @@ def _has_content(data: IntertwinerData) -> bool:
     return any(data.target.dim(n) for n in range(data.depth + 1))
 
 
+SOURCE_MISMATCH = "intertwiner data must share the source pair (U, W)"
+
+
 def _require_matching_sources(p1: IntertwinerData, p2: IntertwinerData) -> None:
     if (p1.source_left.spec != p2.source_left.spec
             or p1.source_right.spec != p2.source_right.spec):
-        raise InputShapeError("intertwiner data must share the source pair (U, W)")
+        raise InputShapeError(SOURCE_MISMATCH)
     if p1.depth != p2.depth:
         raise InputShapeError("intertwiner data must share one truncation depth")
 

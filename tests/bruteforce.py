@@ -217,6 +217,120 @@ def fock_top_correlator(p_raw: dict, lam: Q, q_raw: dict, mu: Q) -> dict:
     return total
 
 
+def _binom(n: int, k: int) -> Q:
+    """C(n, k) for any integer n, as the falling factorial over k!."""
+    out = Q(1)
+    for t in range(k):
+        out = out * (n - t) / (t + 1)
+    return out
+
+
+def _acc_state(out: dict, key, value) -> None:
+    s = out.get(key, Q(0)) + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def fock_vertex_coefficients(u_key, w_key, lam: Q, mu: Q, cap: int) -> dict:
+    """Every coefficient of the charged free-boson vertex operator up to ``cap``.
+
+    Returns ``{level: {partition: coefficient}}`` for
+    ``Y(a(-u)|lam>, z) a(-w)|mu>`` in Fock(lam + mu), the level-``t``
+    part multiplying ``z^(lam*mu + t - |u| - |w|)``.  Expands the
+    normal-ordered product
+
+        exp(lam sum a(-t) z^t / t) :prod_i d^{n_i-1}a(z)/(n_i-1)!:
+            exp(-lam sum a(j) z^-j / j)
+
+    term by term.  Each factor of u is split into annihilating modes
+    a(k), k >= 0, and creating modes a(k), k < 0, both with coefficient
+    C(-k-1, n-1) z^(-k-n); for every choice of halves the annihilating
+    modes act first, then the creating ones, then the creating
+    exponential from :func:`free_boson_exponential_coefficients`.  No
+    step removes a created part, so states above ``cap`` are dropped as
+    soon as they appear.  Equal factors of u are not grouped.
+    """
+    from itertools import product
+
+    lu, lw = sum(u_key), sum(w_key)
+    creating = {s: free_boson_exponential_coefficients(lam, s) for s in range(cap + 1)}
+    start = _apply_e_plus({(tuple(w_key), 0): Q(1)}, lam, mu)
+    ordered = {}
+    for halves in product((True, False), repeat=len(u_key)):
+        states = start
+        factors = [(n, True) for n, ann in zip(u_key, halves) if ann]
+        factors += [(n, False) for n, ann in zip(u_key, halves) if not ann]
+        for n, ann in factors:
+            modes = range(0, lw + 1) if ann else range(-cap, 0)
+            image = {}
+            for (key, zpow), coeff in states.items():
+                for k in modes:
+                    factor = _binom(-k - 1, n - 1)
+                    if not factor:
+                        continue
+                    for k2, c2 in osc_mode(k, {key: Q(1)}, mu).items():
+                        if sum(k2) <= cap:
+                            _acc_state(image, (k2, zpow - k - n), coeff * c2 * factor)
+            states = image
+        for state, coeff in states.items():
+            _acc_state(ordered, state, coeff)
+    total = {}
+    for (key, zpow), coeff in ordered.items():
+        for s, terms in creating.items():
+            for pi, c in terms.items():
+                merged = tuple(sorted(key + pi, reverse=True))
+                level = sum(merged)
+                if level > cap:
+                    continue
+                assert zpow + s == level - lu - lw, "z-grading lost"
+                _acc_state(total.setdefault(level, {}), merged, coeff * c)
+    return {level: raw for level, raw in total.items() if raw}
+
+
+def commutator_defect(data, u_key, w_key, mode: int, final_level: int, j: int = 0):
+    """Defect of the transported commutator identity, or None.
+
+    Checks, at one output level of the intertwiner datum ``data``, that
+
+        g_n (u_{(j,m)} w) - u_{(j,m)} (g_n w)
+            = sum_i C(n, i) (g_i u)_{(j, n+m-i)} w
+
+    for the algebra generator g.  Returns the difference as a vector in
+    the target, or None when truncation clips any contributor.  Only the
+    datum's public ``series_vector``/``image_of``/``mode_index`` and the
+    engine's ``mode_action`` are used.
+    """
+    from vertexbound.modes import GradedVector, generator_vector, mode_action
+
+    gw = data.target.voa.gen_weight
+    inner_level = final_level + 1 + mode - gw
+    if not (0 <= inner_level <= data.depth) or final_level > data.depth:
+        return None
+    u_vec = GradedVector.basis_vector(data.source_left, u_key)
+    w_vec = GradedVector.basis_vector(data.source_right, w_key)
+    m = data.mode_index(u_key, w_key, inner_level)
+    g = generator_vector(data.target.voa)
+    lhs = mode_action(g, mode, data.series_vector(u_key, w_key, j, inner_level))
+    swapped = data.image_of(u_vec, mode_action(g, mode, w_vec), j, m)
+    rhs = GradedVector.zero(data.target)
+    for i in range(0, data.source_left.level_of(u_key) + gw):
+        c = _binom(mode, i)
+        if not c:
+            continue
+        gu = mode_action(g, i, u_vec)
+        if gu.truncated:
+            return None
+        if gu.is_zero():
+            continue
+        rhs = rhs + data.image_of(gu, w_vec, j, mode + m - i).scale(c)
+    defect = lhs - swapped - rhs
+    if defect.truncated:
+        return None
+    return defect
+
+
 # ----------------------------------------------------------------------
 # correlator rewriting by the two moves, recursed plainly
 

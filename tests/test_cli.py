@@ -1,9 +1,12 @@
 import json
+import signal
 import textwrap
+from contextlib import contextmanager
 
 import pytest
 
-from vertexbound.cli import main
+from vertexbound import cli
+from vertexbound.cli import REPORT_SCHEMA, main
 
 
 FOCK_INI = """
@@ -183,6 +186,84 @@ def test_compare_scalar_twist_equivalent(tmp_path, capsys):
     assert payload["relation"] == "equivalent"
     assert payload["witness"] is not None
     assert payload["reverse_witness"] is not None
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+MISMATCHED_SOURCES = """
+[run]
+depth = 7
+
+[voa]
+kind = heisenberg
+
+[intertwiner.A]
+lam = 1
+mu = 2
+
+[intertwiner.A2]
+lam = 1
+mu = 2
+scale = 2
+
+[intertwiner.B]
+lam = 2
+mu = 1
+
+[command]
+intertwiners = A A2 B
+first = A
+second = B
+"""
+
+
+@pytest.mark.parametrize("command", ["join", "compare"])
+def test_mismatched_sources_are_refused_before_any_build(tmp_path, capsys, command):
+    # building one depth-7 series alone takes seconds; the refusal needs none
+    config = write_config(tmp_path, MISMATCHED_SOURCES)
+    with time_limit(5):
+        code, report = run_json([command, "--config", config], capsys)
+    assert code == 2
+    assert report == {
+        "schema": REPORT_SCHEMA,
+        "error": {
+            "type": "InputShapeError",
+            "message": "intertwiner data must share the source pair (U, W)",
+            "exit_code": 2,
+        },
+    }
+
+
+def test_each_command_builds_one_intertwiner(tmp_path, capsys, monkeypatch):
+    builds = []
+    real = cli.heisenberg_intertwiner
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "heisenberg_intertwiner", counting)
+    text = FOCK_INI.replace("intertwiners = Y Yhalf", "intertwiners = Y Yhalf Y3")
+    text += "\n[intertwiner.Y3]\nlam = 1\nmu = 2\nscale = 3\n"
+    config = write_config(tmp_path, text)
+    for _ in range(2):
+        for command in ("join", "compare"):
+            builds.clear()
+            code, _ = run_cli([command, "--config", config, "--depth", "3"], capsys)
+            assert code == 0
+            assert len(builds) == 1
 
 
 def test_log_bound_payload(tmp_path, capsys):
