@@ -32,7 +32,7 @@ from math import factorial
 
 from .errors import InputShapeError, InternalInvariantViolation
 from .laurent import LaurentPoly, Q, QONE, QZERO, binomial, format_rational
-from .linalg import ExactMatrix, RowSpan
+from .linalg import ExactMatrix, RowSpan, primitive_row
 from .modes import GradedVector
 from .voa import (
     BaseRealization,
@@ -612,6 +612,20 @@ def _saturate_spans(spans: dict, ambient, depth: int) -> None:
                         changed = True
 
 
+def _direction(coords: tuple) -> tuple:
+    """A key shared by exactly the nonzero multiples of ``coords``.
+
+    It stands for ``coords`` divided by its first nonzero entry, written
+    as the coprime integers proportional to it with a positive leading
+    one, so that building and hashing the key needs no rational
+    arithmetic.
+    """
+    ints = primitive_row(dict(enumerate(coords)))
+    if ints and next(iter(ints.values())) < 0:
+        return tuple((j, -v) for j, v in ints.items())
+    return tuple(ints.items())
+
+
 def _has_content(data: IntertwinerData) -> bool:
     return any(data.target.dim(n) for n in range(data.depth + 1))
 
@@ -658,6 +672,9 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
             running.append(running[-1] + t.dim(n))
         offsets[n] = running
     spans = {n: RowSpan(ambient.dim(n)) for n in range(depth + 1)}
+    # directions already offered to each span: a multiple of an offered
+    # coefficient lies in the span, so offering it again cannot grow it
+    offered = {n: set() for n in range(depth + 1)}
     skeys = sorted(set(p1.series) | set(p2.series),
                    key=lambda t: (sum(t[0]), t[0], sum(t[1]), t[1], t[2]))
     paired = {}
@@ -676,7 +693,10 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
             coords = tuple(coords)
             paired[(skey, level)] = coords
             if spans[level].rank < ambient.dim(level):
-                spans[level].add(coords)
+                direction = _direction(coords)
+                if direction not in offered[level]:
+                    offered[level].add(direction)
+                    spans[level].add(coords)
     _saturate_spans(spans, ambient, depth)
     target = SpanModule(
         ambient, {n: spans[n].basis_rows() for n in range(depth + 1)}, depth,

@@ -4,9 +4,20 @@ Everything here is deterministic: row reduction always eliminates with the
 leftmost available pivot column and, among rows with a nonzero entry in
 that column, the smallest row index.  Rank, reduced row echelon form,
 nullspace bases, and solutions are therefore reproducible across runs.
+
+:class:`ExactMatrix` stores and returns ``Fraction`` entries, but all of
+its row reduction goes through one integer kernel, :func:`_eliminate`:
+rows become primitive integer rows, elimination is fraction-free, and
+only the finished pivot rows are divided by their pivots, which is where
+the result becomes the (unique) reduced row echelon form again.
+:class:`RowSpan` keeps its rows as ``Fraction`` dicts: it serves many
+short membership queries, for which converting to integers and back
+costs more than it saves.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .errors import InputShapeError
 from .laurent import Q, QONE, QZERO
@@ -205,42 +216,81 @@ def _eliminate(rows: list, width: int) -> list:
     Returns the pivot list ``[(row, col), ...]`` in elimination order.
     Deterministic: scans columns left to right and picks the surviving
     row with the smallest index.
+
+    The elimination itself runs on integers.  Each row is first scaled
+    to a primitive integer row (times the lcm of its denominators, over
+    the gcd of the results); clearing ``col`` from a row with entry f
+    against a pivot p then replaces it by ``(p/g) row - (f/g) pivot``,
+    g = gcd(p, f), followed by removal of the row's content, so entries
+    stay as small as the row space allows.  This is fraction-free
+    elimination in the sense of Bareiss (Math. Comp. 22, 1968), with
+    content removal in place of his exact divisions.  Only at the end is
+    each pivot row divided by its pivot, giving ``Fraction`` entries, and
+    every other row cleared: the rows are then the reduced row echelon
+    form, which is unique, so the result is the same as that of
+    rational elimination with the same pivots.
     """
+    work = [primitive_row(row) for row in rows]
+    nrows = len(work)
     pivots = []
     next_row = 0
-    nrows = len(rows)
     for col in range(width):
         pivot_row = None
         for i in range(next_row, nrows):
-            if rows[i].get(col):
+            if col in work[i]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
-        rows[next_row], rows[pivot_row] = rows[pivot_row], rows[next_row]
-        pivot = rows[next_row]
-        inv = QONE / pivot[col]
-        if inv != QONE:
-            for j in list(pivot):
-                pivot[j] *= inv
+        work[next_row], work[pivot_row] = work[pivot_row], work[next_row]
+        pivot = work[next_row]
+        p = pivot[col]
         for i in range(nrows):
-            if i == next_row:
+            target = work[i]
+            f = target.get(col)
+            if f is None or i == next_row:
                 continue
-            factor = rows[i].get(col)
-            if not factor:
-                continue
-            target = rows[i]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                target = {j: v * a for j, v in target.items()}
             for j, c in pivot.items():
-                s = target.get(j, QZERO) - factor * c
+                s = target.get(j, 0) - b * c
                 if s:
                     target[j] = s
                 else:
-                    target.pop(j, None)
+                    del target[j]
+            work[i] = _without_content(target)
         pivots.append((next_row, col))
         next_row += 1
         if next_row == nrows:
             break
+    for i in range(nrows):
+        rows[i] = {}
+    for i, col in pivots:
+        p = work[i][col]
+        rows[i] = {j: Q(v, p) for j, v in work[i].items()}
     return pivots
+
+
+def primitive_row(row: dict) -> dict:
+    """A sparse rational row as coprime integers, sign and support kept.
+
+    The row is multiplied by the lcm of its denominators and divided by
+    the gcd of the results; zero entries are dropped.
+    """
+    scale = lcm(*(c.denominator for c in row.values()))
+    return _without_content(
+        {j: c.numerator * (scale // c.denominator) for j, c in row.items() if c.numerator}
+    )
+
+
+def _without_content(row: dict) -> dict:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: v // g for j, v in row.items()}
+    return row
 
 
 class RowSpan:

@@ -49,6 +49,54 @@ def sympy_nullity(vectors) -> int:
     return len(vectors[0]) - sympy_rank(vectors)
 
 
+def fraction_gauss_jordan(rows: list, width: int) -> list:
+    """Gauss-Jordan elimination in ``Fraction`` arithmetic, in place.
+
+    ``rows`` are sparse ``{col: Fraction}`` dicts.  Each pivot row is
+    scaled to a leading 1 as soon as it is chosen and cleared from every
+    other row, so all intermediate entries are rationals; this is the
+    engine's elimination before it moved to integer rows, kept as the
+    oracle for :func:`vertexbound.linalg._eliminate`.  Same pivot rule:
+    leftmost column, then the smallest surviving row index.  Returns
+    ``[(row, col), ...]`` in elimination order.
+    """
+    pivots = []
+    next_row = 0
+    nrows = len(rows)
+    for col in range(width):
+        pivot_row = None
+        for i in range(next_row, nrows):
+            if rows[i].get(col):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[next_row], rows[pivot_row] = rows[pivot_row], rows[next_row]
+        pivot = rows[next_row]
+        inv = 1 / Q(pivot[col])
+        if inv != 1:
+            for j in list(pivot):
+                pivot[j] *= inv
+        for i in range(nrows):
+            if i == next_row:
+                continue
+            factor = rows[i].get(col)
+            if not factor:
+                continue
+            target = rows[i]
+            for j, c in pivot.items():
+                s = target.get(j, Q(0)) - factor * c
+                if s:
+                    target[j] = s
+                else:
+                    target.pop(j, None)
+        pivots.append((next_row, col))
+        next_row += 1
+        if next_row == nrows:
+            break
+    return pivots
+
+
 # ----------------------------------------------------------------------
 # free boson oracle: position-sum mode action on partition states
 

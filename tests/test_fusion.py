@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from bruteforce import commutator_defect, fock_top_correlator, fock_vertex_coefficients
-from vertexbound import linalg
+from vertexbound import fusion, linalg
 from vertexbound.cofinite import choose_complement, cm_quotient_dims
 from vertexbound.errors import InputShapeError, InternalInvariantViolation
 from vertexbound.fusion import (
@@ -219,6 +219,37 @@ def test_join_never_feeds_a_full_level_span(monkeypatch):
     assert full_adds and not any(full_adds)
 
 
+def test_join_offers_each_direction_once(monkeypatch):
+    # the order workload's shape: three proportional twists, depth 4;
+    # only the paired coefficients count, not the closure under the modes
+    offers = []
+    saturating = []
+    original_add = linalg.RowSpan.add
+    original_saturate = fusion._saturate_spans
+
+    def counting_add(self, vec):
+        if not saturating:
+            lead = next(c for c in vec if c)
+            offers.append((self, tuple(c / lead for c in vec)))
+        return original_add(self, vec)
+
+    def marked_saturate(*args):
+        saturating.append(True)
+        try:
+            return original_saturate(*args)
+        finally:
+            saturating.pop()
+
+    monkeypatch.setattr(linalg.RowSpan, "add", counting_add)
+    monkeypatch.setattr(fusion, "_saturate_spans", marked_saturate)
+    h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 4)
+    joined = join(join(h.scale(Q(-3, 2)), h.scale(Q(5, 4))), h.scale(2))
+    keys = [(id(span), direction) for span, direction in offers]
+    assert keys and len(set(keys)) == len(keys)
+    assert [joined.target.dim(n) for n in range(5)] == [h.target.dim(n) for n in range(5)]
+    assert compare(joined, h).relation == "equivalent"
+
+
 def test_join_rejects_mismatched_sources():
     with pytest.raises(InputShapeError):
         join(heisenberg_intertwiner(1, 2, 3), heisenberg_intertwiner(2, 1, 3))
@@ -354,6 +385,21 @@ def test_witnesses_commute_with_the_generator_modes(case):
                     assert left == right
                     checked += 1
     assert checked > 20
+
+
+def test_compare_witness_blocks_are_fractions():
+    h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 3)
+    joined = join(h.scale(2), h.scale(Q(-3, 4)))
+    result = compare(h, joined)
+    witnesses = [w for w in (result.witness, result.reverse_witness) if w is not None]
+    assert len(witnesses) == 2
+    for witness in witnesses:
+        assert witness.blocks
+        for block in witness.blocks.values():
+            # no int or float may reach format_rational from the kernel
+            values = list(block.nonzero_entries().values())
+            values += [c for row in block.to_lists() for c in row]
+            assert all(type(c) is Q for c in values)
 
 
 def test_compare_requires_a_common_source_pair():

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import sympy
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from bruteforce import sympy_rank
+from bruteforce import fraction_gauss_jordan, sympy_rank
 from vertexbound.errors import InputShapeError
 from vertexbound.linalg import ExactMatrix, RowSpan
 
@@ -127,3 +130,156 @@ def test_rowspan_pivots_are_sorted_and_membership_is_exact():
     assert not span.add((1, 1, 1))
     assert span.pivot_columns() == (0, 1)
     assert not span.contains((0, 0, 1))
+
+
+# ----------------------------------------------------------------------
+# the integer kernel against rational Gauss-Jordan elimination
+
+NEAR_1E30 = st.integers(10**30 - 10**6, 10**30 + 10**6)
+small_rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 6))
+rationals = st.one_of(
+    st.just(Q(0)),
+    small_rationals,
+    st.builds(lambda n, d, sign: Q(sign * n, d), NEAR_1E30, NEAR_1E30, st.sampled_from([-1, 1])),
+    st.builds(lambda n, d: Q(n, d), st.integers(-10**6, 10**6), NEAR_1E30),
+)
+
+
+def _with_derived_rows(draw, rows, cols, scalars):
+    """Insert zero rows, copies and multiples of drawn rows."""
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "copy", "multiple"]))
+        if kind == "zero" or not rows:
+            new = [Q(0)] * cols
+        else:
+            source = rows[draw(st.integers(0, len(rows) - 1))]
+            scale = Q(1) if kind == "copy" else draw(scalars.filter(bool))
+            new = [scale * c for c in source]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+@st.composite
+def rational_matrices(draw, scalars=rationals, max_rows=7, max_cols=7):
+    nrows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    rows = [[draw(scalars) for _ in range(cols)] for _ in range(nrows)]
+    return _with_derived_rows(draw, rows, cols, scalars), cols
+
+
+@st.composite
+def tall_matrices(draw):
+    """Many rows over a few generators, like an order-witness level block."""
+    cols = draw(st.integers(1, 14))
+    generators = [[draw(st.one_of(st.just(Q(0)), small_rationals)) for _ in range(cols)]
+                  for _ in range(draw(st.integers(1, 6)))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nrows = draw(st.sampled_from([40, 120, 361]))
+    rows = [
+        [sum((rng.randint(-3, 3) * g[j] for g in generators), Q(0)) for j in range(cols)]
+        for _ in range(nrows)
+    ]
+    return _with_derived_rows(draw, rows, cols, rationals), cols
+
+
+def oracle_rref(rows, cols):
+    work = [{j: c for j, c in enumerate(row) if c} for row in rows]
+    pivots = fraction_gauss_jordan(work, cols)
+    return [[row.get(j, Q(0)) for j in range(cols)] for row in work], pivots
+
+
+def oracle_solve(rows, cols, rhs):
+    reduced, pivots = oracle_rref([list(row) + [b] for row, b in zip(rows, rhs)], cols + 1)
+    if any(col == cols for _, col in pivots):
+        return None
+    solution = [Q(0)] * cols
+    for i, col in pivots:
+        solution[col] = reduced[i][cols]
+    return tuple(solution)
+
+
+def oracle_nullspace(rows, cols):
+    reduced, pivots = oracle_rref(rows, cols)
+    pivot_cols = {col for _, col in pivots}
+    basis = []
+    for free in (j for j in range(cols) if j not in pivot_cols):
+        vec = [Q(0)] * cols
+        vec[free] = Q(1)
+        for i, col in pivots:
+            vec[col] = -reduced[i][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def check_against_oracle(rows, cols, data):
+    mat = ExactMatrix.from_rows(rows, cols)
+    reduced, pivots = mat.rref()
+    expected, expected_pivots = oracle_rref(rows, cols)
+    assert pivots == expected_pivots
+    assert reduced.to_lists() == expected
+    assert mat.rank() == len(expected_pivots)
+    assert mat.nullspace() == oracle_nullspace(rows, cols)
+    consistent = mat.matvec([data.draw(rationals) for _ in range(cols)])
+    arbitrary = [data.draw(rationals) for _ in range(len(rows))]
+    for rhs in (consistent, arbitrary):
+        assert mat.solve(rhs) == oracle_solve(rows, cols, rhs)
+    assert mat.solve(consistent) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.data())
+def test_kernel_matches_rational_elimination(matrix, data):
+    check_against_oracle(*matrix, data)
+
+
+# no shrinking: each step re-runs rational elimination on hundreds of rows
+@settings(max_examples=8, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(tall_matrices(), st.data())
+def test_kernel_matches_rational_elimination_on_tall_blocks(matrix, data):
+    check_against_oracle(*matrix, data)
+
+
+def test_kernel_handles_empty_shapes():
+    for rows, cols in (([], 0), ([], 4), ([[], [], []], 0)):
+        mat = ExactMatrix.from_rows(rows, cols)
+        reduced, pivots = mat.rref()
+        assert (reduced, pivots) == (mat, [])
+        assert mat.rank() == 0
+        assert mat.nullspace() == oracle_nullspace(rows, cols)
+        assert mat.solve([Q(0)] * len(rows)) == (Q(0),) * cols
+    assert ExactMatrix.from_rows([[], []], 0).solve([Q(0), Q(1)]) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_matrices(scalars=st.one_of(st.just(Q(0)), small_rationals), max_rows=5, max_cols=5))
+def test_rref_matches_sympy(matrix):
+    rows, cols = matrix
+    if not rows or not cols:
+        return
+    expected, expected_pivots = sympy.Matrix(
+        [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]
+    ).rref()
+    reduced, pivots = ExactMatrix.from_rows(rows, cols).rref()
+    assert tuple(col for _, col in pivots) == expected_pivots
+    assert [[sympy.Rational(c.numerator, c.denominator) for c in row]
+            for row in reduced.to_lists()] == expected.tolist()
+
+
+# ----------------------------------------------------------------------
+# exactness: every value leaving the kernel is a Fraction
+
+
+def _all_fractions(values) -> bool:
+    return all(type(v) is Q for v in values)
+
+
+def test_eliminating_methods_return_only_fractions():
+    rows = [[2, 4, -6, 1], [1, 2, -3, 5], [0, 3, 9, -12], [4, 8, -12, 2]]
+    mat = ExactMatrix.from_rows(rows)
+    reduced, _ = mat.rref()
+    assert _all_fractions(reduced.nonzero_entries().values())
+    assert _all_fractions(c for row in reduced.to_lists() for c in row)
+    solution = mat.solve([3, 6, 0, 6])
+    assert solution is not None and _all_fractions(solution)
+    basis = mat.nullspace()
+    assert basis and all(_all_fractions(vec) for vec in basis)
