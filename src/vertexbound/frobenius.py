@@ -18,7 +18,6 @@ is too short the solver refuses instead of returning a thin space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 
 from .cofinite import log_power_bound
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     LogDepthExceeded,
 )
 from .laurent import Q, QONE, QZERO, format_rational
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, primitive_row
 from .reduction import OdeSystem
 
 
@@ -124,10 +123,8 @@ def _square_free_part(coeffs: list) -> list:
 
 def _primitive(coeffs: list) -> list:
     """The coprime integer polynomial that is a positive multiple of ``coeffs``."""
-    denom = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    common = gcd(*ints)
-    return [c // common for c in ints]
+    row = primitive_row(dict(enumerate(coeffs)))
+    return [row.get(i, 0) for i in range(len(coeffs))]
 
 
 def _scaled_value(ints: list, x: Q) -> int:

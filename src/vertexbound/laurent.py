@@ -1,7 +1,9 @@
 """Exact scalars and Laurent polynomials in one formal variable.
 
-Every number in this package is a :class:`fractions.Fraction`; floating
-point never enters any computation.  A Laurent polynomial is a finite map
+Every public number in this package (vector coordinates, matrix and span
+entries, report scalars) is a :class:`fractions.Fraction`; raw mode-engine
+dicts may hold an ``int`` where a value is integral.  Floating point never
+enters any computation.  A Laurent polynomial is a finite map
 from integer exponents of ``z`` to nonzero rational coefficients, which is
 exactly what truncated correlator coefficients and ODE entries need.
 """

@@ -12,7 +12,8 @@ only the finished pivot rows are divided by their pivots, which is where
 the result becomes the (unique) reduced row echelon form again.
 :class:`RowSpan` keeps its rows as ``Fraction`` dicts: it serves many
 short membership queries, for which converting to integers and back
-costs more than it saves.
+costs more than it saves.  Both accept ``int`` input (raw mode-engine
+coefficients) and return only ``Fraction`` values.
 """
 
 from __future__ import annotations

@@ -229,7 +229,7 @@ class ModeEngine:
         if found is not None:
             return found
         if not v_word:
-            result = {w_key: QONE} if k == -1 else {}
+            result = {w_key: 1} if k == -1 else {}
         else:
             result = self._expand(v_word, k, w_key)
         self._memo[memo_key] = result
@@ -530,7 +530,7 @@ def _raw_associativity_defect(adjoint, engine, v1_word, v2_word, n, m, w_key, w_
             factor = -factor
         inner = engine.apply_word(v2_word, m + i, w_key)
         if inner:
-            raw_combine(defect, _raw_apply(engine, v1_word, n - i, inner), Q(-factor))
+            raw_combine(defect, _raw_apply(engine, v1_word, n - i, inner), -factor)
     for i in range(0, w_level + wt1):
         factor = binomial(n, i)
         if not factor:
@@ -540,7 +540,7 @@ def _raw_associativity_defect(adjoint, engine, v1_word, v2_word, n, m, w_key, w_
         factor = -sign_n * factor
         inner = engine.apply_word(v1_word, i, w_key)
         if inner:
-            raw_combine(defect, _raw_apply(engine, v2_word, n + m - i, inner), Q(-factor))
+            raw_combine(defect, _raw_apply(engine, v2_word, n + m - i, inner), -factor)
     return defect
 
 

@@ -12,7 +12,8 @@ Two families are realized exactly:
 A realization carries a truncation depth ``D`` used by the public layer,
 but its internal basis and generator action are exact at every level, so
 no rounding or silent dropping happens here.  Elements at the raw level
-are dicts mapping basis keys to nonzero rationals; a basis key is a
+are dicts mapping basis keys to nonzero rationals, kept as ``int`` while
+integral and made ``Fraction`` at the public boundary; a basis key is a
 partition tuple in descending order (possibly wrapped with a summand
 index for direct sums).
 """
@@ -73,15 +74,15 @@ def _remove_part(key: tuple, part: int) -> tuple:
 
 
 def raw_acc(out: dict, key, coeff) -> None:
-    """Accumulate ``coeff * key`` into a raw element in place."""
-    s = out.get(key, QZERO) + coeff
+    """Accumulate ``coeff * key`` in place; ``int`` coefficients stay ``int``."""
+    s = out.get(key, 0) + coeff
     if s:
         out[key] = s
     else:
         out.pop(key, None)
 
 
-def raw_combine(out: dict, other: dict, factor=QONE) -> None:
+def raw_combine(out: dict, other: dict, factor=1) -> None:
     if not factor:
         return
     for key, coeff in other.items():
@@ -240,13 +241,14 @@ class _OscillatorAction:
 
     def apply_gen(self, k: int, key) -> dict:
         if k < 0:
-            return {_insert_part(key, -k): QONE}
+            return {_insert_part(key, -k): 1}
         if k == 0:
-            return {key: self.charge} if self.charge else {}
+            c = self.charge
+            return {key: c.numerator if c.denominator == 1 else c} if c else {}
         count = key.count(k)
         if not count:
             return {}
-        return {_remove_part(key, k): Q(k * count)}
+        return {_remove_part(key, k): k * count}
 
 
 class _VirasoroAction:
@@ -274,19 +276,17 @@ class _VirasoroAction:
             return self._L_on_lowest(n)
         m1 = key[0]
         if n <= -m1:
-            return {(-n,) + key: QONE}
+            return {(-n,) + key: 1}
         rest = key[1:]
         out = {}
         for mid_key, mid_coeff in self._L(n, rest).items():
             for fin_key, fin_coeff in self._L(-m1, mid_key).items():
                 raw_acc(out, fin_key, mid_coeff * fin_coeff)
-        factor = Q(n + m1)
+        factor = n + m1
         if factor:
             raw_combine(out, self._L(n - m1, rest), factor)
         if n == m1:
-            central = self.central_charge * Q(n ** 3 - n, 12)
-            if central:
-                raw_combine(out, {rest: QONE}, central)
+            raw_acc(out, rest, self.central_charge * Q(n ** 3 - n, 12))
         return out
 
 
@@ -364,7 +364,7 @@ class VirasoroVoa(_VirasoroAction, _PartitionBasis):
 
     def _L_on_lowest(self, n: int) -> dict:
         if n <= -2:
-            return {(-n,): QONE}
+            return {(-n,): 1}
         return {}
 
     def label(self, key) -> str:
@@ -390,7 +390,7 @@ class VermaModule(_VirasoroAction, _PartitionBasis):
 
     def _L_on_lowest(self, n: int) -> dict:
         if n <= -1:
-            return {(-n,): QONE}
+            return {(-n,): 1}
         if n == 0:
             return {(): self.highest_weight} if self.highest_weight else {}
         return {}

@@ -7,6 +7,7 @@ engine and these helpers would have to be independently implemented
 twice.
 """
 
+import itertools
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -148,6 +149,46 @@ def sugawara_L(n: int, state: dict, charge: Q) -> dict:
         if not mid:
             continue
         _acc(osc_mode(first, mid, charge), Q(1, 2))
+    return out
+
+
+def heisenberg_word_mode(word: tuple, k: int, key: tuple, charge: Q) -> dict:
+    """Mode ``k`` of the state ``a(-n_1)...a(-n_r)|0>`` on one partition state.
+
+    The vertex operator of that state is the normal-ordered product
+    ``:d^(n_1-1) a(z) ... d^(n_r-1) a(z):`` with ``d^(m) = (d/dz)^m / m!``,
+    and ``d^(n-1) a(z) = sum_j C(-j-1, n-1) a(j) z^(-j-n)``.  Mode ``k`` is
+    the coefficient of ``z^(-k-1)``: a sum over integer tuples ``j`` with
+    ``sum(j_i + n_i) = k + 1``, where the annihilators ``a(j)``, ``j >= 0``,
+    act before the creators.  Composed from :func:`osc_mode` only, so it
+    shares nothing with the engine's iterate expansion.
+    """
+    level = sum(key)
+    target = level + sum(word) - k - 1
+    if target < 0:
+        return {}
+    if not word:
+        return {key: Q(1)} if k == -1 else {}
+    # a creator a(j) raises the level by -j <= target; an annihilator
+    # lowers it by j <= level
+    choices = range(-target, level + 1)
+    out = {}
+    for head in itertools.product(choices, repeat=len(word) - 1):
+        js = head + (k + 1 - sum(word) - sum(head),)
+        if not -target <= js[-1] <= level:
+            continue
+        coeff = Q(1)
+        for j, n in zip(js, word):
+            coeff *= _binom(-j - 1, n - 1)
+        if not coeff:
+            continue
+        state = {key: coeff}
+        for j in sorted(js, reverse=True):
+            state = osc_mode(j, state, charge)
+            if not state:
+                break
+        for new, c in state.items():
+            _acc_state(out, new, c)
     return out
 
 

@@ -1,0 +1,162 @@
+"""Exactness at the public boundary, and the integer fast path inside it.
+
+Raw coefficient dicts inside the mode engine keep a value as ``int``
+while it is integral; every public value (a ``GradedVector`` coordinate,
+an ``ExactMatrix`` or ``RowSpan`` entry, a report scalar) is a
+``Fraction``, and no ``float`` appears anywhere.  The first tests check
+the boundary; the last one checks that the Fock(1) engine really stays on
+``int``, so a change that brings ``Fraction`` back inside fails here
+instead of only running slower (the generator action has the same guard
+beside its oracle in ``test_voa.py``).
+"""
+
+import contextlib
+import importlib
+import io
+import json
+from fractions import Fraction as Q
+from pathlib import Path
+
+import pytest
+
+from bruteforce import heisenberg_word_mode
+from vertexbound import cli
+from vertexbound.cofinite import build_cm
+from vertexbound.modes import GradedVector, engine_for, mode_action, omega_vector
+from vertexbound.voa import (
+    FockModule,
+    HeisenbergVoa,
+    QuotientModule,
+    VermaModule,
+    VirasoroVoa,
+    level2_singular_vector,
+)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+DEPTH = 4
+
+
+def _fock(charge):
+    return FockModule(HeisenbergVoa(depth=DEPTH), charge)
+
+
+def _ising_sigma():
+    c, h = Q(1, 2), Q(1, 16)
+    verma = VermaModule(VirasoroVoa(c, depth=DEPTH), h)
+    return QuotientModule(verma, [level2_singular_vector(c, h)])
+
+
+MODULES = {
+    "fock(1)": lambda: _fock(Q(1)),
+    "fock(1/2)": lambda: _fock(Q(1, 2)),
+    "ising-sigma": _ising_sigma,
+}
+
+
+def _levels(module):
+    return [(n, key) for n in range(DEPTH + 1) for key in module.keys(n)]
+
+
+# ----------------------------------------------------------------------
+# the public boundary: Fractions only
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_mode_action_outputs_are_fractions(name):
+    module = MODULES[name]()
+    voa = module.voa
+    actors = [GradedVector.basis_vector(voa, key) for _, key in _levels(voa)]
+    actors.append(omega_vector(voa))
+    seen = 0
+    for v in actors:
+        wt = v.homogeneous_level()
+        for n, key in _levels(module):
+            w = GradedVector.basis_vector(module, key)
+            for k in range(n + wt - 1 - DEPTH, n + wt):
+                result = mode_action(v, k, w)
+                for coords in result.components.values():
+                    assert all(type(c) is Q for c in coords), (v, k, key)
+                seen += not result.is_zero()
+    assert seen >= 150
+    cm = build_cm(module, 1, 2)
+    assert all(
+        type(c) is Q
+        for level in cm.levels.values()
+        for row in level.span.basis_rows()
+        for c in row
+    )
+
+
+def _no_float(text):
+    raise AssertionError(f"float {text} in a report")
+
+
+@pytest.fixture
+def bench_configs(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setenv("HOME", str(tmp_path))
+    workloads = importlib.import_module("workloads")
+    configs = {}
+    for name, text in (
+        ("fock", workloads.PIPELINE_FOCK_INI),
+        ("ising", workloads.PIPELINE_ISING_INI),
+        ("order", workloads.order_ini([Q(1, 3), Q(-2), Q(5, 7)])),
+    ):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text, encoding="utf-8")
+        configs[name] = str(path)
+    return configs, workloads
+
+
+def test_cli_reports_hold_no_float(bench_configs):
+    """Every command on the bench's configs, parsed with a raising float hook.
+
+    The order config runs only the two commands the bench runs on it.
+    """
+    configs, workloads = bench_configs
+    succeeded = {name: set() for name in configs}
+    depths = {
+        ("fock", "identity-suite"): workloads.PIPELINE_IDENTITY["fock"][0],
+        ("ising", "identity-suite"): workloads.PIPELINE_IDENTITY["ising"][0],
+        ("order", "join"): workloads.ORDER_JOIN_DEPTH,
+    }
+    for name, path in configs.items():
+        for command in ("compare", "join") if name == "order" else sorted(cli._COMMANDS):
+            argv = [command, "--config", path]
+            if (name, command) in depths:
+                argv += ["--depth", str(depths[name, command])]
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                code = cli.main(argv)
+            report = json.loads(buffer.getvalue(), parse_float=_no_float, parse_constant=_no_float)
+            assert ("error" in report) == (code != 0), (name, command)
+            if code == 0:
+                succeeded[name].add(command)
+    assert succeeded["fock"] >= set(workloads.PIPELINE_FOCK_COMMANDS) | {"identity-suite"}
+    assert succeeded["ising"] >= set(workloads.PIPELINE_ISING_COMMANDS) | {"identity-suite"}
+    assert succeeded["order"] == {"join", "compare"}
+
+
+# ----------------------------------------------------------------------
+# the fast path: Fock(1) stays on int inside the engine
+
+
+def _all_ints(raw: dict) -> bool:
+    return all(type(c) is int for c in raw.values())
+
+
+def test_fock_engine_words_are_int_and_match_the_oracle():
+    fock = _fock(Q(1))
+    engine = engine_for(fock)
+    words = [key for _, key in _levels(fock.voa)]
+    checked = 0
+    for word in words:
+        for n, key in _levels(fock):
+            for k in range(n + sum(word) - 1 - DEPTH, n + sum(word) + 1):
+                got = engine.apply_word(word, k, key)
+                assert _all_ints(got), (word, k, key)
+                assert got == heisenberg_word_mode(word, k, key, Q(1)), (word, k, key)
+                checked += bool(got)
+    assert checked > 500
+    # intermediate results of the iterate expansion as well
+    assert all(_all_ints(raw) for raw in engine._memo.values())

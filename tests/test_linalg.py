@@ -283,3 +283,40 @@ def test_eliminating_methods_return_only_fractions():
     assert solution is not None and _all_fractions(solution)
     basis = mat.nullspace()
     assert basis and all(_all_fractions(vec) for vec in basis)
+
+
+# raw mode-engine coefficients reach the kernel as ``int`` while they are
+# integral; the kernel is the boundary where they must become Fractions
+int_rows = st.integers(1, 5).flatmap(
+    lambda width: st.lists(
+        st.lists(st.integers(-6, 6), min_size=width, max_size=width),
+        min_size=1, max_size=6,
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_rows, st.data())
+def test_int_input_leaves_the_kernel_as_fractions(rows, data):
+    nrows, width = len(rows), len(rows[0])
+    entries = {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+    assert all(type(c) is int for c in entries.values())
+    from_entries = ExactMatrix.from_entries(nrows, width, entries)
+    from_rows = ExactMatrix.from_rows(rows)
+    assert from_entries == from_rows
+    rhs = data.draw(st.lists(st.integers(-6, 6), min_size=nrows, max_size=nrows))
+    for mat in (from_entries, from_rows):
+        assert _all_fractions(mat.nonzero_entries().values())
+        assert _all_fractions(c for row in mat.to_lists() for c in row)
+        reduced, _ = mat.rref()
+        assert _all_fractions(c for row in reduced.to_lists() for c in row)
+        solution = mat.solve(rhs)
+        assert solution is None or _all_fractions(solution)
+        assert all(_all_fractions(vec) for vec in mat.nullspace())
+    span = RowSpan(width)
+    for row in rows:
+        assert _all_fractions(span.reduce(row).values())
+        span.add(row)
+        assert all(_all_fractions(vec) for vec in span.basis_rows())
+    probe = data.draw(st.lists(st.integers(-6, 6), min_size=width, max_size=width))
+    assert _all_fractions(span.reduce(probe).values())

@@ -87,7 +87,11 @@ def test_oscillator_action_matches_position_sum_oracle(charge):
     for level in range(5):
         for key in module.keys(level):
             for k in range(-3, 4):
-                assert module.apply_gen(k, key) == osc_mode(k, {key: Q(1)}, charge)
+                got = module.apply_gen(k, key)
+                assert got == osc_mode(k, {key: Q(1)}, charge)
+                # the integer fast path: integral structure constants stay int
+                expected_type = int if charge.denominator == 1 or k else Q
+                assert all(type(c) is expected_type for c in got.values()), (k, key)
 
 
 def test_oscillator_bracket_on_states():
