@@ -80,9 +80,6 @@ class CmSubspace:
                 return False
         return True
 
-    def residual(self, level: int, coords) -> dict:
-        return self.levels[level].span.reduce(coords)
-
 
 def _check_cm_guard(module, m: int, depth: int) -> None:
     if m < 1:

@@ -43,9 +43,8 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
-
-from .errors import ConfigError
+from . import laurent
+from .errors import ConfigError, InputShapeError
 from .laurent import Q, format_rational
 from .voa import ModuleSpec, VoaSpec, level2_singular_vector
 
@@ -55,8 +54,8 @@ _TERM_RE = re.compile(r"^\(([\d,\s]*)\)\s*:\s*(\S+)$")
 def parse_rational(text: str, context: str) -> Q:
     """Exact rational from ``p/q`` or integer text; anything else rejects."""
     try:
-        return Q(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as err:
+        return laurent.parse_rational(text)
+    except InputShapeError as err:
         raise ConfigError(f"{context}: {text!r} is not an exact rational") from err
 
 

@@ -33,12 +33,7 @@ from .reduction import OdeSystem
 
 def pole_order(system: OdeSystem) -> int:
     """Order of the pole of ``B`` at ``z = 0`` (0 means holomorphic)."""
-    worst = 0
-    for poly in system.entries.values():
-        low = poly.min_exponent()
-        if low is not None and low < 0:
-            worst = max(worst, -low)
-    return worst
+    return system.pole_order
 
 
 # ----------------------------------------------------------------------

@@ -263,6 +263,12 @@ class IntertwinerData:
             return value
         return GradedVector.basis_vector(module, value)
 
+    def _pairs(self, u: GradedVector, w: GradedVector, j: int):
+        """``(u_key, w_key, cu * cw, series entry)`` over the basis pairs of u x w."""
+        for u_key, cu in u.to_raw().items():
+            for w_key, cw in w.to_raw().items():
+                yield u_key, w_key, cu * cw, self.series.get((u_key, w_key, j), {})
+
     def image_of(self, u, w, j: int, m) -> GradedVector:
         """The mode image ``u_{(j,m)} w`` for vectors u in U and w in W.
 
@@ -273,46 +279,20 @@ class IntertwinerData:
         u = self._as_source_vector(u, self.source_left)
         w = self._as_source_vector(w, self.source_right)
         m = Q(m)
-        target = self.target
         truncated = u.truncated or w.truncated
-        acc = {}
-        for lu in u.levels():
-            ucoords = u.coords_at(lu)
-            ukeys = self.source_left.keys(lu)
-            wt_u = self.source_left.lowest_weight + lu
-            for lw in w.levels():
-                wcoords = w.coords_at(lw)
-                wkeys = self.source_right.keys(lw)
-                wt_w = self.source_right.lowest_weight + lw
-                slot = wt_u + wt_w - 1 - m - target.lowest_weight
-                if slot.denominator != 1 or slot < 0:
-                    continue
-                level = int(slot)
-                if level > self.depth:
-                    truncated = True
-                    continue
-                for iu, cu in enumerate(ucoords):
-                    if not cu:
-                        continue
-                    for iw, cw in enumerate(wcoords):
-                        if not cw:
-                            continue
-                        entry = self.series.get((ukeys[iu], wkeys[iw], j))
-                        coords = entry.get(level) if entry else None
-                        if not coords:
-                            continue
-                        factor = cu * cw
-                        bucket = acc.setdefault(level, [QZERO] * target.dim(level))
-                        for i, c in enumerate(coords):
-                            if c:
-                                bucket[i] += factor * c
         raw = {}
-        for level, bucket in acc.items():
-            keys = target.keys(level)
-            for i, c in enumerate(bucket):
+        for u_key, w_key, factor, entry in self._pairs(u, w, j):
+            slot = self.mode_index(u_key, w_key, 0) - m
+            if slot.denominator != 1 or slot < 0:
+                continue
+            if slot > self.depth:
+                truncated = True
+                continue
+            level = int(slot)
+            for key, c in zip(self.target.keys(level), entry.get(level, ())):
                 if c:
-                    raw_acc(raw, keys[i], c)
-        return GradedVector.from_raw(target, raw, truncated)
+                    raw_acc(raw, key, factor * c)
+        return GradedVector.from_raw(self.target, raw, truncated)
 
     def correlator(self, theta, u, w, j: int = 0) -> LaurentPoly:
         """The pairing <theta, Y(u, z) w> as a Laurent polynomial.
@@ -325,37 +305,13 @@ class IntertwinerData:
         """
         u = self._as_source_vector(u, self.source_left)
         w = self._as_source_vector(w, self.source_right)
-        terms = {}
-        for lu in u.levels():
-            ucoords = u.coords_at(lu)
-            ukeys = self.source_left.keys(lu)
-            for lw in w.levels():
-                wcoords = w.coords_at(lw)
-                wkeys = self.source_right.keys(lw)
-                for iu, cu in enumerate(ucoords):
-                    if not cu:
-                        continue
-                    for iw, cw in enumerate(wcoords):
-                        if not cw:
-                            continue
-                        entry = self.series.get((ukeys[iu], wkeys[iw], j))
-                        if not entry:
-                            continue
-                        factor = cu * cw
-                        for level, coords in entry.items():
-                            dual = theta.get(level)
-                            if not dual:
-                                continue
-                            value = sum(
-                                c * Q(d) for c, d in zip(coords, dual) if c and d
-                            )
-                            if value:
-                                power = level - lu - lw
-                                total = terms.get(power, QZERO) + factor * value
-                                if total:
-                                    terms[power] = total
-                                else:
-                                    terms.pop(power, None)
+        terms = []
+        for u_key, w_key, factor, entry in self._pairs(u, w, j):
+            base = self.source_left.level_of(u_key) + self.source_right.level_of(w_key)
+            for level, coords in entry.items():
+                value = sum(c * Q(d) for c, d in zip(coords, theta.get(level, ())) if c and d)
+                if value:
+                    terms.append((level - base, factor * value))
         return LaurentPoly(terms)
 
     # -- algebraic certificates ---------------------------------------
@@ -501,30 +457,21 @@ class SpanSpec:
 class SpanModule(BaseRealization):
     """A graded subspace of an ambient realization, closed under the action.
 
-    Basis rows are kept in reduced echelon form over the ambient level
-    bases, so coordinates of a member vector can be read off its pivot
-    columns.  The cap is hard: asking the action for a level beyond the
-    stored depth raises ``LevelCapExceeded`` because the basis there was
-    never computed.
+    Each level is read off a ``RowSpan`` over the ambient level basis:
+    its rows are in reduced echelon form, so the coordinates of a member
+    vector are its entries at the pivot columns.  The cap is hard:
+    asking the action for a level beyond the stored depth raises
+    ``LevelCapExceeded`` because the basis there was never computed.
     """
 
-    def __init__(self, ambient, rows_by_level: dict, depth: int):
+    def __init__(self, ambient, spans: dict, depth: int):
         super().__init__(depth)
         self.ambient = ambient
         self.voa = ambient.voa
         self.hard_cap = depth
         self.lowest_weight = ambient.lowest_weight
-        self._rows = {}
-        self._pivots = {}
-        for n in range(depth + 1):
-            rows = tuple(tuple(Q(c) for c in row) for row in rows_by_level.get(n, ()))
-            for row in rows:
-                if len(row) != ambient.dim(n):
-                    raise InputShapeError("span row width does not match the ambient level")
-            self._rows[n] = rows
-            self._pivots[n] = tuple(
-                min(i for i, c in enumerate(row) if c) for row in rows
-            )
+        self._rows = {n: spans[n].basis_rows() for n in range(depth + 1)}
+        self._pivots = {n: spans[n].pivot_columns() for n in range(depth + 1)}
         self.spec = SpanSpec(ambient=ambient.spec)
 
     def keys(self, n: int) -> tuple:
@@ -567,19 +514,29 @@ class SpanModule(BaseRealization):
             raise LevelCapExceeded(
                 f"span basis is only stored up to level {self.depth}"
             )
-        amb_keys = self.ambient.keys(n)
-        out_raw = {}
-        for col, c in enumerate(self._rows[n][i]):
-            if not c:
-                continue
-            for rk, rc in self.ambient.apply_gen(k, amb_keys[col]).items():
-                raw_acc(out_raw, rk, c * rc)
-        coords = self.coords_in_span(self.ambient.coords(out_raw, n2), n2)
+        image = _row_image(self.ambient, self.ambient.keys(n), self._rows[n][i], k, n2)
+        if image is None:
+            return {}
+        coords = self.coords_in_span(image, n2)
         if coords is None:
             raise InternalInvariantViolation(
                 "span module is not closed under the algebra action"
             )
         return {(n2, idx): c for idx, c in enumerate(coords) if c}
+
+
+def _row_image(ambient, keys: tuple, row, k: int, n2: int):
+    """Generator mode k on the ambient row over the level basis ``keys``.
+
+    Returns the level-``n2`` coordinates of the image, or None when the
+    image vanishes.
+    """
+    raw = {}
+    for col, c in enumerate(row):
+        if c:
+            for rk, rc in ambient.apply_gen(k, keys[col]).items():
+                raw_acc(raw, rk, c * rc)
+    return ambient.coords(raw, n2) if raw else None
 
 
 def _saturate_spans(spans: dict, ambient, depth: int) -> None:
@@ -594,21 +551,14 @@ def _saturate_spans(spans: dict, ambient, depth: int) -> None:
     while changed:
         changed = False
         for n in range(depth + 1):
-            amb_keys = ambient.keys(n)
+            keys = ambient.keys(n)
             for row in spans[n].basis_rows():
                 for k in range(n + gw - 1 - depth, n + gw):
                     n2 = n + gw - 1 - k
                     if spans[n2].rank == spans[n2].width:
                         continue  # a full span cannot grow
-                    out_raw = {}
-                    for col, c in enumerate(row):
-                        if not c:
-                            continue
-                        for rk, rc in ambient.apply_gen(k, amb_keys[col]).items():
-                            raw_acc(out_raw, rk, c * rc)
-                    if not out_raw:
-                        continue
-                    if spans[n2].add(ambient.coords(out_raw, n2)):
+                    image = _row_image(ambient, keys, row, k, n2)
+                    if image is not None and spans[n2].add(image):
                         changed = True
 
 
@@ -665,56 +615,35 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
             "truncated joins need target modules with a common lowest weight"
         )
     ambient = DirectSumModule(targets, depth)
-    offsets = {}
-    for n in range(depth + 1):
-        running = [0]
-        for t in targets:
-            running.append(running[-1] + t.dim(n))
-        offsets[n] = running
     spans = {n: RowSpan(ambient.dim(n)) for n in range(depth + 1)}
     # directions already offered to each span: a multiple of an offered
     # coefficient lies in the span, so offering it again cannot grow it
     offered = {n: set() for n in range(depth + 1)}
     skeys = sorted(set(p1.series) | set(p2.series),
                    key=lambda t: (sum(t[0]), t[0], sum(t[1]), t[1], t[2]))
-    paired = {}
+    paired = []
     for skey in skeys:
         for level in range(depth + 1):
             pieces = [p.series.get(skey, {}).get(level) for p in factors]
             if not any(pieces):
                 continue
-            coords = [QZERO] * ambient.dim(level)
-            for slot, piece in enumerate(pieces):
-                if not piece:
-                    continue
-                base = offsets[level][slot]
-                for i, c in enumerate(piece):
-                    coords[i + base] = c
-            coords = tuple(coords)
-            paired[(skey, level)] = coords
-            if spans[level].rank < ambient.dim(level):
+            coords = tuple(c for t, piece in zip(targets, pieces)
+                           for c in piece or (QZERO,) * t.dim(level))
+            paired.append((skey, level, coords))
+            if spans[level].rank < spans[level].width:
                 direction = _direction(coords)
                 if direction not in offered[level]:
                     offered[level].add(direction)
                     spans[level].add(coords)
     _saturate_spans(spans, ambient, depth)
-    target = SpanModule(
-        ambient, {n: spans[n].basis_rows() for n in range(depth + 1)}, depth,
-    )
+    target = SpanModule(ambient, spans, depth)
     series = {}
-    for skey in skeys:
-        images = {}
-        for level in range(depth + 1):
-            coords = paired.get((skey, level))
-            if coords is None:
-                continue
-            expressed = target.coords_in_span(coords, level)
-            if expressed is None:
-                raise InternalInvariantViolation("paired coefficient escaped its own span")
-            if any(expressed):
-                images[level] = expressed
-        if images:
-            series[skey] = images
+    for skey, level, coords in paired:
+        expressed = target.coords_in_span(coords, level)
+        if expressed is None:
+            raise InternalInvariantViolation("paired coefficient escaped its own span")
+        if any(expressed):
+            series.setdefault(skey, {})[level] = expressed
     return IntertwinerData(
         p1.source_left, p1.source_right, target, depth, j_max, series,
     )
@@ -760,11 +689,7 @@ class PairOrderWitness:
     def verify(self) -> bool:
         """Recheck f . Y_upper = Y_lower on every recorded coefficient."""
         if self.shift is None:
-            return not self.lower.series or all(
-                not any(coords)
-                for images in self.lower.series.values()
-                for coords in images.values()
-            )
+            return _vanishes(self.lower)
         low, up = self.lower, self.upper
         for skey in set(up.series) | set(low.series):
             up_entry = up.series.get(skey, {})
@@ -774,16 +699,11 @@ class PairOrderWitness:
                 n = t - self.shift
                 if not (0 <= t <= low.depth) or not (0 <= n <= up.depth):
                     continue
-                want = low_entry.get(t, ())
+                zero = (QZERO,) * low.target.dim(t)
                 have = up_entry.get(n)
                 block = self.blocks.get(n)
-                if have and block is not None:
-                    image = block.matvec(list(have))
-                else:
-                    image = (QZERO,) * low.target.dim(t)
-                if len(want) < len(image):
-                    want = tuple(want) + (QZERO,) * (len(image) - len(want))
-                if tuple(image) != tuple(want):
+                image = block.matvec(have) if have and block is not None else zero
+                if image != tuple(low_entry.get(t) or zero):
                     return False
         return True
 
@@ -835,14 +755,14 @@ def _level_matrix(module, k: int, src: int, dst: int) -> ExactMatrix:
     return ExactMatrix.from_entries(module.dim(dst), len(keys), entries)
 
 
-def _zero_witness_or_none(lower, upper, shift):
-    vanishes = all(
-        not any(coords)
-        for images in lower.series.values()
-        for coords in images.values()
-    )
-    if vanishes:
-        return PairOrderWitness(lower=lower, upper=upper, shift=shift, blocks={})
+def _vanishes(data: IntertwinerData) -> bool:
+    """True when every recorded coefficient of ``data`` is zero."""
+    return all(not any(coords) for images in data.series.values() for coords in images.values())
+
+
+def _zero_witness_or_none(lower, upper):
+    if _vanishes(lower):
+        return PairOrderWitness(lower=lower, upper=upper, shift=None, blocks={})
     return None
 
 
@@ -858,12 +778,12 @@ def _solve_witness(lower: IntertwinerData, upper: IntertwinerData):
     low_t = lower.target
     up_t = upper.target
     if not _has_content(upper):
-        return _zero_witness_or_none(lower, upper, None)
+        return _zero_witness_or_none(lower, upper)
     shift_q = up_t.lowest_weight - low_t.lowest_weight
     if shift_q.denominator != 1:
         # no weight slot of the upper target meets one of the lower:
         # the only candidate is the zero map
-        return _zero_witness_or_none(lower, upper, None)
+        return _zero_witness_or_none(lower, upper)
     shift = int(shift_q)
 
     # a lower coefficient whose aligned upper coefficient vanishes (or

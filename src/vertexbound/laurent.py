@@ -10,6 +10,7 @@ exactly what truncated correlator coefficients and ODE entries need.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,20 +22,21 @@ QZERO = Q(0)
 QONE = Q(1)
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
+
+
 def parse_rational(text: str) -> Q:
     """Parse ``"p/q"`` or ``"p"`` into an exact rational.
 
-    Whitespace around the tokens is ignored.  Anything else, including
-    floating-point notation, is rejected: run files must stay exact.
+    ``p`` and ``q`` are ASCII decimal integers (only ``p`` may carry a
+    sign) and whitespace around them is ignored.  Anything else,
+    including floating-point notation and digit separators, is
+    rejected: run files must stay exact.
     """
-    s = text.strip()
-    try:
-        if "/" in s:
-            num, den = s.split("/")
-            return Q(int(num.strip()), int(den.strip()))
-        return Q(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputShapeError(f"not an exact rational: {text!r}") from exc
+    match = _RATIONAL.fullmatch(text)
+    if match is None or match.group(2) is not None and not int(match.group(2)):
+        raise InputShapeError(f"not an exact rational: {text!r}")
+    return Q(int(match.group(1)), int(match.group(2) or 1))
 
 
 def format_rational(value: Q) -> str:

@@ -586,14 +586,17 @@ def _run_suite_task(module, task, report):
                     )
 
 
-def run_identity_suite(module, max_failures: int = 20) -> IdentitySuiteReport:
+MAX_FAILURES = 20
+
+
+def run_identity_suite(module) -> IdentitySuiteReport:
     """Check the commutator and iterate identities exhaustively.
 
     Quantifies over all pairs of homogeneous basis elements of the
     algebra with compatible weights, all module basis vectors up to the
     depth, and every mode pair whose formal intermediate levels stay in
     the truncation window.  Also checks the vacuum axioms.  Failures are
-    collected (up to ``max_failures``) rather than raising, so a report
+    collected (up to ``MAX_FAILURES``) rather than raising, so a report
     always comes back.
     """
     voa = module.voa
@@ -621,5 +624,5 @@ def run_identity_suite(module, max_failures: int = 20) -> IdentitySuiteReport:
                         report.failures.append(("creation", k, module.label(key)))
     for task in _suite_tasks(module):
         _run_suite_task(module, task, report)
-    del report.failures[max_failures:]
+    del report.failures[MAX_FAILURES:]
     return report

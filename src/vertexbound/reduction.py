@@ -421,7 +421,12 @@ class OdeSystem:
     dimension: int
     labels: list
     entries: dict
-    pole_order: int
+
+    @property
+    def pole_order(self) -> int:
+        """Order of the pole of ``B`` at ``z = 0`` (0 means holomorphic)."""
+        lows = (poly.min_exponent() for poly in self.entries.values())
+        return max((-low for low in lows if low is not None and low < 0), default=0)
 
     def entry(self, row: int, col: int) -> LaurentPoly:
         return self.entries.get((row, col), LaurentPoly.zero())
@@ -483,18 +488,12 @@ def assemble_ode(left_basis: ComplementBasis, right_basis: ComplementBasis) -> O
         comb = reduce(shifted, q_j, left_basis, right_basis)
         for (i2, j2), poly in comb.items():
             entries[(row, index[(i2, j2)])] = poly
-    pole = 0
-    for poly in entries.values():
-        low = poly.min_exponent()
-        if low is not None and low < 0:
-            pole = max(pole, -low)
     return OdeSystem(
         left=left_basis.module.describe(),
         right=right_basis.module.describe(),
         dimension=len(labels),
         labels=labels,
         entries=entries,
-        pole_order=pole,
     )
 
 

@@ -361,6 +361,22 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert report["error"]["exit_code"] == 2
 
 
+@pytest.mark.parametrize(
+    "command,old,new",
+    [
+        ("cm-quotient", "charge = 2", "charge = 1.5"),
+        ("frobenius", "orders = 1,2,3", "orders = 1,2,3\nexponent = 1e-3"),
+    ],
+)
+def test_float_notation_is_a_config_error(tmp_path, capsys, command, old, new):
+    config = write_config(tmp_path, FOCK_INI.replace(old, new))
+    code, report = run_json([command, "--config", config], capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["exit_code"] == 2
+    assert new.split(" = ")[-1] in report["error"]["message"]
+
+
 def test_truncation_error_exit_code(tmp_path, capsys):
     text = FOCK_INI.replace("intertwiners = Y Yhalf",
                             "intertwiners = Y Yhalf\nleft_key = 9")

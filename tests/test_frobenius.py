@@ -42,15 +42,9 @@ from vertexbound.voa import (
 
 def manual_system(dimension, entries):
     entries = {key: poly for key, poly in entries.items() if not poly.is_zero()}
-    pole = 0
-    for poly in entries.values():
-        low = poly.min_exponent()
-        if low is not None and low < 0:
-            pole = max(pole, -low)
     return OdeSystem(
         left="manual", right="manual", dimension=dimension,
-        labels=[(i, 0) for i in range(dimension)],
-        entries=entries, pole_order=pole,
+        labels=[(i, 0) for i in range(dimension)], entries=entries,
     )
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from bruteforce import commutator_defect, fock_top_correlator, fock_vertex_coefficients
+from bruteforce import commutator_defect, fock_top_correlator, fock_vertex_coefficients, sympy_rank
 from vertexbound import fusion, linalg
 from vertexbound.cofinite import choose_complement, cm_quotient_dims
 from vertexbound.errors import InputShapeError, InternalInvariantViolation
@@ -434,6 +434,43 @@ def test_join_targets_carry_a_working_module_action():
     assert moved.levels() == (2,) and not moved.truncated
     with pytest.raises(LevelCapExceeded):
         target.apply_gen(-4, (2, 0))  # level 2 + 4 exceeds the cap
+
+
+@pytest.mark.parametrize("lam,mu,depth", [(1, 2, 4), (Q(1, 2), Q(3, 2), 3)])
+def test_span_levels_agree_with_direct_matrix_arithmetic(lam, mu, depth):
+    h = heisenberg_intertwiner(lam, mu, depth)
+    target = join(h.scale(Q(2, 3)), h.scale(Q(-5, 4))).target
+    ambient = target.ambient
+    rng = random.Random(23)
+    for n in range(depth + 1):
+        rows = target._rows[n]
+        width = ambient.dim(n)
+        assert len(rows) == target.dim(n) and all(len(row) == width for row in rows)
+        # a rational combination of the basis rows reads back its coefficients
+        coeffs = tuple(Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in rows)
+        vec = tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(width))
+        assert target.coords_in_span(vec, n) == coeffs
+        # adding a unit vector that raises the rank leaves the span
+        for i in range(width):
+            unit = tuple(Q(int(col == i)) for col in range(width))
+            if sympy_rank(list(rows) + [unit]) > len(rows):
+                off = tuple(a + b for a, b in zip(vec, unit))
+                assert target.coords_in_span(off, n) is None
+        # the span action, mapped back through the basis rows, is the
+        # ambient action on the same row
+        keys = ambient.keys(n)
+        for i, row in enumerate(rows):
+            for k in range(n + 1 - depth, n + 1):
+                n2 = n - k  # the Heisenberg generator has weight 1
+                want = [Q(0)] * ambient.dim(n2)
+                for col, c in enumerate(row):
+                    for key, value in ambient.apply_gen(k, keys[col]).items():
+                        want[ambient.index(key)] += c * value
+                have = [Q(0)] * ambient.dim(n2)
+                for (_, j), c in target.apply_gen(k, (n, i)).items():
+                    for col, r in enumerate(target._rows[n2][j]):
+                        have[col] += c * r
+                assert have == want, (n, i, k)
 
 
 def test_join_target_quotients_respect_the_fusion_bound():

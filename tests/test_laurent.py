@@ -88,7 +88,7 @@ def test_parse_rational(text, value):
     assert parse_rational(format_rational(value)) == value
 
 
-@pytest.mark.parametrize("bad", ["1.5", "x", "3/0", "1/2/3", ""])
+@pytest.mark.parametrize("bad", ["1.5", "1e-3", "1_000", "3/-4", "x", "3/0", "1/2/3", ""])
 def test_parse_rational_rejects(bad):
     with pytest.raises(InputShapeError):
         parse_rational(bad)

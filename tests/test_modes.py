@@ -243,6 +243,38 @@ def test_identity_suite_small_runs_clean():
     assert vir_report.total_checked > 100
 
 
+def test_identity_checks_catch_a_wrong_central_charge():
+    # the module straightens [L(m), L(-m)] with c = 3/2 while its algebra
+    # keeps c = 1/2, so the commutator of L(-2)|0> with itself breaks
+    voa = VirasoroVoa(Q(1, 2), depth=4)
+    sound = VermaModule(voa, Q(1, 16))
+    broken = VermaModule(voa, Q(1, 16))
+    broken.central_charge = Q(3, 2)
+    report = run_identity_suite(broken)
+    assert not report.all_passed
+    assert (report.commutator_checked, report.associativity_checked) == (2400, 1544)
+    assert len(report.failures) == 18
+    assert ("commutator", "L(-2)|0>", "L(-2)|0>", 3, -1, "L(-1)L(-1)|h=1/16>") in report.failures
+    l2 = mode_action(omega_vector(voa), -1, vacuum_vector(voa))
+    assert check_commutator(l2, l2, 3, -1, GradedVector.basis_vector(sound, ()))
+    assert not check_commutator(l2, l2, 3, -1, GradedVector.basis_vector(broken, ()))
+
+
+def test_identity_suite_catches_a_doubled_oscillator_mode():
+    fock = FockModule(HeisenbergVoa(depth=4), Q(1))
+    action = fock.apply_gen
+
+    def doubled(k, key):
+        image = action(k, key)
+        return {out: 2 * c for out, c in image.items()} if k == 1 else image
+
+    fock.apply_gen = doubled
+    report = run_identity_suite(fock)
+    assert not report.all_passed
+    assert len(report.failures) == 20  # the report keeps the first 20
+    assert report.failures[0][:3] == ("associativity", "a(-1)|0>", "a(-1)|0>")
+
+
 def test_engine_memo_is_reused():
     voa = HeisenbergVoa(depth=4)
     fock = FockModule(voa, Q(1))
