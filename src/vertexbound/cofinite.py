@@ -42,12 +42,19 @@ from .voa import DirectSumModule, raw_combine
 
 @dataclass
 class CmLevel:
-    """Reduced spanning data of one level of C_m(M)."""
+    """Reduced spanning data of one level of C_m(M).
+
+    ``pairs`` lists the ``(v_key, u_key)`` whose image ``v_{-m} u`` grew
+    the span, in enumeration order: they are the pivot columns of the
+    matrix of all spanning images, so their images are a basis of the
+    level.
+    """
 
     level: int
     dim: int
     rank: int
     span: RowSpan
+    pairs: list
 
     @property
     def quotient_dim(self) -> int:
@@ -102,36 +109,46 @@ def _check_cm_guard(module, m: int, depth: int) -> None:
         )
 
 
-def build_cm(module, m: int, depth: int) -> CmSubspace:
-    """Assemble C_m(M) spanning sets and their exact ranks per level.
+def cm_level(module, m: int, n: int) -> CmLevel:
+    """Level n of C_m(M) and the spanning pairs that build it.
 
-    Level n stops enumerating ``(v, u)`` pairs once its span has rank
-    ``dim M_(n)``.  This is exact: the rank cannot exceed the dimension,
-    and the reduced echelon form of a full span is the identity whatever
-    vectors built it, so ranks and ``basis_rows()`` are unchanged.  The
-    depth guard still runs first, so no refusal is skipped.
+    Pairs ``(v, u)`` run by ascending ``wt(v)`` (the cheap low-weight
+    words fill the span first), then by basis position; an image joins
+    ``pairs`` exactly when it is independent of the earlier ones.  The
+    enumeration stops once the span has rank ``dim M_(n)``.  This is
+    exact: the rank cannot exceed the dimension, and the reduced echelon
+    form of a full span is the identity whatever vectors built it, so
+    ranks and ``basis_rows()`` are unchanged.  No depth guard runs here.
     """
-    _check_cm_guard(module, m, depth)
-    engine = engine_for(module) if module.voa is not None else None
+    dim_n = module.dim(n)
+    span = RowSpan(dim_n)
+    grew = []
     voa = module.voa
-    levels = {}
-    for n in range(depth + 1):
-        dim_n = module.dim(n)
-        span = RowSpan(dim_n)
-        # ascending weight, so the cheap low-weight words fill the span first
-        pairs = (
+    if voa is not None:
+        engine = engine_for(module)
+        candidates = (
             (v_key, u_key)
-            for wt in (range(1, n - m + 2) if voa is not None else ())
+            for wt in range(1, n - m + 2)
             for v_key in voa.keys(wt)
             for u_key in module.keys(n - wt - m + 1)
         )
-        for v_key, u_key in pairs:
+        for v_key, u_key in candidates:
             if span.rank == dim_n:
                 break
             image = engine.apply_word(v_key, -m, u_key)
-            if image:
-                span.add(module.coords(image, n))
-        levels[n] = CmLevel(level=n, dim=dim_n, rank=span.rank, span=span)
+            if image and span.add(module.coords(image, n)):
+                grew.append((v_key, u_key))
+    return CmLevel(level=n, dim=dim_n, rank=span.rank, span=span, pairs=grew)
+
+
+def build_cm(module, m: int, depth: int) -> CmSubspace:
+    """Assemble C_m(M) spanning sets and their exact ranks per level.
+
+    Each level is one :func:`cm_level`; the depth guard runs first, so
+    no refusal is skipped.
+    """
+    _check_cm_guard(module, m, depth)
+    levels = {n: cm_level(module, m, n) for n in range(depth + 1)}
     return CmSubspace(module, m, depth, levels)
 
 
@@ -258,8 +275,9 @@ def _direct_sum_complement(module: DirectSumModule, depth: int, m: int) -> Compl
 class GradedDimReport:
     """Exact graded dimensions plus the per-level spanning certificate.
 
-    ``certified[n]`` records whether ``M_(n) = C_1(M)_(n) + complement``
-    was verified by an exact rank computation; levels beyond the
+    ``certified[n]`` records that ``M_(n) = C_1(M)_(n) + complement``
+    was verified by an exact rank computation (the greedy complement
+    raises when it cannot complete the level); levels beyond the
     certifiable window carry None instead of a claim.
     """
 
@@ -294,16 +312,10 @@ def graded_dims(module, depth: int) -> GradedDimReport:
         for n in range(cert_depth + 1):
             c1_ranks.append(cm.levels[n].rank)
             quotient.append(qdims[n])
-            # the certificate: C_1 rows plus the greedy complement span
-            # the whole level, verified by an independent rank pass
-            stacked = RowSpan(module.dim(n))
-            for row in cm.levels[n].span.basis_rows():
-                stacked.add(row)
-            for key in _greedy_level_complement(module, cm.levels[n].span, n, qdims[n]):
-                unit = [QZERO] * module.dim(n)
-                unit[module.index(key)] = QONE
-                stacked.add(tuple(unit))
-            certified.append(stacked.rank == module.dim(n))
+            # the certificate: the greedy complement completes the C_1
+            # rows to the whole level, or raises
+            _greedy_level_complement(module, cm.levels[n].span, n, qdims[n])
+            certified.append(True)
     while len(certified) < depth + 1:
         c1_ranks.append(None)
         quotient.append(None)

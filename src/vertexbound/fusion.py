@@ -54,14 +54,6 @@ from .voa import (
 # relative to the overall z^(lam*mu); after all factors are applied the
 # partition weight equals zoff + |u| + |w|.
 
-def _state_acc(out: dict, key, value) -> None:
-    s = out.get(key, QZERO) + value
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
-
-
 def _creation_terms(lam, depth: int) -> list:
     """exp(lam sum_{t>=1} a(-t) z^t / t), tabulated by z-power up to depth.
 
@@ -115,10 +107,10 @@ def _ann_factor(states: dict, n: int, mu) -> dict:
     for (part, zoff), coeff in states.items():
         base = sign * coeff
         if mu:
-            _state_acc(out, (part, zoff - n), base * mu)
+            raw_acc(out, (part, zoff - n), base * mu)
         for m in set(part):
             value = base * binomial(m + n - 1, n - 1) * m * part.count(m)
-            _state_acc(out, (_remove_part(part, m), zoff - m - n), value)
+            raw_acc(out, (_remove_part(part, m), zoff - m - n), value)
     return out
 
 
@@ -128,7 +120,7 @@ def _cre_factor(states: dict, n: int, bound: int) -> dict:
     for (part, zoff), coeff in states.items():
         for j in range(n, bound - zoff + n + 1):
             value = binomial(j - 1, n - 1) * coeff
-            _state_acc(out, (_insert_part(part, j), zoff + j - n), value)
+            raw_acc(out, (_insert_part(part, j), zoff + j - n), value)
     return out
 
 
@@ -179,7 +171,7 @@ def _fock_vertex_images(u_key: tuple, annihilated: dict, mu, creation: list,
                 states = _cre_factor(states, n, bound)
         for key, coeff in states.items():
             if key[1] <= bound:
-                _state_acc(ordered, key, weight * coeff)
+                raw_acc(ordered, key, weight * coeff)
     out = {}
     for (part, zoff), coeff in ordered.items():
         level = zoff + lu + lw
@@ -191,7 +183,7 @@ def _fock_vertex_images(u_key: tuple, annihilated: dict, mu, creation: list,
             raw = out.setdefault(level + size, {})
             for nu, c in terms:
                 merged = tuple(sorted(part + nu, reverse=True)) if nu else part
-                _state_acc(raw, merged, coeff * c)
+                raw_acc(raw, merged, coeff * c)
     return {level: raw for level, raw in out.items() if raw}
 
 
@@ -470,14 +462,13 @@ class SpanModule(BaseRealization):
         self.voa = ambient.voa
         self.hard_cap = depth
         self.lowest_weight = ambient.lowest_weight
-        self._rows = {n: spans[n].basis_rows() for n in range(depth + 1)}
-        self._pivots = {n: spans[n].pivot_columns() for n in range(depth + 1)}
+        self.spans = spans
         self.spec = SpanSpec(ambient=ambient.spec)
 
     def keys(self, n: int) -> tuple:
         if n < 0 or n > self.depth:
             return ()
-        return tuple((n, i) for i in range(len(self._rows[n])))
+        return tuple((n, i) for i in range(self.spans[n].rank))
 
     def level_of(self, key) -> int:
         return key[0]
@@ -490,19 +481,12 @@ class SpanModule(BaseRealization):
 
     def coords_in_span(self, ambient_coords, level: int):
         """Span coordinates of an ambient vector, or None if outside."""
-        rows = self._rows.get(level)
-        if rows is None:
+        span = self.spans.get(level)
+        if span is None:
             raise InputShapeError(f"level {level} exceeds the span cap {self.depth}")
-        coeffs = tuple(ambient_coords[p] for p in self._pivots[level])
-        residual = list(ambient_coords)
-        for c, row in zip(coeffs, rows):
-            if c:
-                for i, r in enumerate(row):
-                    if r:
-                        residual[i] -= c * r
-        if any(residual):
+        if span.reduce(ambient_coords):
             return None
-        return coeffs
+        return tuple(ambient_coords[p] for p in span.pivot_columns())
 
     def apply_gen(self, k: int, key) -> dict:
         n, i = key
@@ -514,7 +498,7 @@ class SpanModule(BaseRealization):
             raise LevelCapExceeded(
                 f"span basis is only stored up to level {self.depth}"
             )
-        image = _row_image(self.ambient, self.ambient.keys(n), self._rows[n][i], k, n2)
+        image = _row_image(self.ambient, self.ambient.keys(n), self.spans[n].rows()[i], k, n2)
         if image is None:
             return {}
         coords = self.coords_in_span(image, n2)
@@ -525,17 +509,16 @@ class SpanModule(BaseRealization):
         return {(n2, idx): c for idx, c in enumerate(coords) if c}
 
 
-def _row_image(ambient, keys: tuple, row, k: int, n2: int):
-    """Generator mode k on the ambient row over the level basis ``keys``.
+def _row_image(ambient, keys: tuple, row: dict, k: int, n2: int):
+    """Generator mode k on the sparse ambient row over the level basis ``keys``.
 
     Returns the level-``n2`` coordinates of the image, or None when the
     image vanishes.
     """
     raw = {}
-    for col, c in enumerate(row):
-        if c:
-            for rk, rc in ambient.apply_gen(k, keys[col]).items():
-                raw_acc(raw, rk, c * rc)
+    for col, c in row.items():
+        for rk, rc in ambient.apply_gen(k, keys[col]).items():
+            raw_acc(raw, rk, c * rc)
     return ambient.coords(raw, n2) if raw else None
 
 
@@ -552,7 +535,7 @@ def _saturate_spans(spans: dict, ambient, depth: int) -> None:
         changed = False
         for n in range(depth + 1):
             keys = ambient.keys(n)
-            for row in spans[n].basis_rows():
+            for row in spans[n].rows():
                 for k in range(n + gw - 1 - depth, n + gw):
                     n2 = n + gw - 1 - k
                     if spans[n2].rank == spans[n2].width:

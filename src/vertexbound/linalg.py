@@ -316,7 +316,8 @@ class RowSpan:
 
     def reduce(self, vec) -> dict:
         """Residual of ``vec`` after elimination against the span."""
-        residual = {j: Q(c) for j, c in enumerate(vec) if c}
+        # entries that are already Fractions need no copy
+        residual = {j: c if type(c) is Q else Q(c) for j, c in enumerate(vec) if c}
         if len(vec) != self.width:
             raise InputShapeError("vector width does not match span")
         for pivot_col, row in self._rows:
@@ -355,6 +356,13 @@ class RowSpan:
         self._rows.append((pivot_col, row))
         self._rows.sort(key=lambda item: item[0])
         return True
+
+    def rows(self) -> list:
+        """Copies of the reduced rows as sparse ``{col: value}`` dicts, by pivot column.
+
+        They are copies, so a caller may add to the span while it walks them.
+        """
+        return [dict(row) for _, row in self._rows]
 
     def basis_rows(self) -> list:
         """Current reduced rows as coordinate tuples, by pivot column."""

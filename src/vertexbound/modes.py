@@ -19,6 +19,7 @@ identity is never an artifact of dropped terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import InputShapeError, TruncationError
 from .laurent import Q, QONE, QZERO, binomial
@@ -464,35 +465,6 @@ class IdentitySuiteReport:
         }
 
 
-def _suite_tasks(module):
-    """Enumerate guarded (v1, v2, w) triples for the suite.
-
-    The guard keeps the formal level of every composition appearing in
-    either identity inside ``[0, depth]`` (compositions that vanish
-    identically because their formal level is negative are fine);
-    combinations outside the guard are not enumerated, so every
-    enumerated case is fully certified and nothing inside the guard is
-    skipped.
-    """
-    voa = module.voa
-    depth = module.depth
-    voa_depth = voa.depth
-    tasks = []
-    pairs = [
-        (w1, i1, w2, i2)
-        for w1 in range(0, voa_depth + 1)
-        for w2 in range(0, voa_depth + 2 - w1)
-        if w2 <= voa_depth
-        for i1 in range(len(voa.keys(w1)))
-        for i2 in range(len(voa.keys(w2)))
-    ]
-    for w1, i1, w2, i2 in pairs:
-        for w_level in range(0, depth + 1):
-            for w_index in range(module.dim(w_level)):
-                tasks.append((w1, i1, w2, i2, w_level, w_index))
-    return tasks
-
-
 def _raw_apply(engine, v_word, k, raw):
     out = {}
     for w_key, coeff in raw.items():
@@ -544,16 +516,13 @@ def _raw_associativity_defect(adjoint, engine, v1_word, v2_word, n, m, w_key, w_
     return defect
 
 
-def _run_suite_task(module, task, report):
+def _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, report):
+    """Both identities for one ``(v1, v2, w)`` at every guarded mode pair."""
     voa = module.voa
     depth = module.depth
     voa_depth = voa.depth
-    engine = engine_for(module)
-    adjoint = engine_for(voa)
-    w1, i1, w2, i2, w_level, w_index = task
-    v1_word = voa.keys(w1)[i1]
-    v2_word = voa.keys(w2)[i2]
-    w_key = module.keys(w_level)[w_index]
+    w1, w2 = voa.level_of(v1_word), voa.level_of(v2_word)
+    w_level = module.level_of(w_key)
     # commutator: both one-mode intermediates and the final level inside
     # the window
     for m in range(w_level + w2 - 1 - depth, w_level + w2):
@@ -622,7 +591,17 @@ def run_identity_suite(module) -> IdentitySuiteReport:
                     report.vacuum_checked += 1
                     if not mode_action(v, k, vac).is_zero():
                         report.failures.append(("creation", k, module.label(key)))
-    for task in _suite_tasks(module):
-        _run_suite_task(module, task, report)
+    # the guard keeps the formal level of every composition appearing in
+    # either identity inside [0, depth] (compositions that vanish
+    # identically because their formal level is negative are fine);
+    # combinations outside it are not enumerated, so every enumerated
+    # case is fully certified and nothing inside the guard is skipped
+    engine, adjoint = engine_for(module), engine_for(voa)
+    for w1 in range(voa.depth + 1):
+        for w2 in range(min(voa.depth + 1, voa.depth + 2 - w1)):
+            for v1_word, v2_word in product(voa.keys(w1), voa.keys(w2)):
+                for w_level in range(module.depth + 1):
+                    for w_key in module.keys(w_level):
+                        _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, report)
     del report.failures[MAX_FAILURES:]
     return report

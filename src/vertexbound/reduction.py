@@ -35,13 +35,17 @@ subterms read from the table in turn, as a plain ``{(i, j): LaurentPoly}``
 map.  The table hangs off the left basis beside the decomposition memo,
 keyed by the right basis, and is freed with the bases; callers always
 receive a fresh combination, never an entry.
+
+Which ``v_{-1} a`` span ``C_1`` at a level, and in what order, is
+decided once, by ``cofinite.cm_level``; a decomposition solves over
+those pivot pairs plus the complement vectors of the level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cofinite import ComplementBasis
+from .cofinite import ComplementBasis, cm_level
 from .errors import (
     InputShapeError,
     InternalInvariantViolation,
@@ -58,15 +62,23 @@ from .modes import GradedVector, engine_for, mode_action, omega_vector
 class _SpanningSolver:
     """Per-level solver writing vectors as ``sum v_{-1} a + complement``.
 
-    Columns are ordered spanning images first (ascending generator
-    weight, then basis positions), complement monomials last, so the
-    elimination prefers the ``C_1`` expression and the decomposition is
-    reproducible.  Results are memoized per (level, coordinates).
+    The columns at level n are the images of ``cm_level(module, 1, n)``'s
+    pivot pairs (ascending generator weight, then basis positions), then
+    the complement monomials of that level.  The pivot pairs are the
+    earliest independent spanning images and ``solve`` sets free
+    variables to zero, so this is the particular solution over every
+    ``v_{-1} a``, from a system that is square for a C_1 complement.
+    Results are memoized per (level, coordinates).
+
+    The solver keeps the module, the depth and the complement vectors,
+    not the basis that owns it, so a basis is freed by reference
+    counting alone.
     """
 
     def __init__(self, basis: ComplementBasis):
-        self.basis = basis
         self.module = basis.module
+        self.depth = basis.depth
+        self._complement = [(level, vec) for vec, (level, _) in zip(basis.vectors, basis.labels)]
         self._levels = {}
         self._memo = {}
 
@@ -75,26 +87,17 @@ class _SpanningSolver:
         if data is not None:
             return data
         module = self.module
-        voa = module.voa
-        engine = engine_for(module) if voa is not None else None
-        pair_keys = []
-        columns = []
-        for wt in range(1, n + 1) if voa is not None else ():
-            for v_key in voa.keys(wt):
-                for a_key in module.keys(n - wt):
-                    image = engine.apply_word(v_key, -1, a_key)
-                    pair_keys.append((v_key, a_key))
-                    columns.append(module.coords(image, n))
-        comp_at_level = [
-            (idx, vec)
-            for idx, (vec, (lv, _)) in enumerate(zip(self.basis.vectors, self.basis.labels))
-            if lv == n
+        pair_keys = cm_level(module, 1, n).pairs
+        columns = [
+            module.coords(engine_for(module).apply_word(v_key, -1, a_key), n)
+            for v_key, a_key in pair_keys
         ]
-        for _, vec in comp_at_level:
-            columns.append(vec.coords_at(n))
-        dim_n = module.dim(n)
+        comp_at_level = [
+            (idx, vec) for idx, (lv, vec) in enumerate(self._complement) if lv == n
+        ]
+        columns += [vec.coords_at(n) for _, vec in comp_at_level]
         matrix = ExactMatrix.from_entries(
-            dim_n,
+            module.dim(n),
             len(columns),
             {
                 (i, j): c
@@ -119,9 +122,9 @@ class _SpanningSolver:
             raise InputShapeError("decomposition requires a nonzero homogeneous vector")
         if vec.truncated:
             raise TruncationError("refusing to decompose a truncated vector")
-        if level > self.basis.depth:
+        if level > self.depth:
             raise TruncationError(
-                f"level {level} lies outside the certified window (depth {self.basis.depth})"
+                f"level {level} lies outside the certified window (depth {self.depth})"
             )
         coords = vec.coords_at(level)
         memo_key = (level, coords)
@@ -319,14 +322,16 @@ def _table_for(left_basis: ComplementBasis, right_basis: ComplementBasis) -> dic
 
     It hangs off the left basis beside the decomposition memo and holds
     the right basis, so the ``id`` key cannot be reused while it lives;
-    it is freed with the left basis.
+    it is freed with the left basis.  A basis paired with itself is not
+    held again, which would make it a reference cycle.
     """
     tables = getattr(left_basis, "_pair_tables", None)
     if tables is None:
         tables = left_basis._pair_tables = {}
     slot = tables.get(id(right_basis))
     if slot is None:
-        slot = tables[id(right_basis)] = (right_basis, {})
+        held = None if right_basis is left_basis else right_basis
+        slot = tables[id(right_basis)] = (held, {})
     return slot[1]
 
 

@@ -98,6 +98,28 @@ def fraction_gauss_jordan(rows: list, width: int) -> list:
     return pivots
 
 
+def full_column_solve(columns: list, rhs) -> list | None:
+    """Solution of ``sum_j x_j columns[j] = rhs`` with free variables zero.
+
+    ``columns`` are coordinate sequences of one length; the augmented
+    matrix goes through :func:`fraction_gauss_jordan`, so the solution
+    is supported on the pivot columns (the earliest independent ones).
+    Returns None when the system is inconsistent.
+    """
+    width = len(columns)
+    rows = [{j: Q(col[i]) for j, col in enumerate(columns) if col[i]}
+            for i in range(len(rhs))]
+    for i, value in enumerate(rhs):
+        if value:
+            rows[i][width] = Q(value)
+    solution = [Q(0)] * width
+    for row, col in fraction_gauss_jordan(rows, width + 1):
+        if col == width:
+            return None
+        solution[col] = rows[row].get(width, Q(0))
+    return solution
+
+
 # ----------------------------------------------------------------------
 # free boson oracle: position-sum mode action on partition states
 

@@ -165,6 +165,28 @@ def test_cm_spans_equal_the_exhaustive_rref(m):
             assert cm.levels[n].rank == len(expected), (name, m, n)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_cm_level_pairs_are_the_pivot_columns(m):
+    # with every spanning image as a column, in enumeration order, the
+    # pairs that grew a level are exactly the rref pivot columns
+    for name, module, depth in oracle_modules():
+        cm = build_cm(module, m, depth)
+        for n in range(depth + 1):
+            keys = [
+                (v_key, u_key)
+                for wt in range(max(0, 2 - m), n - m + 2)
+                for v_key in module.voa.keys(wt)
+                for u_key in module.keys(n - wt - m + 1)
+            ]
+            rows = cm_spanning_rows(module, m, n)
+            pivots = ()
+            if rows:
+                pivots = sympy.Matrix(
+                    [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]
+                ).T.rref()[1]
+            assert cm.levels[n].pairs == [keys[j] for j in pivots], (name, m, n)
+
+
 @pytest.mark.parametrize("which", ["fock", "sigma"])
 def test_build_cm_never_feeds_a_full_span(monkeypatch, which):
     if which == "fock":

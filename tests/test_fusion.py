@@ -443,7 +443,7 @@ def test_span_levels_agree_with_direct_matrix_arithmetic(lam, mu, depth):
     ambient = target.ambient
     rng = random.Random(23)
     for n in range(depth + 1):
-        rows = target._rows[n]
+        rows = target.spans[n].basis_rows()
         width = ambient.dim(n)
         assert len(rows) == target.dim(n) and all(len(row) == width for row in rows)
         # a rational combination of the basis rows reads back its coefficients
@@ -468,7 +468,7 @@ def test_span_levels_agree_with_direct_matrix_arithmetic(lam, mu, depth):
                         want[ambient.index(key)] += c * value
                 have = [Q(0)] * ambient.dim(n2)
                 for (_, j), c in target.apply_gen(k, (n, i)).items():
-                    for col, r in enumerate(target._rows[n2][j]):
+                    for col, r in enumerate(target.spans[n2].basis_rows()[j]):
                         have[col] += c * r
                 assert have == want, (n, i, k)
 

@@ -1,12 +1,14 @@
 """Tests for correlator rewriting, the induced ODE, and fusion bounds."""
 
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction as Q
 
 import pytest
 
-from bruteforce import fock_top_correlator, plain_correlator_reduction
+from bruteforce import fock_top_correlator, full_column_solve, plain_correlator_reduction
 from vertexbound import reduction
 from vertexbound.cofinite import choose_complement
 from vertexbound.errors import InputShapeError, TruncationError
@@ -85,6 +87,61 @@ def test_express_is_exact_on_all_low_monomials():
             for u in basis_vectors(module, level):
                 pairs, e = express_in_c1_plus_complement(u, basis)
                 assert recombine(pairs, e) == u
+
+
+def full_span_oracle(module, basis, level):
+    """Old-style decomposition data: every ``v_{-1} a`` at the level, then the complement."""
+    voa = module.voa
+    pair_keys = [
+        (v_key, a_key)
+        for wt in range(1, level + 1)
+        for v_key in voa.keys(wt)
+        for a_key in module.keys(level - wt)
+    ]
+    columns = [
+        mode_action(GradedVector.basis_vector(voa, v_key), -1,
+                    GradedVector.basis_vector(module, a_key)).coords_at(level)
+        for v_key, a_key in pair_keys
+    ]
+    comp = [(i, key) for i, (lv, key) in enumerate(basis.labels) if lv == level]
+    columns += [basis.vectors[i].coords_at(level) for i, _ in comp]
+    return pair_keys, comp, columns
+
+
+@pytest.mark.parametrize("name", ["fock-1", "fock-minus-2", "ising-sigma", "ising-eps",
+                                  "fock-1-plus-fock-2"])
+def test_express_matches_full_column_solve(name):
+    # the solver's pivot-pair columns give the particular solution over
+    # every v_{-1} a column, pair by pair and in the same order
+    if name.startswith("ising"):
+        left, right, lbasis, rbasis = ising_sigma_eps(6)
+        module, basis = (left, lbasis) if name == "ising-sigma" else (right, rbasis)
+    else:
+        voa = HeisenbergVoa(7)
+        module = {
+            "fock-1": lambda: FockModule(voa, Q(1)),
+            "fock-minus-2": lambda: FockModule(voa, Q(-2)),
+            "fock-1-plus-fock-2": lambda: DirectSumModule(
+                [FockModule(voa, Q(1)), FockModule(voa, Q(2))]),
+        }[name]()
+        basis = choose_complement(module, 6)
+    for level in range(0, 7):
+        pair_keys, comp, columns = full_span_oracle(module, basis, level)
+        for u in basis_vectors(module, level):
+            solution = full_column_solve(columns, u.coords_at(level))
+            assert solution is not None
+            expected_pairs = [
+                (GradedVector.basis_vector(module.voa, v_key).scale(c),
+                 GradedVector.basis_vector(module, a_key))
+                for (v_key, a_key), c in zip(pair_keys, solution)
+                if c
+            ]
+            expected_comp = solution[len(pair_keys):]
+            pairs, e = express_in_c1_plus_complement(u, basis)
+            assert pairs == expected_pairs, (name, level)
+            coords = e.coords_at(level)
+            assert [coords[module.index(key)] for _, key in comp] == expected_comp
+            assert recombine(pairs, e) == u
 
 
 def test_express_quotient_singular_relation():
@@ -291,6 +348,26 @@ def oracle_reduction(p_key, q_key, lbasis, rbasis):
         GradedVector.basis_vector(rbasis.module, q_key),
         splitter(lbasis), splitter(rbasis), act, lambda x: x.homogeneous_level(),
     )
+
+
+def test_bases_are_freed_without_the_cycle_collector():
+    # neither the solver nor the pair table refers back to the basis
+    # that owns it, so deleting the bases frees them at once
+    left, right, lbasis, rbasis = fock_pair(depth=5)
+    self_basis = choose_complement(left, 4)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        reduce(GradedVector.basis_vector(left, (2,)), GradedVector.basis_vector(right, (1,)),
+               lbasis, rbasis)
+        assemble_ode(lbasis, rbasis)
+        assemble_ode(self_basis, self_basis)
+        refs = [weakref.ref(b) for b in (lbasis, rbasis, self_basis)]
+        del lbasis, rbasis, self_basis
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("make, top", [
