@@ -20,18 +20,21 @@ Fock(lam) x Fock(mu) -> Fock(lam+mu) (Frenkel-Lepowsky-Meurman, ch. 4),
 assembled from the closed forms of its two oscillator exponentials:
 the annihilating one is tabulated once per w, the creating one once per
 build and applied once per pair (u, w), to the normal-ordered states of
-every splitting of u summed together.  Scalar twists, joins and the
-zero datum derive from it.
+every splitting of u summed together.  It runs on ints over one common
+denominator per build, q^(3 depth) depth! for q = lcm(den lam, den mu),
+as lam/mu degrees stay <= 3 depth; a division that leaves a remainder
+raises instead of flooring.  Scalar twists, joins and the zero datum
+derive from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 from .errors import InputShapeError, InternalInvariantViolation
-from .laurent import LaurentPoly, Q, QONE, QZERO, binomial, format_rational
+from .laurent import LaurentPoly, Q, QZERO, binomial, format_rational
 from .linalg import ExactMatrix, RowSpan, primitive_row
 from .modes import GradedVector
 from .voa import (
@@ -50,16 +53,32 @@ from .voa import (
 # ----------------------------------------------------------------------
 # free-boson vertex operator kernels
 #
-# States are {(partition, zoff): coeff} where zoff tracks the power of z
+# States are {(partition, zoff): X} where zoff tracks the power of z
 # relative to the overall z^(lam*mu); after all factors are applied the
-# partition weight equals zoff + |u| + |w|.
+# partition weight equals zoff + |u| + |w|.  A coeff X is the int x * D.
 
-def _creation_terms(lam, depth: int) -> list:
+def _degree_bound(depth: int) -> int:
+    """Largest lam/mu degree of a term: |w|, |u| and the cap, from the
+    annihilating exponential, the zero modes and the creating one."""
+    return 3 * depth
+
+
+def _exact(num: int, den: int) -> int:
+    """num / den, which the common denominator makes an integer."""
+    quot, rem = divmod(num, den)
+    if rem:
+        raise InternalInvariantViolation(f"kernel term {num}/{den} escapes the common denominator")
+    return quot
+
+
+def _creation_terms(big_l: int, q: int, depth: int) -> list:
     """exp(lam sum_{t>=1} a(-t) z^t / t), tabulated by z-power up to depth.
 
-    ``terms[s]`` lists ``(nu, lam^len(nu) / z_nu)`` over the partitions nu
-    of s, where z_nu = prod_t t^{m_t} m_t! for m_t parts equal to t.
+    ``terms[s]`` lists ``(nu, L^len(nu) depth!/z_nu, q^len(nu) depth!)`` over
+    the partitions nu of s, for lam^len(nu) / z_nu, where
+    z_nu = prod_t t^{m_t} m_t! for m_t parts equal to t divides s!.
     """
+    top = factorial(depth)
     terms = []
     for s in range(depth + 1):
         row = []
@@ -68,46 +87,46 @@ def _creation_terms(lam, depth: int) -> list:
             for t in set(nu):
                 m = nu.count(t)
                 z_nu *= t ** m * factorial(m)
-            coeff = lam ** len(nu) / z_nu
-            if coeff:
-                row.append((nu, coeff))
+            mult = big_l ** len(nu) * (top // z_nu)
+            if mult:
+                row.append((nu, mult, q ** len(nu) * top))
         terms.append(row)
     return terms
 
 
-def _annihilation_states(w_key: tuple, lam) -> dict:
-    """exp(-lam sum_{j>=1} a(j) z^-j / j) applied to a(-w_key)|mu>.
+def _annihilation_states(w_key: tuple, big_l: int, q: int, denom: int) -> dict:
+    """exp(-lam sum_{j>=1} a(j) z^-j / j) applied to denom * a(-w_key)|mu>.
 
     Removing k_t of the m_t parts equal to t has coefficient
     prod_t C(m_t, k_t) (-lam)^{k_t} and lowers the z-power by t k_t.
     """
-    states = {(w_key, 0): QONE}
-    if not lam:
+    states = {(w_key, 0): denom}
+    if not big_l:
         return states
     for t in sorted(set(w_key)):
         m = w_key.count(t)
         image = {}
         for (part, zoff), coeff in states.items():
             for k in range(m + 1):
-                image[(part, zoff - t * k)] = coeff * binomial(m, k) * (-lam) ** k
+                image[(part, zoff - t * k)] = _exact(coeff * binomial(m, k) * (-big_l) ** k, q ** k)
                 if k < m:
                     part = _remove_part(part, t)
         states = image
     return states
 
 
-def _ann_factor(states: dict, n: int, mu) -> dict:
+def _ann_factor(states: dict, n: int, big_m: int, q: int) -> dict:
     """Annihilation half of the n-th derivative field.
 
     (d/dz)^{n-1} a(z)/(n-1)! contributes a(m) z^{-m-n} with coefficient
     (-1)^{n-1} C(m+n-1, n-1) for m >= 0; a(0) is the charge mu.
     """
-    sign = QONE if n % 2 else -QONE
+    sign = 1 if n % 2 else -1
     out = {}
     for (part, zoff), coeff in states.items():
         base = sign * coeff
-        if mu:
-            raw_acc(out, (part, zoff - n), base * mu)
+        if big_m:
+            raw_acc(out, (part, zoff - n), _exact(base * big_m, q))
         for m in set(part):
             value = base * binomial(m + n - 1, n - 1) * m * part.count(m)
             raw_acc(out, (_remove_part(part, m), zoff - m - n), value)
@@ -124,7 +143,7 @@ def _cre_factor(states: dict, n: int, bound: int) -> dict:
     return out
 
 
-def _annihilated(table: dict, chosen: tuple, mu) -> dict:
+def _annihilated(table: dict, chosen: tuple, big_m: int, q: int) -> dict:
     """Annihilation halves of the factors ``chosen`` applied to ``table[()]``.
 
     Annihilation halves commute, so one entry per multiset of factors
@@ -132,16 +151,16 @@ def _annihilated(table: dict, chosen: tuple, mu) -> dict:
     """
     states = table.get(chosen)
     if states is None:
-        states = _ann_factor(_annihilated(table, chosen[:-1], mu), chosen[-1], mu)
+        states = _ann_factor(_annihilated(table, chosen[:-1], big_m, q), chosen[-1], big_m, q)
         table[chosen] = states
     return states
 
 
-def _fock_vertex_images(u_key: tuple, annihilated: dict, mu, creation: list,
-                        lw: int, cap: int) -> dict:
+def _fock_vertex_images(u_key: tuple, annihilated: dict, big_m: int, q: int,
+                        creation: list, lw: int, cap: int) -> dict:
     """Coefficients of Y(u, z) w in Fock(lam + mu), by target level.
 
-    Returns {t: {partition: coeff}} where the level-t part multiplies
+    Returns {t: {partition: x * D}} where the level-t part multiplies
     z^(lam*mu + t - |u| - |w|), for w at level ``lw``.  ``annihilated``
     holds the annihilating exponential already applied to w (under the
     key ``()``), and ``creation`` the tabulated creating exponential.
@@ -161,7 +180,7 @@ def _fock_vertex_images(u_key: tuple, annihilated: dict, mu, creation: list,
     ordered = {}
     for split in product(*(range(m + 1) for _, m in counts)):
         chosen = tuple(n for (n, _), a in zip(counts, split) for _ in range(a))
-        states = _annihilated(annihilated, chosen, mu)
+        states = _annihilated(annihilated, chosen, big_m, q)
         if not states:
             continue
         weight = 1
@@ -181,9 +200,9 @@ def _fock_vertex_images(u_key: tuple, annihilated: dict, mu, creation: list,
             )
         for size, terms in enumerate(creation[:bound - zoff + 1]):
             raw = out.setdefault(level + size, {})
-            for nu, c in terms:
+            for nu, mult, div in terms:
                 merged = tuple(sorted(part + nu, reverse=True)) if nu else part
-                raw_acc(raw, merged, coeff * c)
+                raw_acc(raw, merged, _exact(coeff * mult, div))
     return {level: raw for level, raw in out.items() if raw}
 
 
@@ -394,6 +413,12 @@ def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     the creating one once, the annihilating one once per w; the creating
     one acts once per pair (u, w).  All images up to the truncation
     depth are exact rationals.
+
+    The kernel runs on ints.  With q = lcm(den lam, den mu), each term is
+    P(L, M) / (q^d z_nu) for L = lam q, M = mu q, an integer polynomial P
+    of degree d <= E = 3 depth (``_degree_bound``) and z_nu | depth!; so
+    states hold x * D for D = q^E depth!, every division is checked exact,
+    and each entry becomes the ``Fraction`` X / D once.
     """
     lam = Q(lam)
     mu = Q(mu)
@@ -406,20 +431,23 @@ def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     left = FockModule(voa, lam, depth)
     right = FockModule(voa, mu, depth)
     target = FockModule(voa, lam + mu, depth)
-    creation = _creation_terms(lam, depth)
+    q = lcm(lam.denominator, mu.denominator)
+    big_l, big_m = int(lam * q), int(mu * q)
+    denom = q ** _degree_bound(depth) * factorial(depth)
+    creation = _creation_terms(big_l, q, depth)
     w_keys = [w_key for lw in range(depth + 1) for w_key in right.keys(lw)]
-    annihilated = {w_key: {(): _annihilation_states(w_key, lam)} for w_key in w_keys}
+    annihilated = {w: {(): _annihilation_states(w, big_l, q, denom)} for w in w_keys}
     series = {}
     for lu in range(depth + 1):
         for u_key in left.keys(lu):
             for w_key in w_keys:
                 images = _fock_vertex_images(
-                    u_key, annihilated[w_key], mu, creation, sum(w_key), depth,
+                    u_key, annihilated[w_key], big_m, q, creation, sum(w_key), depth,
                 )
                 if not images:
                     continue
                 series[(u_key, w_key, 0)] = {
-                    level: target.coords(raw, level)
+                    level: target.coords({key: Q(x, denom) for key, x in raw.items()}, level)
                     for level, raw in sorted(images.items())
                 }
     return IntertwinerData(left, right, target, depth, 0, series)

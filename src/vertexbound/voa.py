@@ -75,7 +75,8 @@ def _remove_part(key: tuple, part: int) -> tuple:
 
 def raw_acc(out: dict, key, coeff) -> None:
     """Accumulate ``coeff * key`` in place; ``int`` coefficients stay ``int``."""
-    s = out.get(key, 0) + coeff
+    s = out.get(key)
+    s = coeff if s is None else s + coeff
     if s:
         out[key] = s
     else:

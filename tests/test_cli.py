@@ -246,6 +246,40 @@ def test_mismatched_sources_are_refused_before_any_build(tmp_path, capsys, comma
     }
 
 
+HUGE_CHARGES = """
+[run]
+depth = 4
+
+[voa]
+kind = heisenberg
+
+[intertwiner.Y]
+lam = 1000000007/1000000009
+mu = -999999937/1000000021
+
+[intertwiner.Ytwisted]
+lam = 1000000007/1000000009
+mu = -999999937/1000000021
+scale = 1000000003/999999999
+
+[command]
+intertwiners = Y Ytwisted
+first = Y
+second = Ytwisted
+"""
+
+
+def test_join_and_compare_on_huge_charges_in_bounded_time(tmp_path, capsys):
+    config = write_config(tmp_path, HUGE_CHARGES)
+    with time_limit(5):
+        code, joined = run_json(["join", "--config", config], capsys)
+        assert code == 0
+        code, compared = run_json(["compare", "--config", config], capsys)
+        assert code == 0
+    assert joined["payload"]["target_dims"] == [1, 1, 2, 3, 5]
+    assert compared["payload"]["relation"] == "equivalent"
+
+
 def test_each_command_builds_one_intertwiner(tmp_path, capsys, monkeypatch):
     builds = []
     real = cli.heisenberg_intertwiner

@@ -7,7 +7,10 @@ an ``ExactMatrix`` or ``RowSpan`` entry, a report scalar) is a
 the boundary; the last one checks that the Fock(1) engine really stays on
 ``int``, so a change that brings ``Fraction`` back inside fails here
 instead of only running slower (the generator action has the same guard
-beside its oracle in ``test_voa.py``).
+beside its oracle in ``test_voa.py``).  The free-boson vertex kernel is
+guarded the same way at its own boundary: ints over one common
+denominator inside, ``Fraction`` series outside, and a refusal, never a
+floored value, when a division by that denominator is not exact.
 """
 
 import contextlib
@@ -20,8 +23,9 @@ from pathlib import Path
 import pytest
 
 from bruteforce import heisenberg_word_mode
-from vertexbound import cli
+from vertexbound import cli, fusion
 from vertexbound.cofinite import build_cm
+from vertexbound.errors import InternalInvariantViolation
 from vertexbound.modes import GradedVector, engine_for, mode_action, omega_vector
 from vertexbound.voa import (
     FockModule,
@@ -160,3 +164,25 @@ def test_fock_engine_words_are_int_and_match_the_oracle():
     assert checked > 500
     # intermediate results of the iterate expansion as well
     assert all(_all_ints(raw) for raw in engine._memo.values())
+
+
+# ----------------------------------------------------------------------
+# the free-boson vertex kernel: ints inside, Fraction series outside
+
+
+@pytest.mark.parametrize("lam,mu", [
+    (Q(1), Q(2)), (Q(0), Q(0)), (Q(1, 6), Q(-5, 4)), (Q(-10**9 - 7, 10**9 + 9), Q(3, 7)),
+])
+def test_heisenberg_series_coordinates_are_fractions(lam, mu):
+    series = fusion.heisenberg_intertwiner(lam, mu, 3).series
+    coords = [c for images in series.values() for vec in images.values() for c in vec]
+    assert coords and all(type(c) is Q for c in coords)
+
+
+def test_a_short_degree_bound_is_refused_not_floored(monkeypatch):
+    # with one denominator p for both charges a depth-d term can carry
+    # lam^(2d) mu^d, so q^(3d - 1) leaves some division by p inexact
+    lam, mu = Q(1, 1000003), Q(2, 1000003)
+    monkeypatch.setattr(fusion, "_degree_bound", lambda d: 3 * d - 1)
+    with pytest.raises(InternalInvariantViolation, match="common denominator"):
+        fusion.heisenberg_intertwiner(lam, mu, 2)

@@ -79,12 +79,18 @@ def test_top_correlators_match_the_bruteforce_kernel(lam, mu):
                     assert poly.terms == oracle
 
 
-@pytest.mark.parametrize("lam,mu", [
-    (Q(1), Q(2)), (Q(1, 2), Q(3, 2)), (Q(0), Q(2)), (Q(-3, 7), Q(0)),
-    (Q(2, 3), Q(-5, 2)),
-])
-def test_series_match_the_bruteforce_kernel_at_every_level(lam, mu):
-    depth = 4
+ORACLE_CASES = [
+    (Q(1), Q(2), 4), (Q(1, 2), Q(3, 2), 4), (Q(0), Q(2), 4), (Q(-3, 7), Q(0), 4),
+    (Q(2, 3), Q(-5, 2), 4),
+    # denominators that differ, so the common denominator mixes them
+    (Q(1, 6), Q(-5, 4), 4), (Q(0), Q(7, 3), 4), (Q(-4, 9), Q(1, 2), 4),
+    (Q(1, 1000000007), Q(3, 1000000009), 3),
+]
+
+
+@pytest.mark.parametrize("lam,mu,depth", ORACLE_CASES,
+                         ids=[f"lam{i}-mu{i}" for i in range(len(ORACLE_CASES))])
+def test_series_match_the_bruteforce_kernel_at_every_level(lam, mu, depth):
     h = heisenberg_intertwiner(lam, mu, depth)
     pairs = 0
     for lu in range(depth + 1):
@@ -100,7 +106,8 @@ def test_series_match_the_bruteforce_kernel_at_every_level(lam, mu):
                         assert got == oracle[level]
                         assert all(type(c) is Q for c in coords)
                     pairs += 1
-    assert pairs == 12 * 12
+    basis = sum(len(h.source_left.keys(n)) for n in range(depth + 1))
+    assert pairs == basis * basis
 
 
 def test_correlator_is_linear_in_the_functional_and_the_datum():
