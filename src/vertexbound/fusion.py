@@ -13,7 +13,10 @@ product construction over all targets; the order relation "Y1 <= Y2" is
 decided by solving for the unique module map f with f . Y2 = Y1.  Y2 must
 be surjective: its coefficients at level n then fix the block f_n alone,
 so f is solved one level at a time and its commutation with the
-generator modes is checked afterwards on the solved blocks.
+generator modes is checked afterwards on the solved blocks.  A
+comparison solves both directions from one row space per aligned level
+pair: the paired coefficients are eliminated once, and each direction
+reduces the few basis rows left with its own columns first.
 
 The concrete generator of examples is the free-boson vertex operator
 Fock(lam) x Fock(mu) -> Fock(lam+mu) (Frenkel-Lepowsky-Meurman, ch. 4),
@@ -777,14 +780,48 @@ def _zero_witness_or_none(lower, upper):
     return None
 
 
-def _solve_witness(lower: IntertwinerData, upper: IntertwinerData):
+class _AlignedRowSpaces:
+    """One row space per aligned level pair of two data, for both witnesses.
+
+    At level n of ``second``'s target and t of ``first``'s, the series
+    keys with a nonzero coefficient on either side give the rows
+    ``[c_second | c_first]``.  A pair is eliminated once, on first use,
+    and only its reduced basis rows (at most d1 + d2) are kept.
+    """
+
+    def __init__(self, first: IntertwinerData, second: IntertwinerData):
+        self.first, self.second, self._bases = first, second, {}
+
+    def basis(self, upper: IntertwinerData, n: int, t: int) -> list:
+        """Basis rows ``[c_up | c_low]`` at level n of ``upper`` and t of the other."""
+        if upper is not self.second:
+            d2 = self.second.target.dim(t)
+            return [row[d2:] + row[:d2] for row in self.basis(self.second, t, n)]
+        if (n, t) not in self._bases:
+            zero2 = (QZERO,) * self.second.target.dim(n)
+            zero1 = (QZERO,) * self.first.target.dim(t)
+            rows = []
+            for skey in {**self.second.series, **self.first.series}:
+                row = (tuple(self.second.series.get(skey, {}).get(n) or zero2)
+                       + tuple(self.first.series.get(skey, {}).get(t) or zero1))
+                if any(row):
+                    rows.append(row)
+            reduced, pivots = ExactMatrix.from_rows(rows, len(zero2) + len(zero1)).rref()
+            self._bases[(n, t)] = [reduced.row(i) for i in range(len(pivots))]
+        return self._bases[(n, t)]
+
+
+def _solve_witness(lower: IntertwinerData, upper: IntertwinerData, spaces: _AlignedRowSpaces):
     """The unique f with f . Y_upper = Y_lower, or None if none exists.
 
     The upper coefficients at level n fix the block f_n on their own:
     each series key gives one row ``[c_up | c_low]``, and the reduced
     echelon form of those rows is ``[I | f_n^T]`` exactly when a unique
-    solution exists.  Commutation with the generator modes is then
-    checked on the solved blocks.
+    solution exists.  It is read off the level pair's basis in
+    ``spaces``, reduced again with the upper columns first: past the
+    check that no key has ``c_low != 0`` but ``c_up = 0``, the keys with
+    ``c_up != 0`` are all the keys with a nonzero row.  Commutation with
+    the generator modes is then checked on the solved blocks.
     """
     low_t = lower.target
     up_t = upper.target
@@ -810,21 +847,14 @@ def _solve_witness(lower: IntertwinerData, upper: IntertwinerData):
                 return None
 
     # series matching, one level at a time
-    rows = {
-        n: [] for n in range(upper.depth + 1)
-        if up_t.dim(n) and 0 <= n + shift <= low_t.depth and low_t.dim(n + shift)
-    }
-    for skey, up_entry in upper.series.items():
-        low_entry = lower.series.get(skey, {})
-        for n, coords2 in up_entry.items():
-            if n in rows and any(coords2):
-                coords1 = low_entry.get(n + shift) or (QZERO,) * low_t.dim(n + shift)
-                rows[n].append(tuple(coords2) + tuple(coords1))
     blocks = {}
     deficient = None
-    for n, level_rows in rows.items():
-        d1, d2 = low_t.dim(n + shift), up_t.dim(n)
-        reduced, pivots = ExactMatrix.from_rows(level_rows, d1 + d2).rref()
+    for n in range(upper.depth + 1):
+        t = n + shift
+        if not (up_t.dim(n) and 0 <= t <= low_t.depth and low_t.dim(t)):
+            continue
+        d1, d2 = low_t.dim(t), up_t.dim(n)
+        reduced, pivots = ExactMatrix.from_rows(spaces.basis(upper, n, t), d1 + d2).rref()
         if any(col >= d2 for _, col in pivots):
             return None
         if len(pivots) < d2:
@@ -885,10 +915,13 @@ def compare(p1: IntertwinerData, p2: IntertwinerData) -> ComparisonResult:
     level whose coefficients fall short of the target dimension raises
     ``InternalInvariantViolation`` (unless the series already rule the
     witness out); the module-map property is never used to pin it down.
+    Both witnesses read one row space per aligned level pair, eliminated
+    once per call (``_AlignedRowSpaces``).
     """
     _require_matching_sources(p1, p2)
-    forward = _solve_witness(p1, p2)
-    backward = _solve_witness(p2, p1)
+    spaces = _AlignedRowSpaces(p1, p2)
+    forward = _solve_witness(p1, p2, spaces)
+    backward = _solve_witness(p2, p1, spaces)
     if forward is not None and backward is not None:
         return ComparisonResult("equivalent", forward, backward)
     if forward is not None:

@@ -47,9 +47,10 @@ class ExactMatrix:
     def from_rows(cls, data, cols=None) -> "ExactMatrix":
         """Build from an iterable of rows (sequences of rationals).
 
-        ``cols`` is only needed when ``data`` is empty.
+        ``cols`` is only needed when ``data`` is empty.  Entries that are
+        already ``Fraction`` objects are kept as given; others are converted.
         """
-        data = [list(map(Q, row)) for row in data]
+        data = [[c if type(c) is Q else Q(c) for c in row] for row in data]
         nrows = len(data)
         if nrows == 0:
             if cols is None:
@@ -71,12 +72,15 @@ class ExactMatrix:
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "ExactMatrix":
-        """Build from a ``{(i, j): value}`` map of nonzero entries."""
+        """Build from a ``{(i, j): value}`` map of nonzero entries.
+
+        ``Fraction`` values are kept as given; others are converted.
+        """
         clean = {}
         for (i, j), value in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise InputShapeError(f"entry index {(i, j)} outside {rows}x{cols}")
-            c = Q(value)
+            c = value if type(value) is Q else Q(value)
             if c:
                 clean[(i, j)] = c
         return cls(rows, cols, clean)

@@ -443,6 +443,138 @@ def commutator_defect(data, u_key, w_key, mode: int, final_level: int, j: int = 
 
 
 # ----------------------------------------------------------------------
+# the order witness, one full solve per direction
+
+def _dict_matmul(a: dict, b: dict) -> dict:
+    """Product of two sparse ``{(row, col): value}`` matrices, zeros dropped."""
+    out = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k2 == k:
+                out[(i, j)] = out.get((i, j), 0) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
+def _generator_matrix(module, k: int, src: int, dst: int) -> dict:
+    """The generator mode k from level src to level dst, as a sparse dict."""
+    out = {}
+    for c, key in enumerate(module.keys(src)):
+        raw = module.apply_gen(k, key)
+        if raw:
+            for r, value in enumerate(module.coords(raw, dst)):
+                if value:
+                    out[(r, c)] = Q(value)
+    return out
+
+
+def per_direction_witness(lower, upper):
+    """The module map f with f . Y_upper = Y_lower, solved for one direction alone.
+
+    Nothing is shared with the reverse direction: every series key with
+    a nonzero upper coefficient at level n gives the row
+    ``[c_up | c_low]``, and that whole stack goes through
+    :func:`fraction_gauss_jordan`.  A pivot
+    among the lower columns means no witness; fewer pivots than the
+    upper dimension (on a level that never rules the witness out) raise
+    ``InternalInvariantViolation``.  Commutation with the generator
+    modes is checked with plain dict matrices.  Returns a
+    ``PairOrderWitness`` or None.
+    """
+    from vertexbound.errors import InternalInvariantViolation
+    from vertexbound.fusion import PairOrderWitness
+    from vertexbound.linalg import ExactMatrix
+    from vertexbound.voa import LevelCapExceeded
+
+    low_t, up_t = lower.target, upper.target
+
+    def zero_map_or_none():
+        if all(not any(c) for images in lower.series.values() for c in images.values()):
+            return PairOrderWitness(lower=lower, upper=upper, shift=None, blocks={})
+        return None
+
+    if not any(up_t.dim(n) for n in range(upper.depth + 1)):
+        return zero_map_or_none()
+    shift = up_t.lowest_weight - low_t.lowest_weight
+    if shift.denominator != 1:
+        return zero_map_or_none()
+    shift = int(shift)
+
+    for skey, low_entry in lower.series.items():
+        up_entry = upper.series.get(skey, {})
+        for t, coords1 in low_entry.items():
+            n = t - shift
+            if not (0 <= t <= low_t.depth) or n > upper.depth or not any(coords1):
+                continue
+            coords2 = up_entry.get(n) if n >= 0 else None
+            if not coords2 or not any(coords2):
+                return None
+
+    blocks = {}
+    deficient = None
+    for n in range(upper.depth + 1):
+        t = n + shift
+        if not (up_t.dim(n) and 0 <= t <= low_t.depth and low_t.dim(t)):
+            continue
+        d1, d2 = low_t.dim(t), up_t.dim(n)
+        rows = []
+        for skey, up_entry in upper.series.items():
+            coords2 = up_entry.get(n)
+            if coords2 and any(coords2):
+                coords1 = lower.series.get(skey, {}).get(t) or (0,) * d1
+                rows.append({j: Q(c) for j, c in enumerate(tuple(coords2) + tuple(coords1)) if c})
+        pivots = fraction_gauss_jordan(rows, d1 + d2)
+        if any(col >= d2 for _, col in pivots):
+            return None
+        if len(pivots) < d2:
+            if deficient is None:
+                deficient = (n, len(pivots), d2)
+            continue
+        entries = {
+            (j - d2, col): value
+            for i, col in pivots
+            for j, value in rows[i].items()
+            if j >= d2
+        }
+        if entries:
+            blocks[n] = entries
+    if deficient is not None:
+        n, rank, dim = deficient
+        raise InternalInvariantViolation(
+            f"order witness is not unique: the upper coefficients at level {n}"
+            f" have rank {rank} < {dim}; the inputs are not surjective"
+        )
+
+    voa = up_t.voa
+    if voa is not None:
+        gw = voa.gen_weight
+        for n in range(upper.depth + 1):
+            for k in range(n + gw - 1 - upper.depth, n + gw):
+                n2 = n + gw - 1 - k
+                t, t2 = n + shift, n2 + shift
+                if n not in blocks and n2 not in blocks:
+                    continue
+                if t > low_t.depth or t2 > low_t.depth or t2 < 0:
+                    continue
+                try:
+                    m_up = _generator_matrix(up_t, k, n, n2)
+                except LevelCapExceeded:
+                    continue
+                lhs = _dict_matmul(blocks[n2], m_up) if n2 in blocks else {}
+                rhs = {}
+                if n in blocks:
+                    rhs = _dict_matmul(_generator_matrix(low_t, k, t, t2), blocks[n])
+                if lhs != rhs:
+                    return None
+    return PairOrderWitness(
+        lower=lower, upper=upper, shift=shift,
+        blocks={
+            n: ExactMatrix.from_entries(low_t.dim(n + shift), up_t.dim(n), entries)
+            for n, entries in blocks.items()
+        },
+    )
+
+
+# ----------------------------------------------------------------------
 # correlator rewriting by the two moves, recursed plainly
 
 def plain_correlator_reduction(p, q, split_left, split_right, act, level) -> dict:

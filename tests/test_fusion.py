@@ -6,7 +6,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from bruteforce import commutator_defect, fock_top_correlator, fock_vertex_coefficients, sympy_rank
+from bruteforce import (
+    commutator_defect,
+    fock_top_correlator,
+    fock_vertex_coefficients,
+    per_direction_witness,
+    sympy_rank,
+)
 from vertexbound import fusion, linalg
 from vertexbound.cofinite import choose_complement, cm_quotient_dims
 from vertexbound.errors import InputShapeError, InternalInvariantViolation
@@ -412,6 +418,99 @@ def test_compare_witness_blocks_are_fractions():
 def test_compare_requires_a_common_source_pair():
     with pytest.raises(InputShapeError):
         compare(heisenberg_intertwiner(1, 2, 3), heisenberg_intertwiner(2, 1, 3))
+
+
+def _outcome(solve, p1, p2):
+    """The JSON of a comparison, or the type and message of its error."""
+    try:
+        return solve(p1, p2).to_json()
+    except InternalInvariantViolation as exc:
+        return type(exc), str(exc)
+
+
+def _per_direction_compare(p1, p2):
+    forward = per_direction_witness(p1, p2)
+    backward = per_direction_witness(p2, p1)
+    if forward is not None and backward is not None:
+        return fusion.ComparisonResult("equivalent", forward, backward)
+    if forward is not None:
+        return fusion.ComparisonResult("less_eq", forward)
+    if backward is not None:
+        return fusion.ComparisonResult("greater_eq", backward)
+    return fusion.ComparisonResult("incomparable")
+
+
+def _retargeted(data, charge):
+    """``data``'s series read on the Fock module of another charge."""
+    target = FockModule(data.target.voa, charge, data.depth)
+    return IntertwinerData(data.source_left, data.source_right, target, data.depth, 0, data.series)
+
+
+def _two_levels_up(data):
+    """A datum on Fock(0) whose level n + 2 images are a linear map of ``data``'s level n."""
+    target = FockModule(data.target.voa, 0, data.depth)
+    series = {}
+    for skey, images in data.series.items():
+        for n, coords in images.items():
+            t = n + 2
+            if t <= data.depth and any(coords):
+                vec = (sum(coords),) + tuple(coords)
+                series.setdefault(skey, {})[t] = vec + (Q(0),) * (target.dim(t) - len(vec))
+    return IntertwinerData(data.source_left, data.source_right, target, data.depth, 0, series)
+
+
+def _order_cases():
+    deep = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 5)
+    h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 3)
+    factor = h.scale(2)
+    joined = join(factor, h.scale(Q(-3, 4)))
+    zero = zero_intertwiner(h.source_left, h.source_right, 3)
+    gapped = IntertwinerData(h.source_left, h.source_right, h.target, h.depth, 0, {
+        skey: {level: coords for level, coords in images.items() if level != 2}
+        for skey, images in h.series.items()
+    })
+    return {
+        "depth-5 twists": (deep.scale(Q(-3, 2)), deep.scale(Q(5, 4))),
+        "join over factor": (joined, factor),
+        "factor under join": (factor, joined),
+        "zero below": (zero, h),
+        "zero above": (h, zero),
+        "zero both": (zero, zero_intertwiner(h.source_left, h.source_right, 3)),
+        "negated": (h, h.scale(-1)),
+        "non-integral shift": (h, _retargeted(h, 1)),
+        "integral shift": (h, _retargeted(h, 0)),
+        "integral shift reversed": (_retargeted(h, 0), h),
+        "level map two levels up": (_two_levels_up(h), h),
+        "level map two levels down": (h, _two_levels_up(h)),
+        "gapped with itself": (gapped, gapped),
+        "gapped above": (h, gapped),
+        "gapped below": (gapped, h),
+    }
+
+
+@pytest.mark.parametrize("case", list(_order_cases()))
+def test_compare_matches_per_direction_solves(case):
+    p1, p2 = _order_cases()[case]
+    assert _outcome(compare, p1, p2) == _outcome(_per_direction_compare, p1, p2)
+
+
+def test_compare_eliminates_each_level_once(monkeypatch):
+    # one tall elimination per aligned level pair; each direction then
+    # reduces at most d1 + d2 basis rows
+    shapes = []
+    original = linalg.ExactMatrix.rref
+
+    def counting_rref(self):
+        shapes.append((self.rows, self.cols))
+        return original(self)
+
+    h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 5)
+    p1, p2 = h.scale(Q(-3, 2)), h.scale(Q(5, 4))
+    monkeypatch.setattr(linalg.ExactMatrix, "rref", counting_rref)
+    assert compare(p1, p2).relation == "equivalent"
+    tall = [(rows, cols) for rows, cols in shapes if rows > cols]
+    assert len(tall) == h.depth + 1
+    assert len(shapes) == 3 * (h.depth + 1)
 
 
 # ----------------------------------------------------------------------

@@ -320,3 +320,26 @@ def test_int_input_leaves_the_kernel_as_fractions(rows, data):
         assert all(_all_fractions(vec) for vec in span.basis_rows())
     probe = data.draw(st.lists(st.integers(-6, 6), min_size=width, max_size=width))
     assert _all_fractions(span.reduce(probe).values())
+
+
+# a Fraction entry is stored as the given object; any other becomes one
+mixed_scalars = st.one_of(st.integers(-6, 6), small_rationals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(scalars=mixed_scalars, max_rows=5, max_cols=5), st.data())
+def test_constructors_keep_given_fractions_and_convert_the_rest(matrix, data):
+    rows, cols = matrix
+    entries = {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+    as_fractions = [[Q(c) for c in row] for row in rows]
+    rhs = data.draw(st.lists(mixed_scalars, min_size=len(rows), max_size=len(rows)))
+    for mat in (ExactMatrix.from_rows(rows, cols), ExactMatrix.from_entries(len(rows), cols, entries)):
+        stored = mat.nonzero_entries()
+        assert stored == {key: Q(c) for key, c in entries.items()}
+        assert _all_fractions(stored.values())
+        for key, c in entries.items():
+            if type(c) is Q:
+                assert stored[key] is c
+        reduced, pivots = mat.rref()
+        assert (reduced.to_lists(), pivots) == oracle_rref(as_fractions, cols)
+        assert mat.solve(rhs) == oracle_solve(as_fractions, cols, [Q(b) for b in rhs])
