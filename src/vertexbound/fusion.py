@@ -13,10 +13,11 @@ product construction over all targets; the order relation "Y1 <= Y2" is
 decided by solving for the unique module map f with f . Y2 = Y1.  Y2 must
 be surjective: its coefficients at level n then fix the block f_n alone,
 so f is solved one level at a time and its commutation with the
-generator modes is checked afterwards on the solved blocks.  A
-comparison solves both directions from one row space per aligned level
-pair: the paired coefficients are eliminated once, and each direction
-reduces the few basis rows left with its own columns first.
+generator modes is checked afterwards on the solved blocks.  Both
+operations build a paired row space the same way: the paired
+coefficients of a level (pair) are eliminated once, and only the reduced
+basis rows are kept.  A join closes them under the action; a comparison
+reduces them again with each direction's own columns first.
 
 The concrete generator of examples is the free-boson vertex operator
 Fock(lam) x Fock(mu) -> Fock(lam+mu) (Frenkel-Lepowsky-Meurman, ch. 4),
@@ -38,7 +39,7 @@ from math import factorial, lcm
 
 from .errors import InputShapeError, InternalInvariantViolation
 from .laurent import LaurentPoly, Q, QZERO, binomial, format_rational
-from .linalg import ExactMatrix, RowSpan, primitive_row
+from .linalg import ExactMatrix, RowSpan
 from .modes import GradedVector
 from .voa import (
     BaseRealization,
@@ -368,9 +369,10 @@ class IntertwinerData:
 
     def to_json(self) -> dict:
         modes = []
+        left, right = self.source_left, self.source_right
         order = sorted(
             self.series,
-            key=lambda t: (sum(t[0]), t[0], sum(t[1]), t[1], t[2]),
+            key=lambda t: (left.level_of(t[0]), t[0], right.level_of(t[1]), t[1], t[2]),
         )
         for u_key, w_key, j in order:
             images = self.series[(u_key, w_key, j)]
@@ -576,18 +578,24 @@ def _saturate_spans(spans: dict, ambient, depth: int) -> None:
                         changed = True
 
 
-def _direction(coords: tuple) -> tuple:
-    """A key shared by exactly the nonzero multiples of ``coords``.
+def _paired_rows(parts: list):
+    """``(skey, row)`` for each series key with a nonzero paired row.
 
-    It stands for ``coords`` divided by its first nonzero entry, written
-    as the coprime integers proportional to it with a positive leading
-    one, so that building and hashing the key needs no rational
-    arithmetic.
+    ``parts`` lists ``(datum, level)``; the row of a key concatenates each
+    datum's coefficient at its level, zero where the datum records none.
     """
-    ints = primitive_row(dict(enumerate(coords)))
-    if ints and next(iter(ints.values())) < 0:
-        return tuple((j, -v) for j, v in ints.items())
-    return tuple(ints.items())
+    zeros = [(QZERO,) * datum.target.dim(level) for datum, level in parts]
+    for skey in dict.fromkeys(k for datum, _ in parts for k in datum.series):
+        row = tuple(c for (datum, level), zero in zip(parts, zeros)
+                    for c in datum.series.get(skey, {}).get(level) or zero)
+        if any(row):
+            yield skey, row
+
+
+def _reduced_basis(rows, width: int) -> list:
+    """The reduced echelon basis of the span of ``rows``, from one elimination."""
+    reduced, pivots = ExactMatrix.from_rows(rows, width).rref()
+    return [reduced.row(i) for i in range(len(pivots))]
 
 
 def _has_content(data: IntertwinerData) -> bool:
@@ -612,6 +620,9 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
     (Y1(u, z) w, Y2(u, z) w) inside the direct sum of the two targets,
     closed under the algebra action within the truncation; both factors
     project back onto it, so the result dominates each in the order.
+    Each level's span starts from the reduced basis of its paired rows,
+    eliminated once, and every paired coefficient is then expressed in
+    the closed span.
     """
     _require_matching_sources(p1, p2)
     depth = p1.depth
@@ -629,35 +640,22 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
             "truncated joins need target modules with a common lowest weight"
         )
     ambient = DirectSumModule(targets, depth)
-    spans = {n: RowSpan(ambient.dim(n)) for n in range(depth + 1)}
-    # directions already offered to each span: a multiple of an offered
-    # coefficient lies in the span, so offering it again cannot grow it
-    offered = {n: set() for n in range(depth + 1)}
-    skeys = sorted(set(p1.series) | set(p2.series),
-                   key=lambda t: (sum(t[0]), t[0], sum(t[1]), t[1], t[2]))
-    paired = []
-    for skey in skeys:
-        for level in range(depth + 1):
-            pieces = [p.series.get(skey, {}).get(level) for p in factors]
-            if not any(pieces):
-                continue
-            coords = tuple(c for t, piece in zip(targets, pieces)
-                           for c in piece or (QZERO,) * t.dim(level))
-            paired.append((skey, level, coords))
-            if spans[level].rank < spans[level].width:
-                direction = _direction(coords)
-                if direction not in offered[level]:
-                    offered[level].add(direction)
-                    spans[level].add(coords)
+    spans, paired = {}, {}
+    for n in range(depth + 1):
+        paired[n] = dict(_paired_rows([(p, n) for p in factors]))
+        spans[n] = RowSpan(ambient.dim(n))
+        for row in _reduced_basis(paired[n].values(), spans[n].width):
+            spans[n].add(row)
     _saturate_spans(spans, ambient, depth)
     target = SpanModule(ambient, spans, depth)
     series = {}
-    for skey, level, coords in paired:
-        expressed = target.coords_in_span(coords, level)
-        if expressed is None:
-            raise InternalInvariantViolation("paired coefficient escaped its own span")
-        if any(expressed):
-            series.setdefault(skey, {})[level] = expressed
+    for n, rows in paired.items():
+        for skey, coords in rows.items():
+            expressed = target.coords_in_span(coords, n)
+            if expressed is None:
+                raise InternalInvariantViolation("paired coefficient escaped its own span")
+            if any(expressed):
+                series.setdefault(skey, {})[n] = expressed
     return IntertwinerData(
         p1.source_left, p1.source_right, target, depth, j_max, series,
     )
@@ -798,16 +796,9 @@ class _AlignedRowSpaces:
             d2 = self.second.target.dim(t)
             return [row[d2:] + row[:d2] for row in self.basis(self.second, t, n)]
         if (n, t) not in self._bases:
-            zero2 = (QZERO,) * self.second.target.dim(n)
-            zero1 = (QZERO,) * self.first.target.dim(t)
-            rows = []
-            for skey in {**self.second.series, **self.first.series}:
-                row = (tuple(self.second.series.get(skey, {}).get(n) or zero2)
-                       + tuple(self.first.series.get(skey, {}).get(t) or zero1))
-                if any(row):
-                    rows.append(row)
-            reduced, pivots = ExactMatrix.from_rows(rows, len(zero2) + len(zero1)).rref()
-            self._bases[(n, t)] = [reduced.row(i) for i in range(len(pivots))]
+            rows = [row for _, row in _paired_rows([(self.second, n), (self.first, t)])]
+            width = self.second.target.dim(n) + self.first.target.dim(t)
+            self._bases[(n, t)] = _reduced_basis(rows, width)
         return self._bases[(n, t)]
 
 

@@ -409,7 +409,9 @@ class _QuotientBasis(BaseRealization):
     canonical quotient basis, and every parent element reduces uniquely
     against the pivot rows.  Data is built lazily per level and is exact
     at any level, so the quotient inherits the parent's unbounded
-    internal range.
+    internal range.  A singular vector is given as ``(partition, coeff)``
+    pairs or as the ``{partition: coeff}`` dict ``singular_vectors_at``
+    returns.
     """
 
     def __init__(self, parent, singular_vectors, depth: int):
@@ -420,7 +422,7 @@ class _QuotientBasis(BaseRealization):
         self._levels = {}
         self._singular = []
         for vector in singular_vectors:
-            raw = {tuple(partition): Q(coeff) for partition, coeff in vector}
+            raw = {tuple(partition): Q(coeff) for partition, coeff in dict(vector).items()}
             self._validate_singular(raw)
             self._singular.append(raw)
 

@@ -10,6 +10,7 @@ from bruteforce import (
     commutator_defect,
     fock_top_correlator,
     fock_vertex_coefficients,
+    fraction_gauss_jordan,
     per_direction_witness,
     sympy_rank,
 )
@@ -26,7 +27,7 @@ from vertexbound.fusion import (
 )
 from vertexbound.modes import GradedVector, engine_for, mode_action
 from vertexbound.reduction import fusion_bound
-from vertexbound.voa import FockModule, HeisenbergVoa, LevelCapExceeded
+from vertexbound.voa import DirectSumModule, FockModule, HeisenbergVoa, LevelCapExceeded
 
 
 TOP_DUAL = {0: (Q(1),)}
@@ -287,6 +288,69 @@ def test_join_is_idempotent_up_to_equivalence():
     h = heisenberg_intertwiner(1, 2, 3)
     twice = join(join(h, h.scale(2)), h)
     assert compare(twice, h).relation == "equivalent"
+
+
+def direct_sum_pair(depth=4):
+    """Y1, Y2 on U = Fock(1) + Fock(-2), W = Fock(1/2), one summand each.
+
+    Each is the free-boson operator of its summand, re-keyed so its u
+    keys name that summand; the targets Fock(3/2) and Fock(-3/2) share
+    the lowest weight 9/8.
+    """
+    voa = HeisenbergVoa(depth)
+    parts = [heisenberg_intertwiner(lam, Q(1, 2), depth, voa) for lam in (Q(1), Q(-2))]
+    left = DirectSumModule([p.source_left for p in parts], depth)
+    right = parts[0].source_right
+    return [
+        IntertwinerData(left, right, p.target, depth, 0, {
+            ((i, u_key), w_key, j): images for (u_key, w_key, j), images in p.series.items()
+        })
+        for i, p in enumerate(parts)
+    ]
+
+
+def test_direct_sum_sources_give_a_strict_order_and_an_incomparable_pair():
+    y1, y2 = direct_sum_pair()
+    modes = y1.to_json()["modes"]
+    assert modes[0]["u"] == "[0]|1>" and len(modes) == len(y1.series)
+    joined = join(y1, y2)
+    assert [joined.target.dim(n) for n in range(5)] == [2, 2, 4, 6, 10]
+    assert joined.is_surjective()
+    assert compare(y1, y2).relation == "incomparable"
+    below = compare(y1, joined)
+    assert below.relation == "less_eq" and below.witness.verify()
+    above = compare(joined, y1)
+    assert above.relation == "greater_eq" and above.witness.verify()
+    assert compare(y1, y1.scale(3)).relation == "equivalent"
+
+
+def _spans_match_fraction_elimination(joined, factors):
+    """Each level span of ``joined`` against rational Gauss-Jordan of its paired rows."""
+    factors = [p for p in factors if any(p.target.dim(n) for n in range(p.depth + 1))]
+    skeys = set().union(*(p.series for p in factors))
+    for n in range(joined.depth + 1):
+        width = sum(p.target.dim(n) for p in factors)
+        rows = []
+        for skey in skeys:
+            row = []
+            for p in factors:
+                row.extend(p.series.get(skey, {}).get(n) or zero_coords(p.target, n))
+            rows.append({j: c for j, c in enumerate(row) if c})
+        pivots = fraction_gauss_jordan(rows, width)
+        expected = [tuple(rows[i].get(j, Q(0)) for j in range(width)) for i, _ in pivots]
+        assert joined.target.spans[n].basis_rows() == expected, n
+
+
+def test_join_spans_equal_rational_elimination_of_the_paired_rows():
+    h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 4)
+    twists = [h.scale(Q(-3, 2)), h.scale(Q(5, 4)), h.scale(2)]
+    inner = join(twists[0], twists[1])
+    _spans_match_fraction_elimination(inner, twists[:2])
+    _spans_match_fraction_elimination(join(inner, twists[2]), [inner, twists[2]])
+    zero = zero_intertwiner(h.source_left, h.source_right, 4)
+    _spans_match_fraction_elimination(join(h, zero), [h, zero])
+    y1, y2 = direct_sum_pair()
+    _spans_match_fraction_elimination(join(y1, y2), [y1, y2])
 
 
 # ----------------------------------------------------------------------

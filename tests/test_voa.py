@@ -254,6 +254,19 @@ def test_vacuum_quotient_via_found_singular_vector():
     assert quotient.dim(6) == voa.dim(6) - 1
 
 
+def test_quotients_take_singular_vectors_in_the_form_singular_vectors_at_returns():
+    c, h = Q(1, 2), Q(1, 2)
+    verma = VermaModule(VirasoroVoa(c, depth=6), h)
+    # a nonzero multiple of the level-two vector, so the same quotient
+    from_dicts = QuotientModule(verma, singular_vectors_at(verma, 2))
+    from_pairs = QuotientModule(verma, (level2_singular_vector(c, h),))
+    for n in range(7):
+        assert from_dicts.keys(n) == from_pairs.keys(n), n
+    vacuum = singular_vectors_at(VirasoroVoa(c, depth=6), 6)
+    assert (VirasoroQuotientVoa(c, vacuum, depth=6).spec
+            == VirasoroQuotientVoa(c, (tuple(vacuum[0].items()),), depth=6).spec)
+
+
 # ----------------------------------------------------------------------
 # direct sums and factories
 
