@@ -37,21 +37,18 @@ REPORT_SCHEMA = "vertexbound-report/1"
 _GEN_WEIGHT = {"heisenberg": 1, "virasoro": 2, "virasoro-quotient": 2}
 
 
-def _gen_weight(config) -> int:
-    return _GEN_WEIGHT[config.require_voa().kind]
+def _padded_voa(config, m: int):
+    """The algebra realized ``gen_weight + m - 1`` levels past the depth.
+
+    That pad lets the C_m spanning sets, and so the complements, be
+    certified through the configured depth.
+    """
+    voa_spec = config.require_voa()
+    return realize_voa(voa_spec, config.depth + _GEN_WEIGHT[voa_spec.kind] + m - 1)
 
 
 def _certification(depth: int, warnings=()) -> dict:
     return {"certified_depth": depth, "truncation_warnings": list(warnings)}
-
-
-def _certified_depth(flags) -> int:
-    depth = -1
-    for n, flag in enumerate(flags):
-        if flag is not True:
-            break
-        depth = n
-    return depth
 
 
 def _named_module(config, voa):
@@ -63,13 +60,8 @@ def _named_module(config, voa):
 
 
 def _complement_pair(config):
-    """Left/right modules over one shared algebra, with complements.
-
-    The realization depth is padded by ``gen_weight + m - 1`` so the
-    complements are certified through the configured depth.
-    """
-    pad = _gen_weight(config) + config.m - 1
-    voa = realize_voa(config.require_voa(), config.depth + pad)
+    """Left/right modules over one shared algebra, with complements."""
+    voa = _padded_voa(config, config.m)
     left = realize_module(config.module_spec(config.require_param("left")), voa)
     right = realize_module(config.module_spec(config.require_param("right")), voa)
     left_basis = choose_complement(left, config.depth, m=config.m)
@@ -98,8 +90,7 @@ def _intertwiners(config, voa, names) -> list:
 # command bodies: each returns (payload, certification)
 
 def _cmd_graded_dims(config):
-    voa = realize_voa(config.require_voa(), config.depth + _gen_weight(config))
-    module = _named_module(config, voa)
+    module = _named_module(config, _padded_voa(config, 1))
     rep = graded_dims(module, config.depth)
     payload = {
         "module": rep.module,
@@ -110,7 +101,7 @@ def _cmd_graded_dims(config):
         "certified": rep.certified,
         "window": rep.window,
     }
-    good = _certified_depth(rep.certified)
+    good = rep.certified_depth
     warnings = []
     if good < config.depth:
         warnings.append(f"no spanning certificate above level {good}")
@@ -118,9 +109,7 @@ def _cmd_graded_dims(config):
 
 
 def _cmd_cm_quotient(config):
-    pad = _gen_weight(config) + config.m - 1
-    voa = realize_voa(config.require_voa(), config.depth + pad)
-    module = _named_module(config, voa)
+    module = _named_module(config, _padded_voa(config, config.m))
     dims = cm_quotient_dims(module, config.m, config.depth)
     payload = {
         "module": module.describe(),
@@ -132,9 +121,7 @@ def _cmd_cm_quotient(config):
 
 
 def _cmd_complement(config):
-    pad = _gen_weight(config) + config.m - 1
-    voa = realize_voa(config.require_voa(), config.depth + pad)
-    module = _named_module(config, voa)
+    module = _named_module(config, _padded_voa(config, config.m))
     basis = choose_complement(module, config.depth, m=config.m)
     payload = {
         "module": basis.module.describe(),

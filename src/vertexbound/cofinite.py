@@ -164,9 +164,10 @@ def cm_quotient_dims(module, m: int, depth: int) -> list:
 class ComplementBasis:
     """A homogeneous complement of C_m(M) inside M, levels 0..N.
 
-    ``vectors[i]`` is the basis monomial chosen at ``labels[i] ==
-    (level, key)``; selection is the graded-lex earliest monomial whose
-    class is new in ``M / (C_m + already chosen)``.
+    Each ``labels[i] == (level, key)`` names the basis monomial chosen
+    at that level; selection is the graded-lex earliest monomial whose
+    class is new in ``M / (C_m + already chosen)``.  ``vectors`` is
+    derived from the labels.
     """
 
     module: object
@@ -174,12 +175,15 @@ class ComplementBasis:
     depth: int
     window: int
     lowest_weight: object
-    vectors: list = field(default_factory=list)
     labels: list = field(default_factory=list)
     summands: list | None = None
 
+    @property
+    def vectors(self) -> list:
+        return [GradedVector.basis_vector(self.module, key) for _, key in self.labels]
+
     def __len__(self):
-        return len(self.vectors)
+        return len(self.labels)
 
     def describe_labels(self) -> list:
         return [
@@ -210,6 +214,19 @@ def _greedy_level_complement(module, span: RowSpan, level: int, needed: int) -> 
     return chosen
 
 
+def _last_nonzero(dims: list):
+    """The cofiniteness window of quotient dimensions ``dims``.
+
+    The last level with a nonzero quotient, or -1 when there is none;
+    None when the last level itself is nonzero, since then no trailing
+    zero level shows the window has closed.
+    """
+    nonzero = [n for n, d in enumerate(dims) if d]
+    if not nonzero:
+        return -1
+    return nonzero[-1] if nonzero[-1] < len(dims) - 1 else None
+
+
 def choose_complement(module, depth: int, m: int = 1) -> ComplementBasis:
     """Deterministic complement basis with a verified trailing window.
 
@@ -221,51 +238,42 @@ def choose_complement(module, depth: int, m: int = 1) -> ComplementBasis:
         return _direct_sum_complement(module, depth, m)
     cm = build_cm(module, m, depth)
     dims = cm.quotient_dims
-    nonzero = [n for n, d in enumerate(dims) if d]
-    window = nonzero[-1] if nonzero else -1
-    if window >= depth and any(dims):
+    window = _last_nonzero(dims)
+    if window is None:
         raise NotCofiniteUpToDepth(
             f"quotient dimensions {dims} show no trailing zero window within "
             f"depth {depth}; not certified C_{m}-cofinite at this truncation"
         )
-    basis = ComplementBasis(
+    return ComplementBasis(
         module=module,
         m=m,
         depth=depth,
         window=window,
         lowest_weight=module.lowest_weight,
+        labels=[
+            (n, key)
+            for n in range(window + 1)
+            for key in _greedy_level_complement(module, cm.levels[n].span, n, dims[n])
+        ],
     )
-    for n in range(0, window + 1):
-        if not dims[n]:
-            continue
-        for key in _greedy_level_complement(module, cm.levels[n].span, n, dims[n]):
-            basis.vectors.append(GradedVector.basis_vector(module, key))
-            basis.labels.append((n, key))
-    return basis
 
 
 def _direct_sum_complement(module: DirectSumModule, depth: int, m: int) -> ComplementBasis:
-    """Per-summand complements, embedded and concatenated."""
+    """Per-summand complements, embedded and sorted by level, then key."""
     parts = [choose_complement(s, depth, m) for s in module.summands]
-    basis = ComplementBasis(
+    return ComplementBasis(
         module=module,
         m=m,
         depth=depth,
         window=max((p.window for p in parts), default=-1),
         lowest_weight=module.lowest_weight,
+        labels=sorted(
+            (level, (index, key))
+            for index, part in enumerate(parts)
+            for level, key in part.labels
+        ),
         summands=parts,
     )
-    for index, part in enumerate(parts):
-        for vec, (level, key) in zip(part.vectors, part.labels):
-            embedded = {(index, k): c for k, c in vec.to_raw().items()}
-            basis.vectors.append(GradedVector.from_raw(module, embedded))
-            basis.labels.append((level, (index, key)))
-    # restore level ordering across summands for determinism
-    order = sorted(range(len(basis.labels)),
-                   key=lambda i: (basis.labels[i][0], basis.labels[i][1]))
-    basis.vectors = [basis.vectors[i] for i in order]
-    basis.labels = [basis.labels[i] for i in order]
-    return basis
 
 
 # ----------------------------------------------------------------------
@@ -275,10 +283,10 @@ def _direct_sum_complement(module: DirectSumModule, depth: int, m: int) -> Compl
 class GradedDimReport:
     """Exact graded dimensions plus the per-level spanning certificate.
 
-    ``certified[n]`` records that ``M_(n) = C_1(M)_(n) + complement``
-    was verified by an exact rank computation (the greedy complement
-    raises when it cannot complete the level); levels beyond the
-    certifiable window carry None instead of a claim.
+    ``certified[n]`` is True where the C_1 spanning set at level ``n``
+    is complete, that is where the depth guard of :func:`build_cm`
+    admits the level, so ``c1_ranks[n]`` and ``quotient_dims[n]`` are
+    exact; levels beyond that bound carry None instead of a claim.
     """
 
     module: str
@@ -289,44 +297,40 @@ class GradedDimReport:
     certified: list
     window: int | None
 
+    @property
+    def certified_depth(self) -> int:
+        """The highest certified level, or -1 when none is."""
+        return self.certified.count(True) - 1
+
 
 def graded_dims(module, depth: int) -> GradedDimReport:
-    """Dimensions ``dim M_(n)`` for n = 0..depth, with certificates."""
+    """Dimensions ``dim M_(n)`` for n = 0..depth, with certificates.
+
+    Levels are certified up to the depth bound that the C_1 guard
+    enforces, never past ``depth``.
+    """
     if depth < 0:
         raise InputShapeError("depth must be non-negative")
     dims = [module.dim(n) for n in range(depth + 1)]
-    gen_weight = module.voa.gen_weight if module.voa is not None else 0
-    cert_depth = min(depth, module.depth - gen_weight)
     c1_ranks: list = []
     quotient: list = []
-    certified: list = []
     window = None
-    if cert_depth >= 0 and module.voa is not None:
-        cm = build_cm(module, 1, cert_depth)
-        qdims = cm.quotient_dims
-        nonzero = [n for n, d in enumerate(qdims) if d]
-        if not nonzero:
-            window = -1
-        elif nonzero[-1] < cert_depth:
-            window = nonzero[-1]
-        for n in range(cert_depth + 1):
-            c1_ranks.append(cm.levels[n].rank)
-            quotient.append(qdims[n])
-            # the certificate: the greedy complement completes the C_1
-            # rows to the whole level, or raises
-            _greedy_level_complement(module, cm.levels[n].span, n, qdims[n])
-            certified.append(True)
-    while len(certified) < depth + 1:
-        c1_ranks.append(None)
-        quotient.append(None)
-        certified.append(None)
+    voa = module.voa
+    if voa is not None:
+        cert_depth = min(depth, module.depth - voa.gen_weight, voa.depth)
+        if cert_depth >= 0:
+            cm = build_cm(module, 1, cert_depth)
+            c1_ranks = [cm.levels[n].rank for n in range(cert_depth + 1)]
+            quotient = cm.quotient_dims
+            window = _last_nonzero(quotient)
+    pad = [None] * (depth + 1 - len(c1_ranks))
     return GradedDimReport(
         module=module.describe(),
         depth=depth,
         dims=dims,
-        c1_ranks=c1_ranks,
-        quotient_dims=quotient,
-        certified=certified,
+        c1_ranks=c1_ranks + pad,
+        quotient_dims=quotient + pad,
+        certified=[True] * len(c1_ranks) + pad,
         window=window,
     )
 

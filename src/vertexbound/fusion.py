@@ -493,7 +493,6 @@ class SpanModule(BaseRealization):
         super().__init__(depth)
         self.ambient = ambient
         self.voa = ambient.voa
-        self.hard_cap = depth
         self.lowest_weight = ambient.lowest_weight
         self.spans = spans
         self.spec = SpanSpec(ambient=ambient.spec)

@@ -38,7 +38,7 @@ receive a fresh combination, never an entry.
 
 Which ``v_{-1} a`` span ``C_1`` at a level, and in what order, is
 decided once, by ``cofinite.cm_level``; a decomposition solves over
-those pivot pairs plus the complement vectors of the level.
+those pivot pairs plus the complement monomials of the level.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class _SpanningSolver:
     ``v_{-1} a``, from a system that is square for a C_1 complement.
     Results are memoized per (level, coordinates).
 
-    The solver keeps the module, the depth and the complement vectors,
+    The solver keeps the module, the depth and the complement labels,
     not the basis that owns it, so a basis is freed by reference
     counting alone.
     """
@@ -78,7 +78,7 @@ class _SpanningSolver:
     def __init__(self, basis: ComplementBasis):
         self.module = basis.module
         self.depth = basis.depth
-        self._complement = [(level, vec) for vec, (level, _) in zip(basis.vectors, basis.labels)]
+        self._labels = basis.labels
         self._levels = {}
         self._memo = {}
 
@@ -88,23 +88,20 @@ class _SpanningSolver:
             return data
         module = self.module
         pair_keys = cm_level(module, 1, n).pairs
-        columns = [
-            module.coords(engine_for(module).apply_word(v_key, -1, a_key), n)
-            for v_key, a_key in pair_keys
-        ]
+        entries = {
+            (i, j): c
+            for j, (v_key, a_key) in enumerate(pair_keys)
+            for i, c in enumerate(
+                module.coords(engine_for(module).apply_word(v_key, -1, a_key), n))
+            if c
+        }
         comp_at_level = [
-            (idx, vec) for idx, (lv, vec) in enumerate(self._complement) if lv == n
+            (idx, key) for idx, (lv, key) in enumerate(self._labels) if lv == n
         ]
-        columns += [vec.coords_at(n) for _, vec in comp_at_level]
+        for pos, (_, key) in enumerate(comp_at_level, start=len(pair_keys)):
+            entries[(module.index(key), pos)] = QONE
         matrix = ExactMatrix.from_entries(
-            module.dim(n),
-            len(columns),
-            {
-                (i, j): c
-                for j, col in enumerate(columns)
-                for i, c in enumerate(col)
-                if c
-            },
+            module.dim(n), len(pair_keys) + len(comp_at_level), entries,
         )
         data = (pair_keys, comp_at_level, matrix)
         self._levels[n] = data
@@ -181,9 +178,7 @@ def express_in_c1_plus_complement(u: GradedVector, basis: ComplementBasis):
          GradedVector.basis_vector(module, a_key))
         for v_key, a_key, coeff in raw_pairs
     ]
-    e = GradedVector.zero(module)
-    for idx, alpha in complement:
-        e = e + basis.vectors[idx].scale(alpha)
+    e = GradedVector.from_raw(module, {basis.labels[idx][1]: alpha for idx, alpha in complement})
     return pairs, e
 
 
@@ -387,8 +382,8 @@ def _pair_entry(p_key, q_key, left_basis, right_basis) -> dict:
 def _reduce_complement_left(i: int, q, left_basis, right_basis) -> CorrelatorCombination:
     """Rewrite with the left slot already the complement vector ``p^i``."""
     out = CorrelatorCombination(left_basis, right_basis)
-    p_vec = left_basis.vectors[i]
-    lp = left_basis.labels[i][0]
+    lp, p_key = left_basis.labels[i]
+    p_vec = GradedVector.basis_vector(left_basis.module, p_key)
     lq = q.homogeneous_level()
     voa = p_vec.module.voa
     pairs, complement = _solver_for(right_basis).decompose(q)
@@ -482,9 +477,9 @@ def assemble_ode(left_basis: ComplementBasis, right_basis: ComplementBasis) -> O
     ]
     index = {label: pos for pos, label in enumerate(labels)}
     entries = {}
-    for (i, j), row in ((label, index[label]) for label in labels):
-        p_i = left_basis.vectors[i]
-        q_j = right_basis.vectors[j]
+    for row, (i, j) in enumerate(labels):
+        p_i = GradedVector.basis_vector(left_basis.module, left_basis.labels[i][1])
+        q_j = GradedVector.basis_vector(right_basis.module, right_basis.labels[j][1])
         shifted = mode_action(omega, 0, p_i)  # L(-1) p^i
         if shifted.truncated:
             raise TruncationError(

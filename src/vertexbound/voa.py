@@ -168,7 +168,6 @@ def level2_singular_vector(central_charge, highest_weight) -> tuple:
 class BaseRealization:
     """Shared bookkeeping for graded bases with a truncation depth."""
 
-    hard_cap = None
     is_voa = False
 
     def __init__(self, depth: int):

@@ -389,6 +389,20 @@ def test_dims_beyond_the_certificate_window():
     assert report.c1_ranks[6] is None
 
 
+def test_dims_certified_only_up_to_the_algebra_depth():
+    # a module realized deeper than its algebra: levels past the
+    # algebra depth lack spanning weights, so they carry None
+    fock = FockModule(HeisenbergVoa(2), 1, depth=8)
+    report = graded_dims(fock, 6)
+    assert report.certified == [True] * 3 + [None] * 4
+    assert report.c1_ranks == [0, 1, 2, None, None, None, None]
+    assert report.window == 0
+    verma = VermaModule(VirasoroVoa(1, 3), 0, depth=9)
+    report = graded_dims(verma, 7)
+    assert report.certified == [True] * 4 + [None] * 4
+    assert report.dims == [partition_count(n) for n in range(8)]
+
+
 def test_direct_sum_dims_and_certificate():
     voa = HeisenbergVoa(6)
     total = DirectSumModule([FockModule(voa, 1), FockModule(voa, 2)])

@@ -370,10 +370,18 @@ def test_bases_are_freed_without_the_cycle_collector():
             gc.enable()
 
 
+def fock_sum_pair(depth):
+    voa = HeisenbergVoa(depth)
+    left = DirectSumModule([FockModule(voa, 1), FockModule(voa, Q(-1, 2))])
+    right = DirectSumModule([FockModule(voa, 2), FockModule(voa, 0)])
+    return left, right, choose_complement(left, depth - 1), choose_complement(right, depth - 1)
+
+
 @pytest.mark.parametrize("make, top", [
     (ising_sigma_eps, 5),
     (lambda depth: fock_pair(depth=depth + 1), 6),
-], ids=["ising-sigma-eps", "fock-1-2"])
+    (lambda depth: fock_sum_pair(depth + 2), 5),
+], ids=["ising-sigma-eps", "fock-1-2", "fock-sums"])
 def test_table_matches_plain_recursion(make, top):
     left, right, lbasis, rbasis = make(top)
     pairs = basis_pairs(left, right, top)
