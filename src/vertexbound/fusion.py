@@ -25,10 +25,11 @@ assembled from the closed forms of its two oscillator exponentials:
 the annihilating one is tabulated once per w, the creating one once per
 build and applied once per pair (u, w), to the normal-ordered states of
 every splitting of u summed together.  It runs on ints over one common
-denominator per build, q^(3 depth) depth! for q = lcm(den lam, den mu),
+denominator D per build, q^(3 depth) depth! for q = lcm(den lam, den mu),
 as lam/mu degrees stay <= 3 depth; a division that leaves a remainder
-raises instead of flooring.  Scalar twists, joins and the zero datum
-derive from it.
+raises instead of flooring.  The series keep those int numerators with
+``factor`` 1/D, and a scalar twist multiplies only the factor; joins and
+comparisons eliminate numerators and scale just the reduced basis rows.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from itertools import product
 from math import factorial, lcm
 
 from .errors import InputShapeError, InternalInvariantViolation
-from .laurent import LaurentPoly, Q, QZERO, binomial, format_rational
+from .laurent import LaurentPoly, Q, QONE, QZERO, binomial, format_rational
 from .linalg import ExactMatrix, RowSpan
 from .modes import GradedVector
 from .voa import (
@@ -216,19 +217,20 @@ def _fock_vertex_images(u_key: tuple, annihilated: dict, big_m: int, q: int,
 class IntertwinerData:
     """One truncated intertwining operator, stored as exact mode images.
 
-    ``series[(u_key, w_key, j)][t]`` holds the coordinates, over the
-    target basis at level t, of the coefficient of
+    ``factor`` times ``series[(u_key, w_key, j)][t]`` gives the
+    coordinates, over the target basis at level t, of the coefficient of
     ``z^{-m-1} (log z)^j`` in ``Y(u, z) w`` whose mode index is
 
         m = wt(u) + wt(w) - 1 - (lowest_weight(T) + t).
 
+    The numerators may be ``int``s; value readers go through ``images``.
     Pairs absent from the table have all-zero images; the table is
     complete for source levels up to the truncation depth.  Surjectivity
     means the recorded coefficients span every target level.
     """
 
     def __init__(self, source_left, source_right, target, depth: int,
-                 j_max: int = 0, series=None):
+                 j_max: int = 0, series=None, factor=QONE):
         if depth < 0:
             raise InputShapeError("truncation depth must be non-negative")
         if j_max < 0:
@@ -244,6 +246,7 @@ class IntertwinerData:
         self.depth = depth
         self.j_max = j_max
         self.series = dict(series or {})
+        self.factor = _rational(factor, "the series factor")
 
     def describe(self) -> str:
         return (
@@ -261,9 +264,13 @@ class IntertwinerData:
         wt_w = self.source_right.weight_of(w_key)
         return wt_u + wt_w - 1 - (self.target.lowest_weight + target_level)
 
+    def images(self, skey) -> dict:
+        """``{level: coordinates}`` of the series key ``skey``, times ``factor``."""
+        return {level: tuple(self.factor * c for c in coords)
+                for level, coords in self.series.get(skey, {}).items()}
+
     def series_vector(self, u_key, w_key, j: int, target_level: int) -> GradedVector:
-        entry = self.series.get((u_key, w_key, j))
-        coords = entry.get(target_level) if entry else None
+        coords = self.images((u_key, w_key, j)).get(target_level)
         if not coords or not any(coords):
             return GradedVector.zero(self.target)
         raw = self.target.from_coords(coords, target_level)
@@ -279,10 +286,10 @@ class IntertwinerData:
         return GradedVector.basis_vector(module, value)
 
     def _pairs(self, u: GradedVector, w: GradedVector, j: int):
-        """``(u_key, w_key, cu * cw, series entry)`` over the basis pairs of u x w."""
+        """``(u_key, w_key, cu * cw, images)`` over the basis pairs of u x w."""
         for u_key, cu in u.to_raw().items():
             for w_key, cw in w.to_raw().items():
-                yield u_key, w_key, cu * cw, self.series.get((u_key, w_key, j), {})
+                yield u_key, w_key, cu * cw, self.images((u_key, w_key, j))
 
     def image_of(self, u, w, j: int, m) -> GradedVector:
         """The mode image ``u_{(j,m)} w`` for vectors u in U and w in W.
@@ -296,7 +303,7 @@ class IntertwinerData:
         m = Q(m)
         truncated = u.truncated or w.truncated
         raw = {}
-        for u_key, w_key, factor, entry in self._pairs(u, w, j):
+        for u_key, w_key, coeff, entry in self._pairs(u, w, j):
             slot = self.mode_index(u_key, w_key, 0) - m
             if slot.denominator != 1 or slot < 0:
                 continue
@@ -306,7 +313,7 @@ class IntertwinerData:
             level = int(slot)
             for key, c in zip(self.target.keys(level), entry.get(level, ())):
                 if c:
-                    raw_acc(raw, key, factor * c)
+                    raw_acc(raw, key, coeff * c)
         return GradedVector.from_raw(self.target, raw, truncated)
 
     def correlator(self, theta, u, w, j: int = 0) -> LaurentPoly:
@@ -321,12 +328,12 @@ class IntertwinerData:
         u = self._as_source_vector(u, self.source_left)
         w = self._as_source_vector(w, self.source_right)
         terms = []
-        for u_key, w_key, factor, entry in self._pairs(u, w, j):
+        for u_key, w_key, coeff, entry in self._pairs(u, w, j):
             base = self.source_left.level_of(u_key) + self.source_right.level_of(w_key)
             for level, coords in entry.items():
                 value = sum(c * Q(d) for c, d in zip(coords, theta.get(level, ())) if c and d)
                 if value:
-                    terms.append((level - base, factor * value))
+                    terms.append((level - base, coeff * value))
         return LaurentPoly(terms)
 
     # -- algebraic certificates ---------------------------------------
@@ -351,20 +358,14 @@ class IntertwinerData:
 
     # -- derived data --------------------------------------------------
 
-    def scale(self, factor) -> "IntertwinerData":
-        factor = Q(factor)
-        if not factor:
+    def scale(self, c) -> "IntertwinerData":
+        """c Y on the same series tables, ``factor`` times c; a float c is refused."""
+        c = _rational(c, "an intertwiner scale")
+        if not c:
             raise InputShapeError("scaling an intertwiner by zero destroys surjectivity")
-        series = {
-            skey: {
-                level: tuple(factor * c for c in coords)
-                for level, coords in images.items()
-            }
-            for skey, images in self.series.items()
-        }
         return IntertwinerData(
             self.source_left, self.source_right, self.target,
-            self.depth, self.j_max, series,
+            self.depth, self.j_max, self.series, self.factor * c,
         )
 
     def to_json(self) -> dict:
@@ -375,7 +376,7 @@ class IntertwinerData:
             key=lambda t: (left.level_of(t[0]), t[0], right.level_of(t[1]), t[1], t[2]),
         )
         for u_key, w_key, j in order:
-            images = self.series[(u_key, w_key, j)]
+            images = self.images((u_key, w_key, j))
             rows = [
                 {
                     "level": level,
@@ -407,6 +408,13 @@ class IntertwinerData:
 # ----------------------------------------------------------------------
 # constructors
 
+def _rational(value, what: str) -> Q:
+    """``value`` as a ``Fraction``; anything but an ``int`` or ``Fraction`` is refused."""
+    if not isinstance(value, (int, Q)):
+        raise InputShapeError(f"{what} must be an int or a Fraction, not {type(value).__name__}")
+    return Q(value)
+
+
 def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     """The free-boson vertex operator Fock(lam) x Fock(mu) -> Fock(lam+mu).
 
@@ -417,16 +425,16 @@ def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     Both exponentials are closed forms, tabulated for this call only:
     the creating one once, the annihilating one once per w; the creating
     one acts once per pair (u, w).  All images up to the truncation
-    depth are exact rationals.
+    depth are exact rationals, and a float charge is refused.
 
     The kernel runs on ints.  With q = lcm(den lam, den mu), each term is
     P(L, M) / (q^d z_nu) for L = lam q, M = mu q, an integer polynomial P
     of degree d <= E = 3 depth (``_degree_bound``) and z_nu | depth!; so
-    states hold x * D for D = q^E depth!, every division is checked exact,
-    and each entry becomes the ``Fraction`` X / D once.
+    states hold x * D for D = q^E depth! and every division is checked
+    exact.  The series keep the int numerators X, and ``factor`` is 1/D.
     """
-    lam = Q(lam)
-    mu = Q(mu)
+    lam = _rational(lam, "the charge lam")
+    mu = _rational(mu, "the charge mu")
     if voa is None:
         voa = HeisenbergVoa(depth)
     elif not isinstance(voa, HeisenbergVoa):
@@ -452,10 +460,10 @@ def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
                 if not images:
                     continue
                 series[(u_key, w_key, 0)] = {
-                    level: target.coords({key: Q(x, denom) for key, x in raw.items()}, level)
+                    level: tuple(raw.get(key, 0) for key in target.keys(level))
                     for level, raw in sorted(images.items())
                 }
-    return IntertwinerData(left, right, target, depth, 0, series)
+    return IntertwinerData(left, right, target, depth, 0, series, Q(1, denom))
 
 
 def zero_intertwiner(source_left, source_right, depth: int | None = None) -> IntertwinerData:
@@ -581,7 +589,7 @@ def _paired_rows(parts: list):
     """``(skey, row)`` for each series key with a nonzero paired row.
 
     ``parts`` lists ``(datum, level)``; the row of a key concatenates each
-    datum's coefficient at its level, zero where the datum records none.
+    datum's stored numerators at its level, zero where it records none.
     """
     zeros = [(QZERO,) * datum.target.dim(level) for datum, level in parts]
     for skey in dict.fromkeys(k for datum, _ in parts for k in datum.series):
@@ -591,10 +599,20 @@ def _paired_rows(parts: list):
             yield skey, row
 
 
-def _reduced_basis(rows, width: int) -> list:
-    """The reduced echelon basis of the span of ``rows``, from one elimination."""
-    reduced, pivots = ExactMatrix.from_rows(rows, width).rref()
-    return [reduced.row(i) for i in range(len(pivots))]
+def _scaled(row, parts) -> tuple:
+    """A paired row of ``parts`` with each datum's block times its factor."""
+    factors = [datum.factor for datum, level in parts for _ in range(datum.target.dim(level))]
+    return tuple(f * c for f, c in zip(factors, row))
+
+
+def _reduced_basis(rows, parts) -> list:
+    """Rows spanning the paired coefficients of ``parts``, from one elimination
+    of the numerator ``rows`` as given (ints too); a block scalar keeps the
+    rank, so only the reduced rows are scaled, and callers reduce them again."""
+    width = sum(datum.target.dim(level) for datum, level in parts)
+    entries = {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+    reduced, pivots = ExactMatrix(len(rows), width, entries).rref()
+    return [_scaled(reduced.row(i), parts) for i in range(len(pivots))]
 
 
 def _has_content(data: IntertwinerData) -> bool:
@@ -620,8 +638,8 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
     closed under the algebra action within the truncation; both factors
     project back onto it, so the result dominates each in the order.
     Each level's span starts from the reduced basis of its paired rows,
-    eliminated once, and every paired coefficient is then expressed in
-    the closed span.
+    eliminated once as numerators, and every paired coefficient is then
+    expressed in the closed span.  The result carries the factor 1.
     """
     _require_matching_sources(p1, p2)
     depth = p1.depth
@@ -639,18 +657,19 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
             "truncated joins need target modules with a common lowest weight"
         )
     ambient = DirectSumModule(targets, depth)
-    spans, paired = {}, {}
+    spans, paired, parts = {}, {}, {}
     for n in range(depth + 1):
-        paired[n] = dict(_paired_rows([(p, n) for p in factors]))
+        parts[n] = [(p, n) for p in factors]
+        paired[n] = dict(_paired_rows(parts[n]))
         spans[n] = RowSpan(ambient.dim(n))
-        for row in _reduced_basis(paired[n].values(), spans[n].width):
+        for row in _reduced_basis(paired[n].values(), parts[n]):
             spans[n].add(row)
     _saturate_spans(spans, ambient, depth)
     target = SpanModule(ambient, spans, depth)
     series = {}
     for n, rows in paired.items():
-        for skey, coords in rows.items():
-            expressed = target.coords_in_span(coords, n)
+        for skey, row in rows.items():
+            expressed = target.coords_in_span(_scaled(row, parts[n]), n)
             if expressed is None:
                 raise InternalInvariantViolation("paired coefficient escaped its own span")
             if any(expressed):
@@ -703,8 +722,8 @@ class PairOrderWitness:
             return _vanishes(self.lower)
         low, up = self.lower, self.upper
         for skey in set(up.series) | set(low.series):
-            up_entry = up.series.get(skey, {})
-            low_entry = low.series.get(skey, {})
+            up_entry = up.images(skey)
+            low_entry = low.images(skey)
             slots = {lt + self.shift for lt in up_entry} | set(low_entry)
             for t in slots:
                 n = t - self.shift
@@ -783,7 +802,8 @@ class _AlignedRowSpaces:
     At level n of ``second``'s target and t of ``first``'s, the series
     keys with a nonzero coefficient on either side give the rows
     ``[c_second | c_first]``.  A pair is eliminated once, on first use,
-    and only its reduced basis rows (at most d1 + d2) are kept.
+    on the stored numerators; only its basis rows (at most d1 + d2) are
+    kept, each block times its datum's factor.
     """
 
     def __init__(self, first: IntertwinerData, second: IntertwinerData):
@@ -795,9 +815,8 @@ class _AlignedRowSpaces:
             d2 = self.second.target.dim(t)
             return [row[d2:] + row[:d2] for row in self.basis(self.second, t, n)]
         if (n, t) not in self._bases:
-            rows = [row for _, row in _paired_rows([(self.second, n), (self.first, t)])]
-            width = self.second.target.dim(n) + self.first.target.dim(t)
-            self._bases[(n, t)] = _reduced_basis(rows, width)
+            parts = [(self.second, n), (self.first, t)]
+            self._bases[(n, t)] = _reduced_basis([row for _, row in _paired_rows(parts)], parts)
         return self._bases[(n, t)]
 
 

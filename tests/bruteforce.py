@@ -488,7 +488,7 @@ def per_direction_witness(lower, upper):
     low_t, up_t = lower.target, upper.target
 
     def zero_map_or_none():
-        if all(not any(c) for images in lower.series.values() for c in images.values()):
+        if all(not any(c) for skey in lower.series for c in lower.images(skey).values()):
             return PairOrderWitness(lower=lower, upper=upper, shift=None, blocks={})
         return None
 
@@ -499,8 +499,8 @@ def per_direction_witness(lower, upper):
         return zero_map_or_none()
     shift = int(shift)
 
-    for skey, low_entry in lower.series.items():
-        up_entry = upper.series.get(skey, {})
+    for skey in lower.series:
+        low_entry, up_entry = lower.images(skey), upper.images(skey)
         for t, coords1 in low_entry.items():
             n = t - shift
             if not (0 <= t <= low_t.depth) or n > upper.depth or not any(coords1):
@@ -517,10 +517,10 @@ def per_direction_witness(lower, upper):
             continue
         d1, d2 = low_t.dim(t), up_t.dim(n)
         rows = []
-        for skey, up_entry in upper.series.items():
-            coords2 = up_entry.get(n)
+        for skey in upper.series:
+            coords2 = upper.images(skey).get(n)
             if coords2 and any(coords2):
-                coords1 = lower.series.get(skey, {}).get(t) or (0,) * d1
+                coords1 = lower.images(skey).get(t) or (0,) * d1
                 rows.append({j: Q(c) for j, c in enumerate(tuple(coords2) + tuple(coords1)) if c})
         pivots = fraction_gauss_jordan(rows, d1 + d2)
         if any(col >= d2 for _, col in pivots):
@@ -571,6 +571,25 @@ def per_direction_witness(lower, upper):
             n: ExactMatrix.from_entries(low_t.dim(n + shift), up_t.dim(n), entries)
             for n, entries in blocks.items()
         },
+    )
+
+
+def materialized_twist(data, c):
+    """``data.scale(c)`` stored the plain way: every coordinate a ``Fraction``.
+
+    Each stored numerator x becomes ``c * factor * x`` and the factor is
+    1, so joins and comparisons eliminate the scaled coefficients
+    themselves.  Reports must not tell the two representations apart.
+    """
+    from vertexbound.fusion import IntertwinerData
+
+    scalar = Q(c) * data.factor
+    series = {
+        skey: {level: tuple(scalar * x for x in coords) for level, coords in images.items()}
+        for skey, images in data.series.items()
+    }
+    return IntertwinerData(
+        data.source_left, data.source_right, data.target, data.depth, data.j_max, series,
     )
 
 

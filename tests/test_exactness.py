@@ -8,9 +8,10 @@ the boundary; the last one checks that the Fock(1) engine really stays on
 ``int``, so a change that brings ``Fraction`` back inside fails here
 instead of only running slower (the generator action has the same guard
 beside its oracle in ``test_voa.py``).  The free-boson vertex kernel is
-guarded the same way at its own boundary: ints over one common
-denominator inside, ``Fraction`` series outside, and a refusal, never a
-floored value, when a division by that denominator is not exact.
+guarded the same way at its own boundary: its series tables keep int
+numerators over one ``Fraction`` factor, every public reader hands out
+``Fraction`` values, and a division by the common denominator that is
+not exact, or a float charge or twist, is refused rather than rounded.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ import pytest
 from bruteforce import heisenberg_word_mode
 from vertexbound import cli, fusion
 from vertexbound.cofinite import build_cm
-from vertexbound.errors import InternalInvariantViolation
+from vertexbound.errors import InputShapeError, InternalInvariantViolation
 from vertexbound.modes import GradedVector, engine_for, mode_action, omega_vector
 from vertexbound.voa import (
     FockModule,
@@ -173,10 +174,47 @@ def test_fock_engine_words_are_int_and_match_the_oracle():
 @pytest.mark.parametrize("lam,mu", [
     (Q(1), Q(2)), (Q(0), Q(0)), (Q(1, 6), Q(-5, 4)), (Q(-10**9 - 7, 10**9 + 9), Q(3, 7)),
 ])
-def test_heisenberg_series_coordinates_are_fractions(lam, mu):
-    series = fusion.heisenberg_intertwiner(lam, mu, 3).series
-    coords = [c for images in series.values() for vec in images.values() for c in vec]
-    assert coords and all(type(c) is Q for c in coords)
+def test_heisenberg_series_coordinates_are_fractions(lam, mu, monkeypatch):
+    h = fusion.heisenberg_intertwiner(lam, mu, 3)
+    numerators = [c for images in h.series.values() for vec in images.values() for c in vec]
+    assert numerators and all(type(c) is int for c in numerators)
+    assert type(h.factor) is Q
+    formatted = []
+    original = fusion.format_rational
+
+    def recording(value):
+        formatted.append(value)
+        return original(value)
+
+    monkeypatch.setattr(fusion, "format_rational", recording)
+    theta = {n: (Q(1),) * h.target.dim(n) for n in range(4)}
+    for datum in (h, h.scale(Q(-2, 3))):
+        read = []
+        for (u_key, w_key, j) in datum.series:
+            for level, coords in datum.images((u_key, w_key, j)).items():
+                read.extend(coords)
+                read.extend(datum.series_vector(u_key, w_key, j, level).to_raw().values())
+                m = datum.mode_index(u_key, w_key, level)
+                read.extend(datum.image_of(u_key, w_key, j, m).to_raw().values())
+            read.extend(datum.correlator(theta, u_key, w_key, j).terms.values())
+        assert read and all(type(c) is Q for c in read)
+        formatted.clear()
+        datum.to_json()
+        assert formatted and all(type(c) is Q for c in formatted)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1e-3, "1/2", None])
+def test_float_charges_and_twists_are_refused(bad):
+    # a float would reach the tables as its binary expansion, e.g. 0.1 as
+    # 3602879701896397/36028797018963968; refuse instead of guessing
+    with pytest.raises(InputShapeError):
+        fusion.heisenberg_intertwiner(bad, Q(3, 2), 2)
+    with pytest.raises(InputShapeError):
+        fusion.heisenberg_intertwiner(Q(1, 2), bad, 2)
+    h = fusion.heisenberg_intertwiner(Q(1, 2), Q(3, 2), 2)
+    with pytest.raises(InputShapeError):
+        h.scale(bad)
+    assert h.scale(2).factor == 2 * h.factor
 
 
 def test_a_short_degree_bound_is_refused_not_floored(monkeypatch):

@@ -11,6 +11,7 @@ from bruteforce import (
     fock_top_correlator,
     fock_vertex_coefficients,
     fraction_gauss_jordan,
+    materialized_twist,
     per_direction_witness,
     sympy_rank,
 )
@@ -42,7 +43,7 @@ def zero_coords(module, level):
 
 def test_top_mode_takes_highest_weight_pairs_to_the_target_top():
     h = heisenberg_intertwiner(1, 2, 4)
-    assert h.series[((), (), 0)][0] == (Q(1),)
+    assert h.images(((), (), 0))[0] == (Q(1),)
     # the top coefficient is the mode of index -lam*mu - 1
     assert h.mode_index((), (), 0) == -3
 
@@ -50,10 +51,10 @@ def test_top_mode_takes_highest_weight_pairs_to_the_target_top():
 def test_low_level_images_match_hand_computation():
     h = heisenberg_intertwiner(1, 2, 4)
     # exp(lam sum a(-t) z^t / t) alone feeds level 1 of Y(|1>, z)|2>
-    assert h.series[((), (), 0)][1] == (Q(1),)
+    assert h.images(((), (), 0))[1] == (Q(1),)
     # a(-1)|1> picks up the charge at leading order, then mixes
-    assert h.series[((1,), (), 0)][0] == (Q(2),)
-    assert h.series[((1,), (), 0)][1] == (Q(3),)  # 1 + lam*mu
+    assert h.images(((1,), (), 0))[0] == (Q(2),)
+    assert h.images(((1,), (), 0))[1] == (Q(3),)  # 1 + lam*mu
 
 
 def test_zero_charge_on_the_left_reduces_to_the_module_action():
@@ -64,7 +65,7 @@ def test_zero_charge_on_the_left_reduces_to_the_module_action():
         for u_key in h.source_left.keys(lu):
             for lw in range(4):
                 for w_key in h.source_right.keys(lw):
-                    entry = h.series.get((u_key, w_key, 0), {})
+                    entry = h.images((u_key, w_key, 0))
                     for lt in range(4):
                         mode = lu + lw - 1 - lt
                         raw = eng.apply_word(u_key, mode, w_key)
@@ -105,7 +106,7 @@ def test_series_match_the_bruteforce_kernel_at_every_level(lam, mu, depth):
             for lw in range(depth + 1):
                 for w_key in h.source_right.keys(lw):
                     oracle = fock_vertex_coefficients(u_key, w_key, lam, mu, depth)
-                    entry = h.series.get((u_key, w_key, 0), {})
+                    entry = h.images((u_key, w_key, 0))
                     assert set(entry) == set(oracle)
                     for level, coords in entry.items():
                         keys = h.target.keys(level)
@@ -294,8 +295,8 @@ def direct_sum_pair(depth=4):
     """Y1, Y2 on U = Fock(1) + Fock(-2), W = Fock(1/2), one summand each.
 
     Each is the free-boson operator of its summand, re-keyed so its u
-    keys name that summand; the targets Fock(3/2) and Fock(-3/2) share
-    the lowest weight 9/8.
+    keys name that summand, with its numerators and factor; the targets
+    Fock(3/2) and Fock(-3/2) share the lowest weight 9/8.
     """
     voa = HeisenbergVoa(depth)
     parts = [heisenberg_intertwiner(lam, Q(1, 2), depth, voa) for lam in (Q(1), Q(-2))]
@@ -304,7 +305,7 @@ def direct_sum_pair(depth=4):
     return [
         IntertwinerData(left, right, p.target, depth, 0, {
             ((i, u_key), w_key, j): images for (u_key, w_key, j), images in p.series.items()
-        })
+        }, p.factor)
         for i, p in enumerate(parts)
     ]
 
@@ -334,7 +335,7 @@ def _spans_match_fraction_elimination(joined, factors):
         for skey in skeys:
             row = []
             for p in factors:
-                row.extend(p.series.get(skey, {}).get(n) or zero_coords(p.target, n))
+                row.extend(p.images(skey).get(n) or zero_coords(p.target, n))
             rows.append({j: c for j, c in enumerate(row) if c})
         pivots = fraction_gauss_jordan(rows, width)
         expected = [tuple(rows[i].get(j, Q(0)) for j in range(width)) for i, _ in pivots]
@@ -392,9 +393,9 @@ def test_levelwise_inconsistent_twists_are_incomparable():
     twisted = {
         skey: {
             level: tuple((2 if level % 2 else 3) * c for c in coords)
-            for level, coords in images.items()
+            for level, coords in h.images(skey).items()
         }
-        for skey, images in h.series.items()
+        for skey in h.series
     }
     odd = IntertwinerData(
         h.source_left, h.source_right, h.target, h.depth, 0, twisted,
@@ -417,8 +418,8 @@ def test_compare_requires_surjective_data():
     # drop every level-2 image: the series no longer fix f_2, although
     # commutation with the generator modes would
     gapped = {
-        skey: {level: coords for level, coords in images.items() if level != 2}
-        for skey, images in h.series.items()
+        skey: {level: coords for level, coords in h.images(skey).items() if level != 2}
+        for skey in h.series
     }
     d = IntertwinerData(h.source_left, h.source_right, h.target, h.depth, 0, gapped)
     assert not d.is_surjective()
@@ -507,15 +508,16 @@ def _per_direction_compare(p1, p2):
 def _retargeted(data, charge):
     """``data``'s series read on the Fock module of another charge."""
     target = FockModule(data.target.voa, charge, data.depth)
-    return IntertwinerData(data.source_left, data.source_right, target, data.depth, 0, data.series)
+    return IntertwinerData(data.source_left, data.source_right, target, data.depth, 0,
+                           data.series, data.factor)
 
 
 def _two_levels_up(data):
     """A datum on Fock(0) whose level n + 2 images are a linear map of ``data``'s level n."""
     target = FockModule(data.target.voa, 0, data.depth)
     series = {}
-    for skey, images in data.series.items():
-        for n, coords in images.items():
+    for skey in data.series:
+        for n, coords in data.images(skey).items():
             t = n + 2
             if t <= data.depth and any(coords):
                 vec = (sum(coords),) + tuple(coords)
@@ -530,8 +532,8 @@ def _order_cases():
     joined = join(factor, h.scale(Q(-3, 4)))
     zero = zero_intertwiner(h.source_left, h.source_right, 3)
     gapped = IntertwinerData(h.source_left, h.source_right, h.target, h.depth, 0, {
-        skey: {level: coords for level, coords in images.items() if level != 2}
-        for skey, images in h.series.items()
+        skey: {level: coords for level, coords in h.images(skey).items() if level != 2}
+        for skey in h.series
     })
     return {
         "depth-5 twists": (deep.scale(Q(-3, 2)), deep.scale(Q(5, 4))),
@@ -575,6 +577,94 @@ def test_compare_eliminates_each_level_once(monkeypatch):
     tall = [(rows, cols) for rows, cols in shapes if rows > cols]
     assert len(tall) == h.depth + 1
     assert len(shapes) == 3 * (h.depth + 1)
+
+
+def test_scale_shares_the_tables_and_multiplies_the_factor(monkeypatch):
+    h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 5)
+    p1, p2 = h.scale(Q(-3, 2)), h.scale(Q(5, 4))
+    for twist, c in ((p1, Q(-3, 2)), (p2, Q(5, 4))):
+        assert twist.factor == c * h.factor
+        assert twist.series.keys() == h.series.keys()
+        assert all(twist.series[skey] is images for skey, images in h.series.items())
+    # the tall eliminations of a comparison get the int numerators as they
+    # are, and hand back Fractions
+    tall, reduced = [], []
+    original = linalg.ExactMatrix.rref
+
+    def recording_rref(self):
+        result = original(self)
+        if self.rows > self.cols:
+            tall.extend(self.nonzero_entries().values())
+            reduced.extend(result[0].nonzero_entries().values())
+        return result
+
+    monkeypatch.setattr(linalg.ExactMatrix, "rref", recording_rref)
+    assert compare(p1, p2).relation == "equivalent"
+    assert tall and all(type(c) is int for c in tall)
+    assert reduced and all(type(c) is Q for c in reduced)
+
+
+def _report(outcome) -> str:
+    """A join (its report and level span rows) or a comparison, as JSON text."""
+    if isinstance(outcome, IntertwinerData):
+        spans = [[[str(c) for c in row] for row in outcome.target.spans[n].basis_rows()]
+                 for n in range(outcome.depth + 1)]
+        return json.dumps({"datum": outcome.to_json(), "spans": spans}, sort_keys=True)
+    return json.dumps(outcome.to_json(), sort_keys=True)
+
+
+def _twist_cases():
+    """Join/compare outcomes built with ``twist(datum, c)`` for every scalar twist."""
+
+    def base(depth):
+        return heisenberg_intertwiner(Q(1, 2), Q(3, 2), depth)
+
+    def order_join(twist):
+        h = base(4)
+        inner = join(twist(h, Q(-3, 2)), twist(h, Q(5, 4)))
+        return [inner, join(inner, twist(h, 2))]
+
+    def order_compare(twist):
+        h = base(5)
+        return [compare(twist(h, Q(-3, 2)), twist(h, Q(5, 4)))]
+
+    def negated(twist):
+        h = base(3)
+        return [compare(twist(h, 1), twist(h, -1)), join(twist(h, 1), twist(h, -1))]
+
+    def join_and_factor(twist):
+        h = base(3)
+        factor = twist(h, 2)
+        joined = join(factor, twist(h, Q(-3, 4)))
+        return [joined, compare(joined, factor), compare(factor, joined)]
+
+    def twisted_join(twist):
+        h = base(3)
+        joined = twist(join(twist(h, 2), twist(h, Q(-3, 4))), Q(5, 3))
+        return [compare(joined, twist(h, 1)), join(joined, twist(h, 2))]
+
+    def direct_sums(twist):
+        y1, y2 = direct_sum_pair()
+        a, b = twist(y1, 1), twist(y2, Q(-2, 7))
+        joined = join(a, b)
+        return [joined, compare(a, b), compare(a, joined), compare(joined, b)]
+
+    return {
+        "order join": order_join,
+        "order compare": order_compare,
+        "negated": negated,
+        "join and its factor": join_and_factor,
+        "twist of a join": twisted_join,
+        "direct sums": direct_sums,
+    }
+
+
+@pytest.mark.parametrize("case", list(_twist_cases()))
+def test_factor_twists_report_like_materialized_ones(case):
+    build = _twist_cases()[case]
+    carried = [_report(outcome) for outcome in build(lambda data, c: data.scale(c))]
+    materialized = [_report(outcome) for outcome in build(materialized_twist)]
+    assert carried == materialized
 
 
 # ----------------------------------------------------------------------
