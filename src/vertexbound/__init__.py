@@ -29,11 +29,7 @@ from .errors import (
     TruncationError,
     VertexboundError,
 )
-from .frobenius import (
-    frobenius_series,
-    indicial_exponents,
-    pole_order,
-)
+from .frobenius import frobenius_series, indicial_exponents
 from .fusion import (
     IntertwinerData,
     compare,
@@ -121,7 +117,6 @@ __all__ = [
     "reduce",
     "assemble_ode",
     "fusion_bound",
-    "pole_order",
     "indicial_exponents",
     "frobenius_series",
     "IntertwinerData",

@@ -193,19 +193,16 @@ class ComplementBasis:
 
 
 def _greedy_level_complement(module, span: RowSpan, level: int, needed: int) -> list:
-    """Earliest basis monomials completing a span to the full level."""
+    """Earliest basis monomials completing ``span`` to the full level, in place."""
     if not needed:
         return []
     chosen = []
-    working = RowSpan(span.width)
-    for row in span.basis_rows():
-        working.add(row)
     for key in module.keys(level):
         if len(chosen) == needed:
             break
         unit = [QZERO] * module.dim(level)
         unit[module.index(key)] = QONE
-        if working.add(tuple(unit)):
+        if span.add(tuple(unit)):
             chosen.append(key)
     if len(chosen) != needed:
         raise InternalInvariantViolation(

@@ -31,11 +31,6 @@ from .linalg import ExactMatrix, primitive_row
 from .reduction import OdeSystem
 
 
-def pole_order(system: OdeSystem) -> int:
-    """Order of the pole of ``B`` at ``z = 0`` (0 means holomorphic)."""
-    return system.pole_order
-
-
 # ----------------------------------------------------------------------
 # exact characteristic polynomial and rational eigenvalues
 
@@ -245,7 +240,7 @@ def indicial_exponents(system: OdeSystem) -> IndicialData:
     polynomial, in time polynomial in its size; a rootless remainder is
     factored over Q and reported symbolically.
     """
-    order = pole_order(system)
+    order = system.pole_order
     if order > 1:
         raise IrregularSingularity(
             f"pole of order {order} at z = 0; only simple poles admit indicial analysis"

@@ -39,7 +39,7 @@ from itertools import product
 from math import factorial, lcm
 
 from .errors import InputShapeError, InternalInvariantViolation
-from .laurent import LaurentPoly, Q, QONE, QZERO, binomial, format_rational
+from .laurent import LaurentPoly, Q, QONE, QZERO, as_rational, binomial, format_rational
 from .linalg import ExactMatrix, RowSpan
 from .modes import GradedVector
 from .voa import (
@@ -246,7 +246,7 @@ class IntertwinerData:
         self.depth = depth
         self.j_max = j_max
         self.series = dict(series or {})
-        self.factor = _rational(factor, "the series factor")
+        self.factor = as_rational(factor, "the series factor")
 
     def describe(self) -> str:
         return (
@@ -360,7 +360,7 @@ class IntertwinerData:
 
     def scale(self, c) -> "IntertwinerData":
         """c Y on the same series tables, ``factor`` times c; a float c is refused."""
-        c = _rational(c, "an intertwiner scale")
+        c = as_rational(c, "an intertwiner scale")
         if not c:
             raise InputShapeError("scaling an intertwiner by zero destroys surjectivity")
         return IntertwinerData(
@@ -408,13 +408,6 @@ class IntertwinerData:
 # ----------------------------------------------------------------------
 # constructors
 
-def _rational(value, what: str) -> Q:
-    """``value`` as a ``Fraction``; anything but an ``int`` or ``Fraction`` is refused."""
-    if not isinstance(value, (int, Q)):
-        raise InputShapeError(f"{what} must be an int or a Fraction, not {type(value).__name__}")
-    return Q(value)
-
-
 def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     """The free-boson vertex operator Fock(lam) x Fock(mu) -> Fock(lam+mu).
 
@@ -433,8 +426,8 @@ def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     states hold x * D for D = q^E depth! and every division is checked
     exact.  The series keep the int numerators X, and ``factor`` is 1/D.
     """
-    lam = _rational(lam, "the charge lam")
-    mu = _rational(mu, "the charge mu")
+    lam = as_rational(lam, "the charge lam")
+    mu = as_rational(mu, "the charge mu")
     if voa is None:
         voa = HeisenbergVoa(depth)
     elif not isinstance(voa, HeisenbergVoa):
@@ -607,11 +600,12 @@ def _scaled(row, parts) -> tuple:
 
 def _reduced_basis(rows, parts) -> list:
     """Rows spanning the paired coefficients of ``parts``, from one elimination
-    of the numerator ``rows`` as given (ints too); a block scalar keeps the
-    rank, so only the reduced rows are scaled, and callers reduce them again."""
+    of the numerator ``rows``, handed to the kernel as sparse int row dicts
+    without conversion; a block scalar keeps the rank, so only the reduced
+    rows are scaled, and callers reduce them again."""
     width = sum(datum.target.dim(level) for datum, level in parts)
-    entries = {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
-    reduced, pivots = ExactMatrix(len(rows), width, entries).rref()
+    data = [{j: c for j, c in enumerate(row) if c} for row in rows]
+    reduced, pivots = ExactMatrix(len(data), width, data).rref()
     return [_scaled(reduced.row(i), parts) for i in range(len(pivots))]
 
 

@@ -39,6 +39,13 @@ def parse_rational(text: str) -> Q:
     return Q(int(match.group(1)), int(match.group(2) or 1))
 
 
+def as_rational(value, what: str) -> Q:
+    """``value`` as a ``Fraction``; anything but an ``int`` or ``Fraction`` is refused."""
+    if not isinstance(value, (int, Q)):
+        raise InputShapeError(f"{what} must be an int or a Fraction, not {type(value).__name__}")
+    return Q(value)
+
+
 def format_rational(value: Q) -> str:
     """Inverse of :func:`parse_rational`; integers print without ``/1``."""
     if value.denominator == 1:

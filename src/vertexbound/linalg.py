@@ -5,15 +5,17 @@ leftmost available pivot column and, among rows with a nonzero entry in
 that column, the smallest row index.  Rank, reduced row echelon form,
 nullspace bases, and solutions are therefore reproducible across runs.
 
-:class:`ExactMatrix` stores and returns ``Fraction`` entries, but all of
-its row reduction goes through one integer kernel, :func:`_eliminate`:
-rows become primitive integer rows, elimination is fraction-free, and
-only the finished pivot rows are divided by their pivots, which is where
-the result becomes the (unique) reduced row echelon form again.
+:class:`ExactMatrix` stores one sparse ``{col: value}`` dict per row, the
+format its one integer kernel, :func:`_eliminate`, works on: rows become
+primitive integer rows, elimination is fraction-free, and only the
+finished pivot rows are divided by their pivots, which is where the
+result becomes the (unique) reduced row echelon form again.
 :class:`RowSpan` keeps its rows as ``Fraction`` dicts: it serves many
 short membership queries, for which converting to integers and back
 costs more than it saves.  Both accept ``int`` input (raw mode-engine
-coefficients) and return only ``Fraction`` values.
+coefficients), return only ``Fraction`` values, and refuse any other
+input (a ``float``, a string) with :class:`InputShapeError` rather than
+reading it as the rational it happens to round to.
 """
 
 from __future__ import annotations
@@ -21,24 +23,28 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import InputShapeError
-from .laurent import Q, QONE, QZERO
+from .laurent import Q, QONE, QZERO, as_rational
 
 
 class ExactMatrix:
     """A rows-by-cols matrix of exact rationals.
 
-    Only the nonzero entries are stored, as a ``{(i, j): value}`` map in
-    row-major order.
+    ``data`` holds one sparse ``{col: value}`` dict of nonzero entries per
+    row, kept as given and never changed.  :meth:`from_rows` and
+    :meth:`from_entries` check their input and store ``Fraction`` values;
+    the direct constructor also takes ``int`` rows, unconverted.
     """
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    def __init__(self, rows: int, cols: int, data=None):
         if rows < 0 or cols < 0:
             raise InputShapeError("matrix dimensions must be non-negative")
         self.rows = rows
         self.cols = cols
-        self._entries = dict(sorted(entries.items())) if entries else {}
+        self._data = [{} for _ in range(rows)] if data is None else data
+        if len(self._data) != rows:
+            raise InputShapeError("row count does not match the given rows")
 
     # ------------------------------------------------------------------
     # construction
@@ -48,9 +54,10 @@ class ExactMatrix:
         """Build from an iterable of rows (sequences of rationals).
 
         ``cols`` is only needed when ``data`` is empty.  Entries that are
-        already ``Fraction`` objects are kept as given; others are converted.
+        already ``Fraction`` objects are kept as given; ints are converted.
         """
-        data = [[c if type(c) is Q else Q(c) for c in row] for row in data]
+        data = [[c if type(c) is Q else as_rational(c, "a matrix entry") for c in row]
+                for row in data]
         nrows = len(data)
         if nrows == 0:
             if cols is None:
@@ -62,32 +69,26 @@ class ExactMatrix:
                 raise InputShapeError("declared column count does not match rows")
             if any(len(row) != ncols for row in data):
                 raise InputShapeError("ragged rows in matrix construction")
-        entries = {
-            (i, j): c
-            for i, row in enumerate(data)
-            for j, c in enumerate(row)
-            if c
-        }
-        return cls(nrows, ncols, entries)
+        return cls(nrows, ncols, [{j: c for j, c in enumerate(row) if c} for row in data])
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "ExactMatrix":
         """Build from a ``{(i, j): value}`` map of nonzero entries.
 
-        ``Fraction`` values are kept as given; others are converted.
+        ``Fraction`` values are kept as given; ints are converted.
         """
-        clean = {}
+        data = [{} for _ in range(rows)]
         for (i, j), value in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise InputShapeError(f"entry index {(i, j)} outside {rows}x{cols}")
-            c = value if type(value) is Q else Q(value)
+            c = value if type(value) is Q else as_rational(value, "a matrix entry")
             if c:
-                clean[(i, j)] = c
-        return cls(rows, cols, clean)
+                data[i][j] = c
+        return cls(rows, cols, data)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls.from_entries(n, n, {(i, i): QONE for i in range(n)})
+        return cls(n, n, [{i: QONE} for i in range(n)])
 
     # ------------------------------------------------------------------
     # access
@@ -95,7 +96,7 @@ class ExactMatrix:
     def entry(self, i: int, j: int) -> Q:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise InputShapeError(f"index {(i, j)} outside {self.rows}x{self.cols}")
-        return self._entries.get((i, j), QZERO)
+        return self._data[i].get(j, QZERO)
 
     def row(self, i: int) -> tuple:
         return tuple(self.entry(i, j) for j in range(self.cols))
@@ -104,16 +105,13 @@ class ExactMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def nonzero_entries(self) -> dict:
-        return dict(self._entries)
+        """The ``{(i, j): value}`` map of nonzero entries, in row-major order."""
+        return {(i, j): row[j] for i, row in enumerate(self._data) for j in sorted(row)}
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
-        )
+        return self.rows == other.rows and self.cols == other.cols and self._data == other._data
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -122,41 +120,26 @@ class ExactMatrix:
     # arithmetic
 
     def matvec(self, vec) -> tuple:
-        vec = [Q(v) for v in vec]
+        vec = [c if type(c) is Q else as_rational(c, "a vector entry") for c in vec]
         if len(vec) != self.cols:
             raise InputShapeError("vector length does not match column count")
-        out = [QZERO] * self.rows
-        for (i, j), c in self._entries.items():
-            if vec[j]:
-                out[i] += c * vec[j]
-        return tuple(out)
+        return tuple(sum((c * vec[j] for j, c in row.items() if vec[j]), QZERO)
+                     for row in self._data)
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise InputShapeError("inner dimensions do not match")
-        theirs = {}
-        for (k, j), c in other._entries.items():
-            theirs.setdefault(k, []).append((j, c))
-        out = {}
-        for (i, k), a in self._entries.items():
-            for j, b in theirs.get(k, ()):
-                key = (i, j)
-                s = out.get(key, QZERO) + a * b
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+        out = []
+        for row in self._data:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other._data[k].items():
+                    acc[j] = acc.get(j, QZERO) + a * b
+            out.append({j: c for j, c in acc.items() if c})
         return ExactMatrix(self.rows, other.cols, out)
 
     # ------------------------------------------------------------------
     # reduction
-
-    def _working_rows(self) -> list:
-        """Mutable sparse copies of the rows, for elimination."""
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), c in self._entries.items():
-            rows[i][j] = c
-        return rows
 
     def rref(self):
         """Reduced row echelon form.
@@ -166,14 +149,11 @@ class ExactMatrix:
         pivoting rule (leftmost column, then smallest row index) makes
         the output canonical for a given matrix.
         """
-        work = self._working_rows()
-        pivots = _eliminate(work, self.cols)
-        entries = {(i, j): c for i, row in enumerate(work) for j, c in row.items()}
-        return ExactMatrix(self.rows, self.cols, entries), pivots
+        reduced, pivots = _eliminate(self._data, self.cols)
+        return ExactMatrix(self.rows, self.cols, reduced), pivots
 
     def rank(self) -> int:
-        work = self._working_rows()
-        return len(_eliminate(work, self.cols))
+        return len(_eliminate(self._data, self.cols)[1])
 
     def nullspace(self) -> list:
         """Canonical basis of the right kernel.
@@ -199,14 +179,11 @@ class ExactMatrix:
 
         Free variables are set to zero, so the answer is canonical.
         """
-        rhs = [Q(v) for v in rhs]
+        rhs = [c if type(c) is Q else as_rational(c, "a right-hand side entry") for c in rhs]
         if len(rhs) != self.rows:
             raise InputShapeError("right-hand side length does not match row count")
-        work = self._working_rows()
-        for i, value in enumerate(rhs):
-            if value:
-                work[i][self.cols] = value
-        pivots = _eliminate(work, self.cols + 1)
+        augmented = [{**row, self.cols: b} if b else row for row, b in zip(self._data, rhs)]
+        work, pivots = _eliminate(augmented, self.cols + 1)
         solution = [QZERO] * self.cols
         for row_index, col in pivots:
             if col == self.cols:
@@ -215,10 +192,11 @@ class ExactMatrix:
         return tuple(solution)
 
 
-def _eliminate(rows: list, width: int) -> list:
-    """In-place Gauss-Jordan elimination on sparse row dicts.
+def _eliminate(rows: list, width: int) -> tuple:
+    """Gauss-Jordan elimination on sparse ``{col: value}`` row dicts.
 
-    Returns the pivot list ``[(row, col), ...]`` in elimination order.
+    Returns ``(reduced, pivots)``: new row dicts (``rows`` is left as it
+    is) and the pivot list ``[(row, col), ...]`` in elimination order.
     Deterministic: scans columns left to right and picks the surviving
     row with the smallest index.
 
@@ -230,8 +208,8 @@ def _eliminate(rows: list, width: int) -> list:
     stay as small as the row space allows.  This is fraction-free
     elimination in the sense of Bareiss (Math. Comp. 22, 1968), with
     content removal in place of his exact divisions.  Only at the end is
-    each pivot row divided by its pivot, giving ``Fraction`` entries, and
-    every other row cleared: the rows are then the reduced row echelon
+    each pivot row divided by its pivot, giving ``Fraction`` entries; the
+    other rows are empty by then.  The rows are the reduced row echelon
     form, which is unique, so the result is the same as that of
     rational elimination with the same pivots.
     """
@@ -270,12 +248,10 @@ def _eliminate(rows: list, width: int) -> list:
         next_row += 1
         if next_row == nrows:
             break
-    for i in range(nrows):
-        rows[i] = {}
     for i, col in pivots:
         p = work[i][col]
-        rows[i] = {j: Q(v, p) for j, v in work[i].items()}
-    return pivots
+        work[i] = {j: Q(v, p) for j, v in work[i].items()}
+    return work, pivots
 
 
 def primitive_row(row: dict) -> dict:
@@ -321,7 +297,8 @@ class RowSpan:
     def reduce(self, vec) -> dict:
         """Residual of ``vec`` after elimination against the span."""
         # entries that are already Fractions need no copy
-        residual = {j: c if type(c) is Q else Q(c) for j, c in enumerate(vec) if c}
+        residual = {j: q for j, c in enumerate(vec)
+                    if (q := c if type(c) is Q else as_rational(c, "a span entry"))}
         if len(vec) != self.width:
             raise InputShapeError("vector width does not match span")
         for pivot_col, row in self._rows:

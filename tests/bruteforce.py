@@ -120,6 +120,20 @@ def full_column_solve(columns: list, rhs) -> list | None:
     return solution
 
 
+def dense_matmul(a: list, b: list, inner: int, cols: int) -> list:
+    """Product of two dense row lists by the textbook triple sum, in Fractions.
+
+    ``inner`` and ``cols`` give the shape when a factor has no rows.
+    """
+    return [[sum((Q(row[k]) * Q(b[k][j]) for k in range(inner)), Q(0)) for j in range(cols)]
+            for row in a]
+
+
+def dense_matvec(a: list, vec) -> tuple:
+    """A dense row list times a coordinate vector, in Fractions."""
+    return tuple(sum((Q(x) * Q(v) for x, v in zip(row, vec)), Q(0)) for row in a)
+
+
 # ----------------------------------------------------------------------
 # free boson oracle: position-sum mode action on partition states
 

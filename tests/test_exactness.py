@@ -11,7 +11,8 @@ beside its oracle in ``test_voa.py``).  The free-boson vertex kernel is
 guarded the same way at its own boundary: its series tables keep int
 numerators over one ``Fraction`` factor, every public reader hands out
 ``Fraction`` values, and a division by the common denominator that is
-not exact, or a float charge or twist, is refused rather than rounded.
+not exact, or a float charge or twist, is refused rather than rounded,
+and so is a float or string entry at any linear algebra entry point.
 """
 
 import contextlib
@@ -27,6 +28,7 @@ from bruteforce import heisenberg_word_mode
 from vertexbound import cli, fusion
 from vertexbound.cofinite import build_cm
 from vertexbound.errors import InputShapeError, InternalInvariantViolation
+from vertexbound.linalg import ExactMatrix, RowSpan
 from vertexbound.modes import GradedVector, engine_for, mode_action, omega_vector
 from vertexbound.voa import (
     FockModule,
@@ -203,10 +205,11 @@ def test_heisenberg_series_coordinates_are_fractions(lam, mu, monkeypatch):
         assert formatted and all(type(c) is Q for c in formatted)
 
 
-@pytest.mark.parametrize("bad", [0.5, 1e-3, "1/2", None])
+@pytest.mark.parametrize("bad", [0.5, 1e-3, "1/2", None, 0.1, "1/3"])
 def test_float_charges_and_twists_are_refused(bad):
-    # a float would reach the tables as its binary expansion, e.g. 0.1 as
-    # 3602879701896397/36028797018963968; refuse instead of guessing
+    # a float would reach the tables or a matrix as its binary expansion,
+    # e.g. 0.1 as 3602879701896397/36028797018963968, and a string would be
+    # parsed; refuse both instead of guessing
     with pytest.raises(InputShapeError):
         fusion.heisenberg_intertwiner(bad, Q(3, 2), 2)
     with pytest.raises(InputShapeError):
@@ -215,6 +218,18 @@ def test_float_charges_and_twists_are_refused(bad):
     with pytest.raises(InputShapeError):
         h.scale(bad)
     assert h.scale(2).factor == 2 * h.factor
+    mat = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    span = RowSpan(2)
+    for call in (
+        lambda: ExactMatrix.from_rows([[1, bad]]),
+        lambda: ExactMatrix.from_entries(1, 2, {(0, 1): bad}),
+        lambda: mat.matvec([1, bad]),
+        lambda: mat.solve([bad, 1]),
+        lambda: span.add((bad, 3)),
+        lambda: span.contains((3, bad)),
+    ):
+        with pytest.raises(InputShapeError):
+            call()
 
 
 def test_a_short_degree_bound_is_refused_not_floored(monkeypatch):

@@ -24,7 +24,6 @@ from vertexbound.frobenius import (
     _rational_roots,
     frobenius_series,
     indicial_exponents,
-    pole_order,
 )
 from vertexbound.laurent import LaurentPoly
 from vertexbound.linalg import ExactMatrix
@@ -73,10 +72,10 @@ def time_limit(seconds):
 # pole order and characteristic data
 
 def test_pole_orders():
-    assert pole_order(fock_system()) == 1
-    assert pole_order(manual_system(1, {})) == 0
+    assert fock_system().pole_order == 1
+    assert manual_system(1, {}).pole_order == 0
     irregular = manual_system(1, {(0, 0): LaurentPoly({-2: Q(1), -1: Q(1)})})
-    assert pole_order(irregular) == 2
+    assert irregular.pole_order == 2
     with pytest.raises(IrregularSingularity):
         indicial_exponents(irregular)
 
@@ -177,7 +176,7 @@ def test_quotient_square_system_has_a_double_pole():
     quot = QuotientModule(verma, [level2_singular_vector(Q(1, 2), Q(1, 2))])
     basis = choose_complement(quot, 4)
     system = assemble_ode(basis, basis)
-    assert pole_order(system) == 3
+    assert system.pole_order == 3
     with pytest.raises(IrregularSingularity):
         indicial_exponents(system)
 

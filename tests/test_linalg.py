@@ -8,7 +8,7 @@ import sympy
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import fraction_gauss_jordan, sympy_rank
+from bruteforce import dense_matmul, dense_matvec, fraction_gauss_jordan, sympy_rank
 from vertexbound.errors import InputShapeError
 from vertexbound.linalg import ExactMatrix, RowSpan
 
@@ -313,6 +313,18 @@ def test_int_input_leaves_the_kernel_as_fractions(rows, data):
         solution = mat.solve(rhs)
         assert solution is None or _all_fractions(solution)
         assert all(_all_fractions(vec) for vec in mat.nullspace())
+    # the direct constructor hands the int rows to the kernel unconverted
+    direct = ExactMatrix(nrows, width, [{j: c for j, c in enumerate(row) if c} for row in rows])
+    reduced, pivots = direct.rref()
+    assert (reduced, pivots) == from_entries.rref()
+    assert _all_fractions(reduced.nonzero_entries().values())
+    assert direct.rank() == from_entries.rank() == len(pivots)
+    solution = direct.solve(rhs)
+    assert solution == from_entries.solve(rhs)
+    assert solution is None or _all_fractions(solution)
+    basis = direct.nullspace()
+    assert basis == from_entries.nullspace()
+    assert all(_all_fractions(vec) for vec in basis)
     span = RowSpan(width)
     for row in rows:
         assert _all_fractions(span.reduce(row).values())
@@ -343,3 +355,51 @@ def test_constructors_keep_given_fractions_and_convert_the_rest(matrix, data):
         reduced, pivots = mat.rref()
         assert (reduced.to_lists(), pivots) == oracle_rref(as_fractions, cols)
         assert mat.solve(rhs) == oracle_solve(as_fractions, cols, [Q(b) for b in rhs])
+
+
+# ----------------------------------------------------------------------
+# arithmetic against dense Fraction products
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two matrices of mixed int and Fraction entries with a shared inner size."""
+    nrows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    a = [[draw(mixed_scalars) for _ in range(inner)] for _ in range(nrows)]
+    b = [[draw(mixed_scalars) for _ in range(cols)] for _ in range(inner)]
+    return a, b, inner, cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_pairs(), st.data())
+def test_matmul_and_matvec_match_dense_products(pair, data):
+    a, b, inner, cols = pair
+    left = ExactMatrix.from_rows(a, inner)
+    product = left.matmul(ExactMatrix.from_rows(b, cols))
+    assert (product.rows, product.cols) == (len(a), cols)
+    assert product.to_lists() == dense_matmul(a, b, inner, cols)
+    assert _all_fractions(product.nonzero_entries().values())
+    vec = data.draw(st.lists(mixed_scalars, min_size=inner, max_size=inner))
+    assert left.matvec(vec) == dense_matvec(a, vec)
+    assert _all_fractions(left.matvec(vec))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices(scalars=mixed_scalars, max_rows=5, max_cols=5), st.data())
+def test_equality_matches_dense_equality(matrix, data):
+    rows, cols = matrix
+    mat = ExactMatrix.from_rows(rows, cols)
+    dense = [[Q(c) for c in row] for row in rows]
+    # the same values, built another way and with each row's columns reversed
+    reversed_rows = [dict(reversed([(j, c) for j, c in enumerate(row) if c])) for row in rows]
+    assert mat == ExactMatrix(len(rows), cols, reversed_rows)
+    assert mat == mat.matmul(ExactMatrix.identity(cols))
+    assert mat != ExactMatrix(len(rows), cols + 1)
+    assert mat != ExactMatrix(len(rows) + 1, cols)
+    if rows and cols:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, cols - 1))
+        changed = [list(row) for row in rows]
+        changed[i][j] = data.draw(mixed_scalars)
+        other = ExactMatrix.from_rows(changed, cols)
+        assert (mat == other) == (dense == [[Q(c) for c in row] for row in changed])
