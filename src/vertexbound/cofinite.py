@@ -34,7 +34,7 @@ from .errors import (
 from .laurent import Q, QONE, QZERO
 from .linalg import ExactMatrix, RowSpan
 from .modes import GradedVector, engine_for
-from .voa import DirectSumModule, raw_combine
+from .voa import DirectSumModule, raw_acc, raw_combine
 
 
 # ----------------------------------------------------------------------
@@ -388,26 +388,19 @@ def nilpotency_report(module, depth: int | None = None) -> NilpotencyReport:
         if dim_n == 0:
             per_level.append(0)
             continue
-        keys = module.keys(n)
-        entries = {}
-        for col, key in enumerate(keys):
+        data = [{} for _ in range(dim_n)]
+        for col, key in enumerate(module.keys(n)):
             image = {}
             for word, coeff in omega_raw.items():
                 raw_combine(image, engine.apply_word(word, 1, key), coeff)
+            # L(0) - wt: the weight comes off the diagonal entry
+            raw_acc(image, key, -module.weight_of(key))
             for out_key, coeff in image.items():
-                entries[(module.index(out_key), col)] = coeff
-        for col, key in enumerate(keys):
-            weight = module.weight_of(key)
-            if weight:
-                existing = entries.get((col, col), QZERO) - weight
-                if existing:
-                    entries[(col, col)] = existing
-                else:
-                    entries.pop((col, col), None)
-        nil = ExactMatrix.from_entries(dim_n, dim_n, entries)
+                data[module.index(out_key)][col] = coeff
+        nil = ExactMatrix(dim_n, dim_n, data)
         order = 1
         power = nil
-        while power.nonzero_entries():
+        while any(power.data):
             order += 1
             if order > dim_n + 1:
                 raise InternalInvariantViolation(

@@ -54,14 +54,9 @@ def _char_poly(matrix: ExactMatrix) -> list:
 
 
 def _add_scalar(matrix: ExactMatrix, scalar: Q) -> ExactMatrix:
-    entries = matrix.nonzero_entries()
-    for i in range(matrix.rows):
-        value = entries.get((i, i), QZERO) + scalar
-        if value:
-            entries[(i, i)] = value
-        else:
-            entries.pop((i, i), None)
-    return ExactMatrix.from_entries(matrix.rows, matrix.cols, entries)
+    rows = [{**row, i: row.get(i, QZERO) + scalar} for i, row in enumerate(matrix.data)]
+    return ExactMatrix(matrix.rows, matrix.cols,
+                       [{j: c for j, c in row.items() if c} for row in rows])
 
 
 def _poly_eval(coeffs: list, x: Q) -> Q:
@@ -246,7 +241,7 @@ def indicial_exponents(system: OdeSystem) -> IndicialData:
             f"pole of order {order} at z = 0; only simple poles admit indicial analysis"
         )
     n = system.dimension
-    residue = system.series_blocks().get(-1, ExactMatrix.from_entries(n, n, {}))
+    residue = system.series_blocks().get(-1, ExactMatrix(n, n))
     coeffs = _char_poly(residue)
     roots, remainder = _rational_roots(coeffs)
     factors = []
@@ -300,10 +295,9 @@ class FrobeniusSolution:
         }
 
 
-def _series_residuals(system: OdeSystem, sol: FrobeniusSolution):
-    """Coefficients of d/dz A - B A per (k, log_power, component)."""
-    n = system.dimension
-    blocks = system.series_blocks()
+def _series_residuals(blocks: dict, n: int, sol: FrobeniusSolution):
+    """Coefficients of d/dz A - B A per (k, log_power, component), from
+    the matrix coefficients ``blocks`` of the n-by-n ``B``."""
     rho = sol.exponent
     bad = []
     for k in range(sol.depth + 1):
@@ -361,31 +355,25 @@ def frobenius_series(system: OdeSystem, exponent, depth: int,
     def var(k: int, log_power: int, comp: int) -> int:
         return (k * (max_log + 1) + log_power) * n + comp
 
-    entries = {}
-    row = 0
+    data = []
     for k in range(depth + 1):
         for log_power in range(max_log + 1):
-            for i in range(n):
-                # (rho+k) A_{k,l} + (l+1) A_{k,l+1} - B_{-1} A_{k,l}
-                #   - sum_{j>=0} B_j A_{k-1-j,l} = 0
-                if rho + k:
-                    entries[(row + i, var(k, log_power, i))] = rho + k
+            # (rho+k) A_{k,l} + (l+1) A_{k,l+1} - B_{-1} A_{k,l}
+            #   - sum_{j>=0} B_j A_{k-1-j,l} = 0, one row per component
+            rows = [{var(k, log_power, i): rho + k} for i in range(n)]
             if log_power < max_log:
-                for i in range(n):
-                    entries[(row + i, var(k, log_power + 1, i))] = Q(log_power + 1)
+                for i, row in enumerate(rows):
+                    row[var(k, log_power + 1, i)] = Q(log_power + 1)
             for j, block in blocks.items():
                 source_k = k - 1 - j if j >= 0 else k
                 if source_k < 0 or source_k > depth:
                     continue
-                for (i, col), value in block.nonzero_entries().items():
-                    key = (row + i, var(source_k, log_power, col))
-                    merged = entries.get(key, QZERO) - value
-                    if merged:
-                        entries[key] = merged
-                    else:
-                        entries.pop(key, None)
-            row += n
-    matrix = ExactMatrix.from_entries(row, width, entries)
+                for row, block_row in zip(rows, block.data):
+                    for col, value in block_row.items():
+                        key = var(source_k, log_power, col)
+                        row[key] = row.get(key, QZERO) - value
+            data += [{j: c for j, c in row.items() if c} for row in rows]
+    matrix = ExactMatrix(len(data), width, data)
     solutions = []
     for vec in matrix.nullspace():
         terms = {}
@@ -414,7 +402,7 @@ def frobenius_series(system: OdeSystem, exponent, depth: int,
             f"{len(solutions)} solutions exceed the multiplicity count {expected}"
         )
     for sol in solutions:
-        bad = _series_residuals(system, sol)
+        bad = _series_residuals(blocks, n, sol)
         if bad:
             raise InternalInvariantViolation(
                 f"substitution check failed at (k, log, comp, value) = {bad[0]}"

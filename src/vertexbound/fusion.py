@@ -50,6 +50,7 @@ from .voa import (
     LevelCapExceeded,
     _insert_part,
     _remove_part,
+    mode_matrix,
     partitions_of,
     raw_acc,
 )
@@ -766,19 +767,6 @@ class ComparisonResult:
         return out
 
 
-def _level_matrix(module, k: int, src: int, dst: int) -> ExactMatrix:
-    keys = module.keys(src)
-    entries = {}
-    for c, key in enumerate(keys):
-        raw = module.apply_gen(k, key)
-        if raw:
-            coords = module.coords(raw, dst)
-            for r, value in enumerate(coords):
-                if value:
-                    entries[(r, c)] = value
-    return ExactMatrix.from_entries(module.dim(dst), len(keys), entries)
-
-
 def _vanishes(data: IntertwinerData) -> bool:
     """True when every recorded coefficient of ``data`` is zero."""
     return all(not any(coords) for images in data.series.values() for coords in images.values())
@@ -865,14 +853,13 @@ def _solve_witness(lower: IntertwinerData, upper: IntertwinerData, spaces: _Alig
                 deficient = (n, len(pivots), d2)
             continue
         # pivot row i reads [e_col | column col of f_n]
-        pivot_col = dict(pivots)
-        entries = {
-            (j - d2, pivot_col[i]): value
-            for (i, j), value in reduced.nonzero_entries().items()
-            if j >= d2
-        }
-        if entries:
-            blocks[n] = ExactMatrix.from_entries(d1, d2, entries)
+        rows = [{} for _ in range(d1)]
+        for i, col in pivots:
+            for j, value in reduced.data[i].items():
+                if j >= d2:
+                    rows[j - d2][col] = value
+        if any(rows):
+            blocks[n] = ExactMatrix(d1, d2, rows)
     if deficient is not None:
         n, rank, dim = deficient
         raise InternalInvariantViolation(
@@ -894,13 +881,12 @@ def _solve_witness(lower: IntertwinerData, upper: IntertwinerData, spaces: _Alig
                 if t > low_t.depth or t2 > low_t.depth or t2 < 0:
                     continue
                 try:
-                    m_up = _level_matrix(up_t, k, n, n2)
+                    m_up = mode_matrix(up_t, k, n, n2)
                 except LevelCapExceeded:
                     continue
-                lhs = blocks[n2].matmul(m_up).nonzero_entries() if n2 in blocks else {}
-                rhs = {}
-                if n in blocks:
-                    rhs = _level_matrix(low_t, k, t, t2).matmul(blocks[n]).nonzero_entries()
+                zero = ExactMatrix(low_t.dim(t2), up_t.dim(n))
+                lhs = blocks[n2].matmul(m_up) if n2 in blocks else zero
+                rhs = mode_matrix(low_t, k, t, t2).matmul(blocks[n]) if n in blocks else zero
                 if lhs != rhs:
                     return None
     return PairOrderWitness(lower=lower, upper=upper, shift=shift, blocks=blocks)

@@ -5,17 +5,18 @@ leftmost available pivot column and, among rows with a nonzero entry in
 that column, the smallest row index.  Rank, reduced row echelon form,
 nullspace bases, and solutions are therefore reproducible across runs.
 
-:class:`ExactMatrix` stores one sparse ``{col: value}`` dict per row, the
-format its one integer kernel, :func:`_eliminate`, works on: rows become
-primitive integer rows, elimination is fraction-free, and only the
-finished pivot rows are divided by their pivots, which is where the
-result becomes the (unique) reduced row echelon form again.
+:class:`ExactMatrix` is built from, and hands out, one sparse ``{col: value}``
+dict per row, the format its one integer kernel, :func:`_eliminate`, works
+on: rows become primitive integer rows, elimination is fraction-free, and
+only the finished pivot rows are divided by their pivots, which is where
+the result becomes the (unique) reduced row echelon form again.
 :class:`RowSpan` keeps its rows as ``Fraction`` dicts: it serves many
 short membership queries, for which converting to integers and back
 costs more than it saves.  Both accept ``int`` input (raw mode-engine
-coefficients), return only ``Fraction`` values, and refuse any other
-input (a ``float``, a string) with :class:`InputShapeError` rather than
-reading it as the rational it happens to round to.
+coefficients), which an ``ExactMatrix`` keeps as given until it is
+eliminated or multiplied, compute only ``Fraction`` values, and refuse
+any other input (a ``float``, a string) with :class:`InputShapeError`
+rather than reading it as the rational it happens to round to.
 """
 
 from __future__ import annotations
@@ -30,21 +31,28 @@ class ExactMatrix:
     """A rows-by-cols matrix of exact rationals.
 
     ``data`` holds one sparse ``{col: value}`` dict of nonzero entries per
-    row, kept as given and never changed.  :meth:`from_rows` and
-    :meth:`from_entries` check their input and store ``Fraction`` values;
-    the direct constructor also takes ``int`` rows, unconverted.
+    row; it is read, never changed.  The constructor takes those rows as
+    they are, ``int`` values unconverted, and refuses any other value or
+    a column outside ``range(cols)``; :meth:`from_rows` takes dense rows.
+    Every matrix a method hands out holds ``Fraction`` values only.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data=None):
         if rows < 0 or cols < 0:
             raise InputShapeError("matrix dimensions must be non-negative")
         self.rows = rows
         self.cols = cols
-        self._data = [{} for _ in range(rows)] if data is None else data
-        if len(self._data) != rows:
+        self.data = [{} for _ in range(rows)] if data is None else data
+        if len(self.data) != rows:
             raise InputShapeError("row count does not match the given rows")
+        if outside := set().union(*self.data).difference(range(cols)):
+            raise InputShapeError(f"columns {sorted(outside, key=repr)} outside {rows}x{cols}")
+        for row in self.data:
+            for c in row.values():
+                if type(c) is not Q and type(c) is not int:
+                    as_rational(c, "a matrix entry")
 
     # ------------------------------------------------------------------
     # construction
@@ -72,21 +80,6 @@ class ExactMatrix:
         return cls(nrows, ncols, [{j: c for j, c in enumerate(row) if c} for row in data])
 
     @classmethod
-    def from_entries(cls, rows: int, cols: int, entries) -> "ExactMatrix":
-        """Build from a ``{(i, j): value}`` map of nonzero entries.
-
-        ``Fraction`` values are kept as given; ints are converted.
-        """
-        data = [{} for _ in range(rows)]
-        for (i, j), value in entries.items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise InputShapeError(f"entry index {(i, j)} outside {rows}x{cols}")
-            c = value if type(value) is Q else as_rational(value, "a matrix entry")
-            if c:
-                data[i][j] = c
-        return cls(rows, cols, data)
-
-    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, n, [{i: QONE} for i in range(n)])
 
@@ -96,7 +89,7 @@ class ExactMatrix:
     def entry(self, i: int, j: int) -> Q:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise InputShapeError(f"index {(i, j)} outside {self.rows}x{self.cols}")
-        return self._data[i].get(j, QZERO)
+        return self.data[i].get(j, QZERO)
 
     def row(self, i: int) -> tuple:
         return tuple(self.entry(i, j) for j in range(self.cols))
@@ -104,14 +97,10 @@ class ExactMatrix:
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def nonzero_entries(self) -> dict:
-        """The ``{(i, j): value}`` map of nonzero entries, in row-major order."""
-        return {(i, j): row[j] for i, row in enumerate(self._data) for j in sorted(row)}
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._data == other._data
+        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -124,16 +113,16 @@ class ExactMatrix:
         if len(vec) != self.cols:
             raise InputShapeError("vector length does not match column count")
         return tuple(sum((c * vec[j] for j, c in row.items() if vec[j]), QZERO)
-                     for row in self._data)
+                     for row in self.data)
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise InputShapeError("inner dimensions do not match")
         out = []
-        for row in self._data:
+        for row in self.data:
             acc = {}
             for k, a in row.items():
-                for j, b in other._data[k].items():
+                for j, b in other.data[k].items():
                     acc[j] = acc.get(j, QZERO) + a * b
             out.append({j: c for j, c in acc.items() if c})
         return ExactMatrix(self.rows, other.cols, out)
@@ -149,11 +138,11 @@ class ExactMatrix:
         pivoting rule (leftmost column, then smallest row index) makes
         the output canonical for a given matrix.
         """
-        reduced, pivots = _eliminate(self._data, self.cols)
+        reduced, pivots = _eliminate(self.data, self.cols)
         return ExactMatrix(self.rows, self.cols, reduced), pivots
 
     def rank(self) -> int:
-        return len(_eliminate(self._data, self.cols)[1])
+        return len(_eliminate(self.data, self.cols)[1])
 
     def nullspace(self) -> list:
         """Canonical basis of the right kernel.
@@ -182,7 +171,7 @@ class ExactMatrix:
         rhs = [c if type(c) is Q else as_rational(c, "a right-hand side entry") for c in rhs]
         if len(rhs) != self.rows:
             raise InputShapeError("right-hand side length does not match row count")
-        augmented = [{**row, self.cols: b} if b else row for row, b in zip(self._data, rhs)]
+        augmented = [{**row, self.cols: b} if b else row for row, b in zip(self.data, rhs)]
         work, pivots = _eliminate(augmented, self.cols + 1)
         solution = [QZERO] * self.cols
         for row_index, col in pivots:

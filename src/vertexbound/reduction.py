@@ -88,21 +88,18 @@ class _SpanningSolver:
             return data
         module = self.module
         pair_keys = cm_level(module, 1, n).pairs
-        entries = {
-            (i, j): c
-            for j, (v_key, a_key) in enumerate(pair_keys)
-            for i, c in enumerate(
-                module.coords(engine_for(module).apply_word(v_key, -1, a_key), n))
-            if c
-        }
+        rows = [{} for _ in range(module.dim(n))]
+        for j, (v_key, a_key) in enumerate(pair_keys):
+            image = engine_for(module).apply_word(v_key, -1, a_key)
+            for i, c in enumerate(module.coords(image, n)):
+                if c:
+                    rows[i][j] = c
         comp_at_level = [
             (idx, key) for idx, (lv, key) in enumerate(self._labels) if lv == n
         ]
         for pos, (_, key) in enumerate(comp_at_level, start=len(pair_keys)):
-            entries[(module.index(key), pos)] = QONE
-        matrix = ExactMatrix.from_entries(
-            module.dim(n), len(pair_keys) + len(comp_at_level), entries,
-        )
+            rows[module.index(key)][pos] = QONE
+        matrix = ExactMatrix(len(rows), len(pair_keys) + len(comp_at_level), rows)
         data = (pair_keys, comp_at_level, matrix)
         self._levels[n] = data
         return data
@@ -436,15 +433,11 @@ class OdeSystem:
         powers = sorted({p for poly in self.entries.values() for p in poly.terms})
         blocks = {}
         for power in powers:
-            blocks[power] = ExactMatrix.from_entries(
-                self.dimension,
-                self.dimension,
-                {
-                    (r, c): poly.coeff(power)
-                    for (r, c), poly in self.entries.items()
-                    if poly.coeff(power)
-                },
-            )
+            data = [{} for _ in range(self.dimension)]
+            for (r, c), poly in self.entries.items():
+                if value := poly.coeff(power):
+                    data[r][c] = value
+            blocks[power] = ExactMatrix(self.dimension, self.dimension, data)
         return blocks
 
     def to_json(self) -> dict:

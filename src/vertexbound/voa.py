@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .errors import InputShapeError
 from .laurent import Q, QONE, QZERO, format_rational
-from .linalg import RowSpan
+from .linalg import ExactMatrix, RowSpan
 
 
 # ----------------------------------------------------------------------
@@ -592,6 +592,22 @@ class DirectSumModule(BaseRealization):
         return f"[{i}]{self.summands[i].label(inner)}"
 
 
+def mode_matrix(module, k: int, src: int, dst: int) -> ExactMatrix:
+    """Generator mode k from level ``src`` to level ``dst`` of ``module``.
+
+    Column c holds the ``dst`` coordinates of the c-th ``src`` key's image,
+    in sparse rows that keep the raw ``int`` or ``Fraction`` coefficients."""
+    keys = module.keys(src)
+    data = [{} for _ in range(module.dim(dst))]
+    for c, key in enumerate(keys):
+        raw = module.apply_gen(k, key)
+        if raw:
+            for r, value in enumerate(module.coords(raw, dst)):
+                if value:
+                    data[r][c] = value
+    return ExactMatrix(len(data), len(keys), data)
+
+
 def singular_vectors_at(realization, level: int) -> list:
     """Kernel of the positive-half action on one level, as raw elements.
 
@@ -600,25 +616,15 @@ def singular_vectors_at(realization, level: int) -> list:
     singular.  Returns the canonical nullspace basis; empty at a generic
     level.
     """
-    from .linalg import ExactMatrix
-
     keys = realization.keys(level)
     if not keys:
         return []
-    rows = {}
-    row_offset = 0
-    for positive_mode in (2, 3):
-        target_level = level + realization.voa.gen_weight - positive_mode - 1
-        target_dim = realization.dim(target_level) if target_level >= 0 else 0
-        for col, key in enumerate(keys):
-            image = realization.apply_gen(positive_mode, key)
-            for out_key, coeff in image.items():
-                rows[(row_offset + realization.index(out_key), col)] = coeff
-        row_offset += target_dim
-    stacked = ExactMatrix.from_entries(row_offset, len(keys), rows)
+    gw = realization.voa.gen_weight
+    data = [row for k in (2, 3)
+            for row in mode_matrix(realization, k, level, level + gw - k - 1).data]
     return [
         {keys[i]: c for i, c in enumerate(vec) if c}
-        for vec in stacked.nullspace()
+        for vec in ExactMatrix(len(data), len(keys), data).nullspace()
     ]
 
 

@@ -582,7 +582,9 @@ def per_direction_witness(lower, upper):
     return PairOrderWitness(
         lower=lower, upper=upper, shift=shift,
         blocks={
-            n: ExactMatrix.from_entries(low_t.dim(n + shift), up_t.dim(n), entries)
+            n: ExactMatrix.from_rows(
+                [[entries.get((i, j), Q(0)) for j in range(up_t.dim(n))]
+                 for i in range(low_t.dim(n + shift))], up_t.dim(n))
             for n, entries in blocks.items()
         },
     )

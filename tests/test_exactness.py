@@ -222,7 +222,9 @@ def test_float_charges_and_twists_are_refused(bad):
     span = RowSpan(2)
     for call in (
         lambda: ExactMatrix.from_rows([[1, bad]]),
-        lambda: ExactMatrix.from_entries(1, 2, {(0, 1): bad}),
+        lambda: ExactMatrix(1, 2, [{1: bad}]),
+        lambda: ExactMatrix(1, 2, [{bad: 1}]),
+        lambda: ExactMatrix(1, 2, [{2: Q(1)}]),
         lambda: mat.matvec([1, bad]),
         lambda: mat.solve([bad, 1]),
         lambda: span.add((bad, 3)),

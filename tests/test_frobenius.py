@@ -83,16 +83,11 @@ def test_pole_orders():
 def test_char_poly_matches_sympy():
     rng = random.Random(3)
     for n in (1, 2, 3, 4):
-        entries = {}
-        for i in range(n):
-            for j in range(n):
-                value = Q(rng.randint(-4, 4), rng.randint(1, 3))
-                if value:
-                    entries[(i, j)] = value
-        matrix = ExactMatrix.from_entries(n, n, entries)
+        rows = [[Q(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(n)] for i in range(n)]
+        matrix = ExactMatrix.from_rows(rows)
         coeffs = _char_poly(matrix)
         sm = sympy.Matrix(n, n, lambda i, j: sympy.Rational(
-            entries.get((i, j), Q(0)).numerator, entries.get((i, j), Q(0)).denominator))
+            rows[i][j].numerator, rows[i][j].denominator))
         expected = sympy.Poly(sm.charpoly().as_expr(), sm.charpoly().gen).all_coeffs()
         assert [sympy.Rational(c.numerator, c.denominator) for c in coeffs] == expected
 

@@ -475,7 +475,7 @@ def test_compare_witness_blocks_are_fractions():
         assert witness.blocks
         for block in witness.blocks.values():
             # no int or float may reach format_rational from the kernel
-            values = list(block.nonzero_entries().values())
+            values = [c for row in block.data for c in row.values()]
             values += [c for row in block.to_lists() for c in row]
             assert all(type(c) is Q for c in values)
 
@@ -594,8 +594,8 @@ def test_scale_shares_the_tables_and_multiplies_the_factor(monkeypatch):
     def recording_rref(self):
         result = original(self)
         if self.rows > self.cols:
-            tall.extend(self.nonzero_entries().values())
-            reduced.extend(result[0].nonzero_entries().values())
+            tall.extend(c for row in self.data for c in row.values())
+            reduced.extend(c for row in result[0].data for c in row.values())
         return result
 
     monkeypatch.setattr(linalg.ExactMatrix, "rref", recording_rref)

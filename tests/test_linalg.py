@@ -273,11 +273,16 @@ def _all_fractions(values) -> bool:
     return all(type(v) is Q for v in values)
 
 
+def _stored(mat) -> list:
+    """The values a matrix holds, row by row."""
+    return [c for row in mat.data for c in row.values()]
+
+
 def test_eliminating_methods_return_only_fractions():
     rows = [[2, 4, -6, 1], [1, 2, -3, 5], [0, 3, 9, -12], [4, 8, -12, 2]]
     mat = ExactMatrix.from_rows(rows)
     reduced, _ = mat.rref()
-    assert _all_fractions(reduced.nonzero_entries().values())
+    assert _all_fractions(_stored(reduced))
     assert _all_fractions(c for row in reduced.to_lists() for c in row)
     solution = mat.solve([3, 6, 0, 6])
     assert solution is not None and _all_fractions(solution)
@@ -299,31 +304,33 @@ int_rows = st.integers(1, 5).flatmap(
 @given(int_rows, st.data())
 def test_int_input_leaves_the_kernel_as_fractions(rows, data):
     nrows, width = len(rows), len(rows[0])
-    entries = {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
-    assert all(type(c) is int for c in entries.values())
-    from_entries = ExactMatrix.from_entries(nrows, width, entries)
+    sparse = [{j: c for j, c in enumerate(row) if c} for row in rows]
+    assert all(type(c) is int for row in sparse for c in row.values())
+    # the direct constructor keeps the int rows as they are; from_rows converts
+    direct = ExactMatrix(nrows, width, sparse)
     from_rows = ExactMatrix.from_rows(rows)
-    assert from_entries == from_rows
+    assert direct == from_rows
+    assert direct.data is sparse
+    assert _all_fractions(_stored(from_rows))
+    assert _all_fractions(c for row in from_rows.to_lists() for c in row)
+    assert _all_fractions(_stored(direct.matmul(ExactMatrix.identity(width))))
     rhs = data.draw(st.lists(st.integers(-6, 6), min_size=nrows, max_size=nrows))
-    for mat in (from_entries, from_rows):
-        assert _all_fractions(mat.nonzero_entries().values())
-        assert _all_fractions(c for row in mat.to_lists() for c in row)
+    for mat in (direct, from_rows):
         reduced, _ = mat.rref()
         assert _all_fractions(c for row in reduced.to_lists() for c in row)
         solution = mat.solve(rhs)
         assert solution is None or _all_fractions(solution)
         assert all(_all_fractions(vec) for vec in mat.nullspace())
-    # the direct constructor hands the int rows to the kernel unconverted
-    direct = ExactMatrix(nrows, width, [{j: c for j, c in enumerate(row) if c} for row in rows])
+    # the kernel takes the int rows unconverted and hands back Fractions
     reduced, pivots = direct.rref()
-    assert (reduced, pivots) == from_entries.rref()
-    assert _all_fractions(reduced.nonzero_entries().values())
-    assert direct.rank() == from_entries.rank() == len(pivots)
+    assert (reduced, pivots) == from_rows.rref()
+    assert _all_fractions(_stored(reduced))
+    assert direct.rank() == from_rows.rank() == len(pivots)
     solution = direct.solve(rhs)
-    assert solution == from_entries.solve(rhs)
+    assert solution == from_rows.solve(rhs)
     assert solution is None or _all_fractions(solution)
     basis = direct.nullspace()
-    assert basis == from_entries.nullspace()
+    assert basis == from_rows.nullspace()
     assert all(_all_fractions(vec) for vec in basis)
     span = RowSpan(width)
     for row in rows:
@@ -334,7 +341,8 @@ def test_int_input_leaves_the_kernel_as_fractions(rows, data):
     assert _all_fractions(span.reduce(probe).values())
 
 
-# a Fraction entry is stored as the given object; any other becomes one
+# a Fraction entry is stored as the given object; from_rows converts any
+# other, the direct constructor keeps an int as it is
 mixed_scalars = st.one_of(st.integers(-6, 6), small_rationals)
 
 
@@ -345,12 +353,14 @@ def test_constructors_keep_given_fractions_and_convert_the_rest(matrix, data):
     entries = {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
     as_fractions = [[Q(c) for c in row] for row in rows]
     rhs = data.draw(st.lists(mixed_scalars, min_size=len(rows), max_size=len(rows)))
-    for mat in (ExactMatrix.from_rows(rows, cols), ExactMatrix.from_entries(len(rows), cols, entries)):
-        stored = mat.nonzero_entries()
+    from_rows = ExactMatrix.from_rows(rows, cols)
+    direct = ExactMatrix(len(rows), cols, [{j: c for j, c in enumerate(row) if c} for row in rows])
+    assert _all_fractions(_stored(from_rows))
+    for mat in (from_rows, direct):
+        stored = {(i, j): c for i, row in enumerate(mat.data) for j, c in row.items()}
         assert stored == {key: Q(c) for key, c in entries.items()}
-        assert _all_fractions(stored.values())
         for key, c in entries.items():
-            if type(c) is Q:
+            if type(c) is Q or mat is direct:
                 assert stored[key] is c
         reduced, pivots = mat.rref()
         assert (reduced.to_lists(), pivots) == oracle_rref(as_fractions, cols)
@@ -378,7 +388,7 @@ def test_matmul_and_matvec_match_dense_products(pair, data):
     product = left.matmul(ExactMatrix.from_rows(b, cols))
     assert (product.rows, product.cols) == (len(a), cols)
     assert product.to_lists() == dense_matmul(a, b, inner, cols)
-    assert _all_fractions(product.nonzero_entries().values())
+    assert _all_fractions(_stored(product))
     vec = data.draw(st.lists(mixed_scalars, min_size=inner, max_size=inner))
     assert left.matvec(vec) == dense_matvec(a, vec)
     assert _all_fractions(left.matvec(vec))

@@ -5,7 +5,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+import sympy
+
 from bruteforce import (
+    _generator_matrix,
     level2_singular_charge,
     osc_mode,
     partition_count,
@@ -14,6 +17,7 @@ from bruteforce import (
     virasoro_frozen_cases,
 )
 from vertexbound.errors import InputShapeError
+from vertexbound.fusion import heisenberg_intertwiner, join
 from vertexbound.voa import (
     DirectSumModule,
     FockModule,
@@ -25,6 +29,7 @@ from vertexbound.voa import (
     VirasoroVoa,
     VoaSpec,
     level2_singular_vector,
+    mode_matrix,
     partitions_of,
     raw_combine,
     realize_module,
@@ -265,6 +270,72 @@ def test_quotients_take_singular_vectors_in_the_form_singular_vectors_at_returns
     vacuum = singular_vectors_at(VirasoroVoa(c, depth=6), 6)
     assert (VirasoroQuotientVoa(c, vacuum, depth=6).spec
             == VirasoroQuotientVoa(c, (tuple(vacuum[0].items()),), depth=6).spec)
+
+
+# ----------------------------------------------------------------------
+# generator mode matrices against the plain dict oracle
+
+def _mode_matrix_modules():
+    heisenberg = HeisenbergVoa(depth=4)
+    c = Q(1, 2)
+    verma = VermaModule(VirasoroVoa(c, depth=4), Q(1, 16))
+    h = heisenberg_intertwiner(1, 2, 3)
+    return {
+        "fock": FockModule(heisenberg, Q(1, 2)),
+        "verma": verma,
+        "quotient": QuotientModule(verma, (level2_singular_vector(c, Q(1, 16)),)),
+        "direct-sum": DirectSumModule((FockModule(heisenberg, 1), FockModule(heisenberg, Q(-1, 2)))),
+        "join-target": join(h, h.scale(Q(-3, 4))).target,
+    }
+
+
+@pytest.mark.parametrize("name", ["fock", "verma", "quotient", "direct-sum", "join-target"])
+def test_mode_matrix_matches_the_generator_matrix_oracle(name):
+    module = _mode_matrix_modules()[name]
+    gw = module.voa.gen_weight
+    seen = set()
+    for src in range(module.depth + 1):
+        # every mode whose target level lies in [-1, depth]
+        for k in range(src + gw - 1 - module.depth, src + gw + 1):
+            dst = src + gw - 1 - k
+            matrix = mode_matrix(module, k, src, dst)
+            oracle = _generator_matrix(module, k, src, dst)
+            rows, cols = module.dim(dst), module.dim(src)
+            assert (matrix.rows, matrix.cols) == (rows, cols)
+            assert matrix.to_lists() == [[oracle.get((r, c), 0) for c in range(cols)]
+                                         for r in range(rows)], (k, src, dst)
+            seen.add("lowering" if dst < src else "raising" if dst > src else "level")
+            if dst < 0:
+                seen.add("below zero")
+    assert seen == {"lowering", "raising", "level", "below zero"}
+
+
+def _oracle_singular_vectors(verma, level):
+    gw = verma.voa.gen_weight
+    rows = []
+    for k in (2, 3):
+        dst = level + gw - k - 1
+        oracle = _generator_matrix(verma, k, level, dst)
+        rows += [[oracle.get((r, c), 0) for c in range(verma.dim(level))]
+                 for r in range(verma.dim(dst))]
+    basis = sympy.Matrix(rows).nullspace() if rows else []
+    keys = verma.keys(level)
+    return [{keys[i]: Q(int(x.p), int(x.q)) for i, x in enumerate(vec) if x} for vec in basis]
+
+
+@pytest.mark.parametrize("h, level, count", [
+    (Q(1, 2), 2, 1),
+    (Q(1, 2), 3, 1),
+    (Q(5, 3), 3, 1),
+    # (4r - 3s)^2 = 17 has no solution: no singular vector at c = 1/2
+    (Q(1, 3), 2, 0),
+    (Q(1, 3), 3, 0),
+])
+def test_singular_vectors_at_matches_the_sympy_nullspace(h, level, count):
+    verma = VermaModule(VirasoroVoa(Q(1, 2), depth=level), h)
+    found = singular_vectors_at(verma, level)
+    assert found == _oracle_singular_vectors(verma, level)
+    assert len(found) == count
 
 
 # ----------------------------------------------------------------------
