@@ -378,10 +378,13 @@ class IntertwinerData:
         )
         for u_key, w_key, j in order:
             images = self.images((u_key, w_key, j))
+            # the mode index at level 0, from this key's own weights (the
+            # summands of a direct-sum source differ in lowest weight)
+            top = left.weight_of(u_key) + right.weight_of(w_key) - (self.target.lowest_weight + 1)
             rows = [
                 {
                     "level": level,
-                    "mode_index": format_rational(self.mode_index(u_key, w_key, level)),
+                    "mode_index": format_rational(top - level),
                     "vector": [format_rational(c) for c in coords],
                 }
                 for level, coords in sorted(images.items())
@@ -610,6 +613,34 @@ def _reduced_basis(rows, parts) -> list:
     return [_scaled(reduced.row(i), parts) for i in range(len(pivots))]
 
 
+def _numerator_coords(span: RowSpan, parts: list, rows: dict) -> dict:
+    """Span coordinates of each paired numerator row of ``parts``, checked on integers.
+
+    With f_j the factor of column j's datum, the scaled row s = f r lies
+    in the span, whose reduced rows B_i lead at the pivot columns p_i,
+    exactly when f_j r_j = sum_i f_{p_i} r_{p_i} B_ij at every free column
+    j; its coordinates are the s_{p_i}.  Over one common denominator den
+    the check reads a_j r_j = sum_i r_{p_i} c_ij with a_j = den f_j and
+    c_ij = den f_{p_i} B_ij integers, so no scaled row is built.  Rows
+    of ``Fraction``s (a join's own series, factor 1) take the same exact
+    route.
+    """
+    factors = [datum.factor for datum, level in parts for _ in range(datum.target.dim(level))]
+    pivots = span.pivot_columns()
+    free = [j for j in range(span.width) if j not in pivots]
+    weights = [[factors[p] * row.get(j, QZERO) for p, row in zip(pivots, span.rows())] for j in free]
+    den = lcm(*(f.denominator for f in factors), *(g.denominator for col in weights for g in col))
+    checks = [(j, factors[j].numerator * (den // factors[j].denominator),
+               [(p, g.numerator * (den // g.denominator)) for p, g in zip(pivots, col) if g])
+              for j, col in zip(free, weights)]
+    out = {}
+    for skey, row in rows.items():
+        if any(a * row[j] != sum(row[p] * c for p, c in terms) for j, a, terms in checks):
+            raise InternalInvariantViolation("paired coefficient escaped its own span")
+        out[skey] = tuple(factors[p] * row[p] for p in pivots)
+    return out
+
+
 def _has_content(data: IntertwinerData) -> bool:
     return any(data.target.dim(n) for n in range(data.depth + 1))
 
@@ -634,7 +665,10 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
     project back onto it, so the result dominates each in the order.
     Each level's span starts from the reduced basis of its paired rows,
     eliminated once as numerators, and every paired coefficient is then
-    expressed in the closed span.  The result carries the factor 1.
+    checked against the closed span and expressed in it on its numerators
+    (``_numerator_coords``): the membership check is still made at run
+    time, in integers, and a row outside the span raises
+    ``InternalInvariantViolation``.  The result carries the factor 1.
     """
     _require_matching_sources(p1, p2)
     depth = p1.depth
@@ -660,17 +694,13 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
         for row in _reduced_basis(paired[n].values(), parts[n]):
             spans[n].add(row)
     _saturate_spans(spans, ambient, depth)
-    target = SpanModule(ambient, spans, depth)
     series = {}
     for n, rows in paired.items():
-        for skey, row in rows.items():
-            expressed = target.coords_in_span(_scaled(row, parts[n]), n)
-            if expressed is None:
-                raise InternalInvariantViolation("paired coefficient escaped its own span")
+        for skey, expressed in _numerator_coords(spans[n], parts[n], rows).items():
             if any(expressed):
                 series.setdefault(skey, {})[n] = expressed
     return IntertwinerData(
-        p1.source_left, p1.source_right, target, depth, j_max, series,
+        p1.source_left, p1.source_right, SpanModule(ambient, spans, depth), depth, j_max, series,
     )
 
 
@@ -785,11 +815,20 @@ class _AlignedRowSpaces:
     keys with a nonzero coefficient on either side give the rows
     ``[c_second | c_first]``.  A pair is eliminated once, on first use,
     on the stored numerators; only its basis rows (at most d1 + d2) are
-    kept, each block times its datum's factor.
+    kept, each block times its datum's factor.  Generator-mode matrices of
+    the two targets are built once each, for both witnesses' commutation
+    checks, and live as long as this object.
     """
 
     def __init__(self, first: IntertwinerData, second: IntertwinerData):
-        self.first, self.second, self._bases = first, second, {}
+        self.first, self.second, self._bases, self._modes = first, second, {}, {}
+
+    def mode_matrix(self, module, k: int, src: int, dst: int) -> ExactMatrix:
+        """``voa.mode_matrix`` of one of the two targets, built on first use."""
+        key = (module, k, src, dst)
+        if key not in self._modes:
+            self._modes[key] = mode_matrix(module, k, src, dst)
+        return self._modes[key]
 
     def basis(self, upper: IntertwinerData, n: int, t: int) -> list:
         """Basis rows ``[c_up | c_low]`` at level n of ``upper`` and t of the other."""
@@ -881,12 +920,12 @@ def _solve_witness(lower: IntertwinerData, upper: IntertwinerData, spaces: _Alig
                 if t > low_t.depth or t2 > low_t.depth or t2 < 0:
                     continue
                 try:
-                    m_up = mode_matrix(up_t, k, n, n2)
+                    m_up = spaces.mode_matrix(up_t, k, n, n2)
                 except LevelCapExceeded:
                     continue
                 zero = ExactMatrix(low_t.dim(t2), up_t.dim(n))
                 lhs = blocks[n2].matmul(m_up) if n2 in blocks else zero
-                rhs = mode_matrix(low_t, k, t, t2).matmul(blocks[n]) if n in blocks else zero
+                rhs = spaces.mode_matrix(low_t, k, t, t2).matmul(blocks[n]) if n in blocks else zero
                 if lhs != rhs:
                     return None
     return PairOrderWitness(lower=lower, upper=upper, shift=shift, blocks=blocks)

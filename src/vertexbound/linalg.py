@@ -58,6 +58,13 @@ class ExactMatrix:
     # construction
 
     @classmethod
+    def _checked(cls, rows: int, cols: int, data: list) -> "ExactMatrix":
+        """A matrix over row dicts whose columns and values are already known good."""
+        matrix = object.__new__(cls)
+        matrix.rows, matrix.cols, matrix.data = rows, cols, data
+        return matrix
+
+    @classmethod
     def from_rows(cls, data, cols=None) -> "ExactMatrix":
         """Build from an iterable of rows (sequences of rationals).
 
@@ -66,18 +73,17 @@ class ExactMatrix:
         """
         data = [[c if type(c) is Q else as_rational(c, "a matrix entry") for c in row]
                 for row in data]
-        nrows = len(data)
-        if nrows == 0:
+        if not data:
             if cols is None:
                 raise InputShapeError("empty matrix needs an explicit column count")
-            ncols = cols
-        else:
-            ncols = len(data[0])
-            if cols is not None and cols != ncols:
-                raise InputShapeError("declared column count does not match rows")
-            if any(len(row) != ncols for row in data):
-                raise InputShapeError("ragged rows in matrix construction")
-        return cls(nrows, ncols, [{j: c for j, c in enumerate(row) if c} for row in data])
+            return cls(0, cols)
+        ncols = len(data[0])
+        if cols is not None and cols != ncols:
+            raise InputShapeError("declared column count does not match rows")
+        if any(len(row) != ncols for row in data):
+            raise InputShapeError("ragged rows in matrix construction")
+        # the values are checked above and the columns are in range(ncols)
+        return cls._checked(len(data), ncols, [{j: c for j, c in enumerate(row) if c} for row in data])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -125,7 +131,7 @@ class ExactMatrix:
                 for j, b in other.data[k].items():
                     acc[j] = acc.get(j, QZERO) + a * b
             out.append({j: c for j, c in acc.items() if c})
-        return ExactMatrix(self.rows, other.cols, out)
+        return ExactMatrix._checked(self.rows, other.cols, out)
 
     # ------------------------------------------------------------------
     # reduction
@@ -139,7 +145,7 @@ class ExactMatrix:
         the output canonical for a given matrix.
         """
         reduced, pivots = _eliminate(self.data, self.cols)
-        return ExactMatrix(self.rows, self.cols, reduced), pivots
+        return ExactMatrix._checked(self.rows, self.cols, reduced), pivots
 
     def rank(self) -> int:
         return len(_eliminate(self.data, self.cols)[1])
@@ -247,8 +253,11 @@ def primitive_row(row: dict) -> dict:
     """A sparse rational row as coprime integers, sign and support kept.
 
     The row is multiplied by the lcm of its denominators and divided by
-    the gcd of the results; zero entries are dropped.
+    the gcd of the results; zero entries are dropped.  An all-``int`` row,
+    as ``compare`` and ``join`` hand over, only loses its content.
     """
+    if all(type(c) is int for c in row.values()):
+        return _without_content({j: c for j, c in row.items() if c})
     scale = lcm(*(c.denominator for c in row.values()))
     return _without_content(
         {j: c.numerator * (scale // c.denominator) for j, c in row.items() if c.numerator}
@@ -285,9 +294,10 @@ class RowSpan:
 
     def reduce(self, vec) -> dict:
         """Residual of ``vec`` after elimination against the span."""
-        # entries that are already Fractions need no copy
+        # entries that are already Fractions need no copy, nor ints a type check
         residual = {j: q for j, c in enumerate(vec)
-                    if (q := c if type(c) is Q else as_rational(c, "a span entry"))}
+                    if (q := c if type(c) is Q else Q(c) if type(c) is int
+                        else as_rational(c, "a span entry"))}
         if len(vec) != self.width:
             raise InputShapeError("vector width does not match span")
         for pivot_col, row in self._rows:

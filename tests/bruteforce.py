@@ -609,6 +609,31 @@ def materialized_twist(data, c):
     )
 
 
+def scaled_join_series(joined, factors) -> dict:
+    """The series of ``joined = join(*factors)``, read by scaling and reducing.
+
+    At each level, every series key's paired row (each factor's images,
+    its factor applied, side by side) is reduced as ``Fraction``s against
+    the joined level span with ``RowSpan.reduce``.  It must leave no
+    residual (``AssertionError`` otherwise), and its coordinates are its
+    entries at the span's pivot columns; all-zero coordinates are left out.
+    """
+    factors = [p for p in factors if any(p.target.dim(n) for n in range(p.depth + 1))]
+    series = {}
+    for n in range(joined.depth + 1):
+        span = joined.target.spans[n]
+        for skey in dict.fromkeys(k for p in factors for k in p.series):
+            row = [c for p in factors
+                   for c in p.images(skey).get(n) or (Q(0),) * p.target.dim(n)]
+            if not any(row):
+                continue
+            assert not span.reduce(row), f"paired row of {skey} at level {n} is outside the span"
+            coords = tuple(row[col] for col in span.pivot_columns())
+            if any(coords):
+                series.setdefault(skey, {})[n] = coords
+    return series
+
+
 # ----------------------------------------------------------------------
 # correlator rewriting by the two moves, recursed plainly
 

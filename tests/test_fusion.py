@@ -13,6 +13,7 @@ from bruteforce import (
     fraction_gauss_jordan,
     materialized_twist,
     per_direction_witness,
+    scaled_join_series,
     sympy_rank,
 )
 from vertexbound import fusion, linalg
@@ -26,6 +27,7 @@ from vertexbound.fusion import (
     weight_support_check,
     zero_intertwiner,
 )
+from vertexbound.laurent import format_rational
 from vertexbound.modes import GradedVector, engine_for, mode_action
 from vertexbound.reduction import fusion_bound
 from vertexbound.voa import DirectSumModule, FockModule, HeisenbergVoa, LevelCapExceeded
@@ -352,6 +354,63 @@ def test_join_spans_equal_rational_elimination_of_the_paired_rows():
     _spans_match_fraction_elimination(join(h, zero), [h, zero])
     y1, y2 = direct_sum_pair()
     _spans_match_fraction_elimination(join(y1, y2), [y1, y2])
+
+
+def _join_cases():
+    """The factor lists of the joins this module builds, by shape."""
+    h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 4)
+    twists = [h.scale(Q(-3, 2)), h.scale(Q(5, 4))]
+    inner = join(*twists)
+    h3 = heisenberg_intertwiner(1, 2, 3)
+    zero = zero_intertwiner(h.source_left, h.source_right, 4)
+    return {
+        "twists": twists,
+        "three-way": [inner, h.scale(2)],
+        "with itself": [h, h],
+        "negated": [h3, h3.scale(-1)],
+        "twist of a join": [inner.scale(Q(5, 3)), h.scale(2)],
+        "materialized twists": [materialized_twist(h, 2), materialized_twist(h, Q(-3, 4))],
+        "zero datum": [h, zero],
+        # the constructor takes a factor of zero: its block is all zeros
+        "zero factor": [h.scale(2), IntertwinerData(
+            h.source_left, h.source_right, h.target, 4, 0, h.series, 0)],
+        "direct sums": direct_sum_pair(),
+    }
+
+
+@pytest.mark.parametrize("case", list(_join_cases()))
+def test_join_series_equal_scaled_rows_reduced_against_the_span(case):
+    factors = _join_cases()[case]
+    joined = join(*factors)
+    assert joined.series == scaled_join_series(joined, factors)
+    assert all(type(c) is Q for images in joined.series.values()
+               for coords in images.values() for c in coords)
+
+
+def test_join_refuses_a_paired_row_outside_its_span(monkeypatch):
+    # a level span that lost a basis row and is never saturated back
+    original = fusion._reduced_basis
+    monkeypatch.setattr(fusion, "_reduced_basis", lambda rows, parts: original(rows, parts)[:-1])
+    monkeypatch.setattr(fusion, "_saturate_spans", lambda *args: None)
+    h = heisenberg_intertwiner(1, 2, 3)
+    with pytest.raises(InternalInvariantViolation, match="escaped its own span"):
+        join(h, h.scale(2))
+
+
+def test_report_mode_indices_are_the_mode_index_of_each_key():
+    y1, y2 = direct_sum_pair()
+    for datum in (y1, y2, join(y1, y2)):
+        left, right = datum.source_left, datum.source_right
+        u_keys = {left.label(k): k for n in range(datum.depth + 1) for k in left.keys(n)}
+        w_keys = {right.label(k): k for n in range(datum.depth + 1) for k in right.keys(n)}
+        seen = 0
+        for mode in datum.to_json()["modes"]:
+            u_key, w_key = u_keys[mode["u"]], w_keys[mode["w"]]
+            for image in mode["images"]:
+                want = datum.mode_index(u_key, w_key, image["level"])
+                assert image["mode_index"] == format_rational(want)
+                seen += 1
+        assert seen
 
 
 # ----------------------------------------------------------------------
