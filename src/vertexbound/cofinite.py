@@ -83,7 +83,8 @@ class CmSubspace:
         for level in vec.levels():
             if level > self.depth:
                 raise TruncationError(f"level {level} exceeds the certified depth {self.depth}")
-            if not self.levels[level].span.contains(vec.components[level]):
+            row = {j: c for j, c in enumerate(vec.components[level]) if c}
+            if not self.levels[level].span.contains(row):
                 return False
         return True
 
@@ -118,7 +119,7 @@ def cm_level(module, m: int, n: int) -> CmLevel:
     enumeration stops once the span has rank ``dim M_(n)``.  This is
     exact: the rank cannot exceed the dimension, and the reduced echelon
     form of a full span is the identity whatever vectors built it, so
-    ranks and ``basis_rows()`` are unchanged.  No depth guard runs here.
+    ranks and ``span.rows()`` are unchanged.  No depth guard runs here.
     """
     dim_n = module.dim(n)
     span = RowSpan(dim_n)
@@ -197,12 +198,10 @@ def _greedy_level_complement(module, span: RowSpan, level: int, needed: int) -> 
     if not needed:
         return []
     chosen = []
-    for key in module.keys(level):
+    for index, key in enumerate(module.keys(level)):
         if len(chosen) == needed:
             break
-        unit = [QZERO] * module.dim(level)
-        unit[module.index(key)] = QONE
-        if span.add(tuple(unit)):
+        if span.add({index: QONE}):
             chosen.append(key)
     if len(chosen) != needed:
         raise InternalInvariantViolation(
@@ -395,8 +394,8 @@ def nilpotency_report(module, depth: int | None = None) -> NilpotencyReport:
                 raw_combine(image, engine.apply_word(word, 1, key), coeff)
             # L(0) - wt: the weight comes off the diagonal entry
             raw_acc(image, key, -module.weight_of(key))
-            for out_key, coeff in image.items():
-                data[module.index(out_key)][col] = coeff
+            for row, coeff in module.coords(image, n).items():
+                data[row][col] = coeff
         nil = ExactMatrix(dim_n, dim_n, data)
         order = 1
         power = nil

@@ -26,7 +26,7 @@ from .errors import (
     IrregularSingularity,
     LogDepthExceeded,
 )
-from .laurent import Q, QONE, QZERO, format_rational
+from .laurent import Q, QONE, QZERO, as_rational, format_rational
 from .linalg import ExactMatrix, primitive_row
 from .reduction import OdeSystem
 
@@ -333,7 +333,7 @@ def frobenius_series(system: OdeSystem, exponent, depth: int,
     """
     if depth < 0:
         raise InputShapeError("depth must be non-negative")
-    rho = Q(exponent)
+    rho = as_rational(exponent, "the exponent")
     data = indicial_exponents(system)
     expected = sum(data.multiplicity(rho + k) for k in range(depth + 1))
     if expected == 0:

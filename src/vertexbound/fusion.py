@@ -35,7 +35,7 @@ comparisons eliminate numerators and scale just the reduced basis rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from math import factorial, lcm
 
 from .errors import InputShapeError, InternalInvariantViolation
@@ -272,10 +272,7 @@ class IntertwinerData:
 
     def series_vector(self, u_key, w_key, j: int, target_level: int) -> GradedVector:
         coords = self.images((u_key, w_key, j)).get(target_level)
-        if not coords or not any(coords):
-            return GradedVector.zero(self.target)
-        raw = self.target.from_coords(coords, target_level)
-        return GradedVector.from_raw(self.target, raw)
+        return GradedVector(self.target, {target_level: coords} if coords else {})
 
     def _as_source_vector(self, value, module) -> GradedVector:
         if isinstance(value, GradedVector):
@@ -301,7 +298,7 @@ class IntertwinerData:
         """
         u = self._as_source_vector(u, self.source_left)
         w = self._as_source_vector(w, self.source_right)
-        m = Q(m)
+        m = as_rational(m, "the mode index")
         truncated = u.truncated or w.truncated
         raw = {}
         for u_key, w_key, coeff, entry in self._pairs(u, w, j):
@@ -321,18 +318,26 @@ class IntertwinerData:
         """The pairing <theta, Y(u, z) w> as a Laurent polynomial.
 
         ``theta`` is a functional on the truncated target given as
-        ``{level: coefficient tuple}``.  Powers are relative to the
-        overall z^(h_T - h_U - h_W): the level-t image of a pair at
-        source levels (lu, lw) lands on z^(t - lu - lw).  Coefficients
-        beyond the truncation window are absent, not zero.
+        ``{level: coefficient tuple}``, one coefficient per basis vector of
+        a level in ``0..depth``; anything else is refused.  Powers are
+        relative to the overall z^(h_T - h_U - h_W): the level-t image of
+        a pair at source levels (lu, lw) lands on z^(t - lu - lw).
+        Coefficients beyond the truncation window are absent, not zero.
         """
         u = self._as_source_vector(u, self.source_left)
         w = self._as_source_vector(w, self.source_right)
+        functional = {}
+        for level, coeffs in theta.items():
+            if not (type(level) is int and 0 <= level <= self.depth):
+                raise InputShapeError(f"functional level {level!r} outside 0..{self.depth}")
+            if len(coeffs) != self.target.dim(level):
+                raise InputShapeError(f"functional level {level} needs one value per basis vector")
+            functional[level] = [as_rational(d, "a functional coefficient") for d in coeffs]
         terms = []
         for u_key, w_key, coeff, entry in self._pairs(u, w, j):
             base = self.source_left.level_of(u_key) + self.source_right.level_of(w_key)
             for level, coords in entry.items():
-                value = sum(c * Q(d) for c, d in zip(coords, theta.get(level, ())) if c and d)
+                value = sum(c * d for c, d in zip(coords, functional.get(level, ())) if c and d)
                 if value:
                     terms.append((level - base, coeff * value))
         return LaurentPoly(terms)
@@ -348,7 +353,7 @@ class IntertwinerData:
             for key in sorted(self.series):
                 coords = self.series[key].get(n)
                 if coords:
-                    span.add(coords)
+                    span.add({j: c for j, c in enumerate(coords) if c})
                 if span.rank == dim:
                     break
             out[n] = (span.rank, dim)
@@ -516,14 +521,14 @@ class SpanModule(BaseRealization):
     def label(self, key) -> str:
         return f"s{key[0]}.{key[1]}"
 
-    def coords_in_span(self, ambient_coords, level: int):
-        """Span coordinates of an ambient vector, or None if outside."""
+    def coords_in_span(self, row: dict, level: int):
+        """Span coordinates of an ambient ``{col: value}`` row, or None if outside."""
         span = self.spans.get(level)
         if span is None:
             raise InputShapeError(f"level {level} exceeds the span cap {self.depth}")
-        if span.reduce(ambient_coords):
+        if span.reduce(row):
             return None
-        return tuple(ambient_coords[p] for p in span.pivot_columns())
+        return tuple(row.get(p, QZERO) for p in span.pivot_columns())
 
     def apply_gen(self, k: int, key) -> dict:
         n, i = key
@@ -536,8 +541,6 @@ class SpanModule(BaseRealization):
                 f"span basis is only stored up to level {self.depth}"
             )
         image = _row_image(self.ambient, self.ambient.keys(n), self.spans[n].rows()[i], k, n2)
-        if image is None:
-            return {}
         coords = self.coords_in_span(image, n2)
         if coords is None:
             raise InternalInvariantViolation(
@@ -546,17 +549,14 @@ class SpanModule(BaseRealization):
         return {(n2, idx): c for idx, c in enumerate(coords) if c}
 
 
-def _row_image(ambient, keys: tuple, row: dict, k: int, n2: int):
-    """Generator mode k on the sparse ambient row over the level basis ``keys``.
-
-    Returns the level-``n2`` coordinates of the image, or None when the
-    image vanishes.
-    """
+def _row_image(ambient, keys: tuple, row: dict, k: int, n2: int) -> dict:
+    """Generator mode k on the sparse ambient row over the level basis ``keys``,
+    as a sparse row over level ``n2``."""
     raw = {}
     for col, c in row.items():
         for rk, rc in ambient.apply_gen(k, keys[col]).items():
             raw_acc(raw, rk, c * rc)
-    return ambient.coords(raw, n2) if raw else None
+    return ambient.coords(raw, n2)
 
 
 def _saturate_spans(spans: dict, ambient, depth: int) -> None:
@@ -578,39 +578,34 @@ def _saturate_spans(spans: dict, ambient, depth: int) -> None:
                     if spans[n2].rank == spans[n2].width:
                         continue  # a full span cannot grow
                     image = _row_image(ambient, keys, row, k, n2)
-                    if image is not None and spans[n2].add(image):
+                    if image and spans[n2].add(image):
                         changed = True
 
 
 def _paired_rows(parts: list):
     """``(skey, row)`` for each series key with a nonzero paired row.
 
-    ``parts`` lists ``(datum, level)``; the row of a key concatenates each
-    datum's stored numerators at its level, zero where it records none.
+    ``parts`` lists ``(datum, level)``; the sparse row of a key puts each
+    datum's stored numerators at its level after the columns of the
+    datums before it.
     """
-    zeros = [(QZERO,) * datum.target.dim(level) for datum, level in parts]
+    offsets = list(accumulate((datum.target.dim(level) for datum, level in parts), initial=0))
     for skey in dict.fromkeys(k for datum, _ in parts for k in datum.series):
-        row = tuple(c for (datum, level), zero in zip(parts, zeros)
-                    for c in datum.series.get(skey, {}).get(level) or zero)
-        if any(row):
+        row = {offset + j: c
+               for (datum, level), offset in zip(parts, offsets)
+               for j, c in enumerate(datum.series.get(skey, {}).get(level, ())) if c}
+        if row:
             yield skey, row
 
 
-def _scaled(row, parts) -> tuple:
-    """A paired row of ``parts`` with each datum's block times its factor."""
-    factors = [datum.factor for datum, level in parts for _ in range(datum.target.dim(level))]
-    return tuple(f * c for f, c in zip(factors, row))
-
-
-def _reduced_basis(rows, parts) -> list:
+def _reduced_basis(rows: list, parts: list) -> list:
     """Rows spanning the paired coefficients of ``parts``, from one elimination
-    of the numerator ``rows``, handed to the kernel as sparse int row dicts
-    without conversion; a block scalar keeps the rank, so only the reduced
-    rows are scaled, and callers reduce them again."""
-    width = sum(datum.target.dim(level) for datum, level in parts)
-    data = [{j: c for j, c in enumerate(row) if c} for row in rows]
-    reduced, pivots = ExactMatrix(len(data), width, data).rref()
-    return [_scaled(reduced.row(i), parts) for i in range(len(pivots))]
+    of the sparse numerator ``rows``, handed to the kernel without
+    conversion; a block scalar keeps the rank, so only the reduced rows
+    are scaled, and callers reduce them again."""
+    factors = [datum.factor for datum, level in parts for _ in range(datum.target.dim(level))]
+    reduced, pivots = ExactMatrix(len(rows), len(factors), rows).rref()
+    return [{j: factors[j] * c for j, c in reduced.data[i].items()} for i in range(len(pivots))]
 
 
 def _numerator_coords(span: RowSpan, parts: list, rows: dict) -> dict:
@@ -622,7 +617,7 @@ def _numerator_coords(span: RowSpan, parts: list, rows: dict) -> dict:
     j; its coordinates are the s_{p_i}.  Over one common denominator den
     the check reads a_j r_j = sum_i r_{p_i} c_ij with a_j = den f_j and
     c_ij = den f_{p_i} B_ij integers, so no scaled row is built.  Rows
-    of ``Fraction``s (a join's own series, factor 1) take the same exact
+    of ``Fraction``s (a datum stored with factor 1) take the same exact
     route.
     """
     factors = [datum.factor for datum, level in parts for _ in range(datum.target.dim(level))]
@@ -635,9 +630,10 @@ def _numerator_coords(span: RowSpan, parts: list, rows: dict) -> dict:
               for j, col in zip(free, weights)]
     out = {}
     for skey, row in rows.items():
-        if any(a * row[j] != sum(row[p] * c for p, c in terms) for j, a, terms in checks):
+        if any(a * row.get(j, 0) != sum(row.get(p, 0) * c for p, c in terms)
+               for j, a, terms in checks):
             raise InternalInvariantViolation("paired coefficient escaped its own span")
-        out[skey] = tuple(factors[p] * row[p] for p in pivots)
+        out[skey] = tuple(factors[p] * row.get(p, 0) for p in pivots)
     return out
 
 
@@ -668,7 +664,9 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
     checked against the closed span and expressed in it on its numerators
     (``_numerator_coords``): the membership check is still made at run
     time, in integers, and a row outside the span raises
-    ``InternalInvariantViolation``.  The result carries the factor 1.
+    ``InternalInvariantViolation``.  The result keeps the coordinates as
+    ``int`` numerators over the factor 1/D, D the lcm of their
+    denominators, so a further join eliminates integers again.
     """
     _require_matching_sources(p1, p2)
     depth = p1.depth
@@ -691,17 +689,20 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
         parts[n] = [(p, n) for p in factors]
         paired[n] = dict(_paired_rows(parts[n]))
         spans[n] = RowSpan(ambient.dim(n))
-        for row in _reduced_basis(paired[n].values(), parts[n]):
+        for row in _reduced_basis(list(paired[n].values()), parts[n]):
             spans[n].add(row)
     _saturate_spans(spans, ambient, depth)
-    series = {}
+    coords = {}
     for n, rows in paired.items():
         for skey, expressed in _numerator_coords(spans[n], parts[n], rows).items():
             if any(expressed):
-                series.setdefault(skey, {})[n] = expressed
-    return IntertwinerData(
-        p1.source_left, p1.source_right, SpanModule(ambient, spans, depth), depth, j_max, series,
-    )
+                coords.setdefault(skey, {})[n] = expressed
+    den = lcm(*(c.denominator for levels in coords.values() for v in levels.values() for c in v))
+    series = {skey: {n: tuple(c.numerator * (den // c.denominator) for c in vec)
+                     for n, vec in levels.items()}
+              for skey, levels in coords.items()}
+    target = SpanModule(ambient, spans, depth)
+    return IntertwinerData(p1.source_left, p1.source_right, target, depth, j_max, series, Q(1, den))
 
 
 # ----------------------------------------------------------------------
@@ -727,19 +728,15 @@ class PairOrderWitness:
             raise InputShapeError("witness applies to vectors of the upper target")
         low = self.lower.target
         truncated = vec.truncated
-        raw = {}
+        components = {}
         for n in vec.levels():
             block = self.blocks.get(n)
             if block is None:
                 if self.shift is not None and n + self.shift > low.depth:
                     truncated = True
                 continue
-            image = block.matvec(list(vec.coords_at(n)))
-            keys = low.keys(n + self.shift)
-            for i, c in enumerate(image):
-                if c:
-                    raw_acc(raw, keys[i], c)
-        return GradedVector.from_raw(low, raw, truncated)
+            components[n + self.shift] = block.matvec(vec.coords_at(n))
+        return GradedVector(low, components, truncated)
 
     def verify(self) -> bool:
         """Recheck f . Y_upper = Y_lower on every recorded coefficient."""
@@ -833,8 +830,9 @@ class _AlignedRowSpaces:
     def basis(self, upper: IntertwinerData, n: int, t: int) -> list:
         """Basis rows ``[c_up | c_low]`` at level n of ``upper`` and t of the other."""
         if upper is not self.second:
-            d2 = self.second.target.dim(t)
-            return [row[d2:] + row[:d2] for row in self.basis(self.second, t, n)]
+            d1, d2 = self.first.target.dim(n), self.second.target.dim(t)
+            return [{j - d2 if j >= d2 else j + d1: c for j, c in row.items()}
+                    for row in self.basis(self.second, t, n)]
         if (n, t) not in self._bases:
             parts = [(self.second, n), (self.first, t)]
             self._bases[(n, t)] = _reduced_basis([row for _, row in _paired_rows(parts)], parts)
@@ -884,7 +882,8 @@ def _solve_witness(lower: IntertwinerData, upper: IntertwinerData, spaces: _Alig
         if not (up_t.dim(n) and 0 <= t <= low_t.depth and low_t.dim(t)):
             continue
         d1, d2 = low_t.dim(t), up_t.dim(n)
-        reduced, pivots = ExactMatrix.from_rows(spaces.basis(upper, n, t), d1 + d2).rref()
+        basis = spaces.basis(upper, n, t)
+        reduced, pivots = ExactMatrix(len(basis), d1 + d2, basis).rref()
         if any(col >= d2 for _, col in pivots):
             return None
         if len(pivots) < d2:
@@ -961,7 +960,7 @@ def compare(p1: IntertwinerData, p2: IntertwinerData) -> ComparisonResult:
 
 def weight_support_check(data: IntertwinerData, reference) -> bool:
     """True when every realized target weight lies in some a_i + N."""
-    refs = [Q(a) for a in reference]
+    refs = [as_rational(a, "a reference weight") for a in reference]
     for n in range(data.target.depth + 1):
         for key in data.target.keys(n):
             w = data.target.weight_of(key)

@@ -86,7 +86,7 @@ class LaurentPoly:
             for power, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 if not isinstance(power, int):
                     raise InputShapeError(f"exponent must be an integer, got {power!r}")
-                c = Q(coeff)
+                c = coeff if type(coeff) is Q else as_rational(coeff, "a Laurent coefficient")
                 if c:
                     data[power] = data.get(power, QZERO) + c
                     if not data[power]:
@@ -103,7 +103,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, power: int, coeff=QONE) -> "LaurentPoly":
-        return cls({power: Q(coeff)})
+        return cls({power: coeff})
 
     @property
     def terms(self) -> dict:
@@ -157,7 +157,7 @@ class LaurentPoly:
         return result
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, LaurentPoly) else LaurentPoly({0: -Q(other)}))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -205,7 +205,7 @@ class LaurentPoly:
 
     def __call__(self, value) -> Q:
         """Evaluate at a nonzero exact rational point."""
-        x = Q(value)
+        x = as_rational(value, "an evaluation point")
         if not x and self.min_exponent() is not None and self.min_exponent() < 0:
             raise InputShapeError("cannot evaluate a pole at z = 0")
         total = QZERO

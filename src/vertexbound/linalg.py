@@ -5,18 +5,22 @@ leftmost available pivot column and, among rows with a nonzero entry in
 that column, the smallest row index.  Rank, reduced row echelon form,
 nullspace bases, and solutions are therefore reproducible across runs.
 
-:class:`ExactMatrix` is built from, and hands out, one sparse ``{col: value}``
-dict per row, the format its one integer kernel, :func:`_eliminate`, works
-on: rows become primitive integer rows, elimination is fraction-free, and
-only the finished pivot rows are divided by their pivots, which is where
-the result becomes the (unique) reduced row echelon form again.
+:class:`ExactMatrix` and :class:`RowSpan` take the same rows: one sparse
+``{col: value}`` dict of nonzero entries per row, the format the one
+integer kernel, :func:`_eliminate`, works on.  There rows become
+primitive integer rows, elimination is fraction-free, and only the
+finished pivot rows are divided by their pivots, which is where the
+result becomes the (unique) reduced row echelon form again.
 :class:`RowSpan` keeps its rows as ``Fraction`` dicts: it serves many
 short membership queries, for which converting to integers and back
-costs more than it saves.  Both accept ``int`` input (raw mode-engine
-coefficients), which an ``ExactMatrix`` keeps as given until it is
-eliminated or multiplied, compute only ``Fraction`` values, and refuse
-any other input (a ``float``, a string) with :class:`InputShapeError`
-rather than reading it as the rational it happens to round to.
+costs more than it saves.  Dense tuples are only vectors: the
+arguments of ``matvec`` and ``solve`` and the vectors they and
+``nullspace`` return.  Both classes accept ``int`` entries (raw
+mode-engine coefficients), which an ``ExactMatrix`` keeps as given until
+it is eliminated or multiplied, compute only ``Fraction`` values, and
+refuse a column outside the width or any other value (a ``float``, a
+string) with :class:`InputShapeError` rather than reading it as the
+rational it happens to round to.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ class ExactMatrix:
     ``data`` holds one sparse ``{col: value}`` dict of nonzero entries per
     row; it is read, never changed.  The constructor takes those rows as
     they are, ``int`` values unconverted, and refuses any other value or
-    a column outside ``range(cols)``; :meth:`from_rows` takes dense rows.
-    Every matrix a method hands out holds ``Fraction`` values only.
+    a column outside ``range(cols)``.  Every matrix a method hands out
+    holds ``Fraction`` values only.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -65,27 +69,6 @@ class ExactMatrix:
         return matrix
 
     @classmethod
-    def from_rows(cls, data, cols=None) -> "ExactMatrix":
-        """Build from an iterable of rows (sequences of rationals).
-
-        ``cols`` is only needed when ``data`` is empty.  Entries that are
-        already ``Fraction`` objects are kept as given; ints are converted.
-        """
-        data = [[c if type(c) is Q else as_rational(c, "a matrix entry") for c in row]
-                for row in data]
-        if not data:
-            if cols is None:
-                raise InputShapeError("empty matrix needs an explicit column count")
-            return cls(0, cols)
-        ncols = len(data[0])
-        if cols is not None and cols != ncols:
-            raise InputShapeError("declared column count does not match rows")
-        if any(len(row) != ncols for row in data):
-            raise InputShapeError("ragged rows in matrix construction")
-        # the values are checked above and the columns are in range(ncols)
-        return cls._checked(len(data), ncols, [{j: c for j, c in enumerate(row) if c} for row in data])
-
-    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, n, [{i: QONE} for i in range(n)])
 
@@ -96,12 +79,6 @@ class ExactMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise InputShapeError(f"index {(i, j)} outside {self.rows}x{self.cols}")
         return self.data[i].get(j, QZERO)
-
-    def row(self, i: int) -> tuple:
-        return tuple(self.entry(i, j) for j in range(self.cols))
-
-    def to_lists(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -275,13 +252,17 @@ def _without_content(row: dict) -> dict:
 class RowSpan:
     """An incrementally maintained row space in reduced echelon form.
 
-    Supports exact membership queries and rank bookkeeping while basis
-    vectors stream in; used for spanning-set and complement computations
-    where re-reducing from scratch per vector would be wasteful.
+    Supports exact membership queries and rank bookkeeping while rows
+    stream in; used for spanning-set and complement computations where
+    reducing all rows again for each new one would be wasteful.  It
+    takes the rows an :class:`ExactMatrix` stores, ``{col: value}``
+    dicts, and refuses a column outside ``range(width)`` or a value that
+    is not an ``int`` or a ``Fraction``.
     """
 
     def __init__(self, width: int):
         self.width = width
+        self._columns = frozenset(range(width))
         self._rows = []  # list of (pivot_col, sparse row dict with pivot 1)
 
     @property
@@ -292,19 +273,19 @@ class RowSpan:
         """Leading columns of the reduced rows, ascending."""
         return tuple(col for col, _ in self._rows)
 
-    def reduce(self, vec) -> dict:
-        """Residual of ``vec`` after elimination against the span."""
+    def reduce(self, row: dict) -> dict:
+        """Residual of the row ``row`` after elimination against the span."""
+        if not self._columns.issuperset(row):
+            raise InputShapeError(f"a row has columns outside range({self.width})")
         # entries that are already Fractions need no copy, nor ints a type check
-        residual = {j: q for j, c in enumerate(vec)
+        residual = {j: q for j, c in row.items()
                     if (q := c if type(c) is Q else Q(c) if type(c) is int
                         else as_rational(c, "a span entry"))}
-        if len(vec) != self.width:
-            raise InputShapeError("vector width does not match span")
-        for pivot_col, row in self._rows:
+        for pivot_col, reduced in self._rows:
             factor = residual.get(pivot_col)
             if not factor:
                 continue
-            for j, c in row.items():
+            for j, c in reduced.items():
                 s = residual.get(j, QZERO) - factor * c
                 if s:
                     residual[j] = s
@@ -312,28 +293,28 @@ class RowSpan:
                     residual.pop(j, None)
         return residual
 
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec)
+    def contains(self, row: dict) -> bool:
+        return not self.reduce(row)
 
-    def add(self, vec) -> bool:
-        """Add a vector; returns True when it enlarged the span."""
-        residual = self.reduce(vec)
+    def add(self, row: dict) -> bool:
+        """Add a row; returns True when it enlarged the span."""
+        residual = self.reduce(row)
         if not residual:
             return False
         pivot_col = min(residual)
         inv = QONE / residual[pivot_col]
-        row = {j: c * inv for j, c in residual.items()}
+        new = {j: c * inv for j, c in residual.items()}
         for _, existing in self._rows:
             factor = existing.get(pivot_col)
             if not factor:
                 continue
-            for j, c in row.items():
+            for j, c in new.items():
                 s = existing.get(j, QZERO) - factor * c
                 if s:
                     existing[j] = s
                 else:
                     existing.pop(j, None)
-        self._rows.append((pivot_col, row))
+        self._rows.append((pivot_col, new))
         self._rows.sort(key=lambda item: item[0])
         return True
 
@@ -343,13 +324,3 @@ class RowSpan:
         They are copies, so a caller may add to the span while it walks them.
         """
         return [dict(row) for _, row in self._rows]
-
-    def basis_rows(self) -> list:
-        """Current reduced rows as coordinate tuples, by pivot column."""
-        out = []
-        for _, row in self._rows:
-            vec = [QZERO] * self.width
-            for j, c in row.items():
-                vec[j] = c
-            out.append(tuple(vec))
-        return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import InputShapeError, TruncationError
-from .laurent import Q, QONE, QZERO, binomial
+from .laurent import Q, QONE, QZERO, as_rational, binomial
 from .voa import LevelCapExceeded, raw_acc, raw_combine
 
 
@@ -43,7 +43,7 @@ class GradedVector:
         clean = {}
         if components:
             for level, coords in components.items():
-                coords = tuple(Q(c) for c in coords)
+                coords = tuple(c if type(c) is Q else as_rational(c, "a coordinate") for c in coords)
                 if len(coords) != module.dim(level):
                     raise InputShapeError(
                         f"level {level} of {module.describe()} has dimension "
@@ -68,11 +68,12 @@ class GradedVector:
 
     @classmethod
     def from_raw(cls, module, raw: dict, truncated=False) -> "GradedVector":
-        """Bucket a raw key-to-coefficient dict by level.
+        """Bucket a raw key-to-coefficient dict by level into coordinate tuples.
 
-        Nonzero content above the module depth is dropped and flagged.
+        The one place a raw element is made dense (elimination rows take
+        ``module.coords``).  Content above the module depth is dropped and flagged.
         """
-        by_level = {}
+        components = {}
         for key, coeff in raw.items():
             if not coeff:
                 continue
@@ -80,10 +81,9 @@ class GradedVector:
             if level > module.depth:
                 truncated = True
                 continue
-            by_level.setdefault(level, {})[key] = coeff
-        components = {
-            level: module.coords(part, level) for level, part in by_level.items()
-        }
+            if level not in components:
+                components[level] = [QZERO] * module.dim(level)
+            components[level][module.index(key)] = coeff
         return cls(module, components, truncated)
 
     def to_raw(self) -> dict:
@@ -153,7 +153,7 @@ class GradedVector:
         return self.scale(-1)
 
     def scale(self, factor) -> "GradedVector":
-        factor = Q(factor)
+        factor = factor if type(factor) is Q else as_rational(factor, "a vector scale")
         result = GradedVector(self.module, truncated=self.truncated)
         if factor:
             result.components = {

@@ -51,7 +51,7 @@ from .errors import (
     InternalInvariantViolation,
     TruncationError,
 )
-from .laurent import LaurentPoly, Q, QONE
+from .laurent import LaurentPoly, QONE, as_rational
 from .linalg import ExactMatrix
 from .modes import GradedVector, engine_for, mode_action, omega_vector
 
@@ -91,9 +91,8 @@ class _SpanningSolver:
         rows = [{} for _ in range(module.dim(n))]
         for j, (v_key, a_key) in enumerate(pair_keys):
             image = engine_for(module).apply_word(v_key, -1, a_key)
-            for i, c in enumerate(module.coords(image, n)):
-                if c:
-                    rows[i][j] = c
+            for i, c in module.coords(image, n).items():
+                rows[i][j] = c
         comp_at_level = [
             (idx, key) for idx, (lv, key) in enumerate(self._labels) if lv == n
         ]
@@ -231,7 +230,7 @@ class CorrelatorCombination:
                 self._entries[key] = merged
 
     def scale(self, factor) -> "CorrelatorCombination":
-        factor = Q(factor)
+        factor = as_rational(factor, "a correlator scale")
         out = CorrelatorCombination(self.left_basis, self.right_basis)
         if factor:
             for key, poly in self._entries.items():

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputShapeError
-from .laurent import Q, QONE, QZERO, format_rational
+from .laurent import Q, QONE, QZERO, as_rational, format_rational
 from .linalg import ExactMatrix, RowSpan
 
 
@@ -158,7 +158,8 @@ def level2_singular_vector(central_charge, highest_weight) -> tuple:
     ``c = 2h(5 - 8h) / (2h + 1)``; constructing a quotient verifies that
     and rejects parameters off the curve.
     """
-    h = Q(highest_weight)
+    as_rational(central_charge, "a central charge")
+    h = as_rational(highest_weight, "a highest weight")
     return (((1, 1), QONE), ((2,), -Q(2) * (2 * h + 1) / 3))
 
 
@@ -182,32 +183,34 @@ class BaseRealization:
     def dim(self, n: int) -> int:
         return len(self.keys(n))
 
-    def index(self, key) -> int:
-        """Position of ``key`` in the ordered basis of its level."""
-        level = self.level_of(key)
+    def _positions(self, level: int) -> dict:
+        """``{key: position}`` over the ordered basis of one level."""
         table = self._index_cache.get(level)
         if table is None:
             table = {k: i for i, k in enumerate(self.keys(level))}
             self._index_cache[level] = table
+        return table
+
+    def index(self, key) -> int:
+        """Position of ``key`` in the ordered basis of its level."""
         try:
-            return table[key]
+            return self._positions(self.level_of(key))[key]
         except KeyError:
             raise InputShapeError(f"{key!r} is not a basis key of {self.describe()}")
 
-    def coords(self, raw: dict, level: int) -> tuple:
-        """Coordinates of a raw element over the level's ordered basis."""
-        vec = [QZERO] * self.dim(level)
+    def coords(self, raw: dict, level: int) -> dict:
+        """The sparse row ``{position: coeff}`` of a raw element over the level's
+        ordered basis, nonzero coefficients kept as given; a key not at ``level``
+        is refused."""
+        table = self._positions(level)
+        out = {}
         for key, coeff in raw.items():
-            if self.level_of(key) != level:
-                raise InputShapeError("raw element is not homogeneous at the requested level")
-            vec[self.index(key)] = coeff
-        return tuple(vec)
-
-    def from_coords(self, coords, level: int) -> dict:
-        keys = self.keys(level)
-        if len(coords) != len(keys):
-            raise InputShapeError("coordinate length does not match the level dimension")
-        return {keys[i]: Q(c) for i, c in enumerate(coords) if c}
+            position = table.get(key)
+            if position is None:
+                raise InputShapeError(f"{key!r} is not a basis key at level {level}")
+            if coeff:
+                out[position] = coeff
+        return out
 
     def describe(self) -> str:
         return self.spec.describe()
@@ -331,7 +334,7 @@ class FockModule(_OscillatorAction, _PartitionBasis):
             raise InputShapeError("Fock modules require a Heisenberg algebra")
         super().__init__(voa.depth if depth is None else depth)
         self.voa = voa
-        self.charge = Q(charge)
+        self.charge = as_rational(charge, "a Fock charge")
         self.lowest_weight = self.charge * self.charge / 2
         self.spec = ModuleSpec(kind="fock", charge=self.charge)
 
@@ -354,7 +357,7 @@ class VirasoroVoa(_VirasoroAction, _PartitionBasis):
     def __init__(self, central_charge, depth: int):
         super().__init__(depth)
         self.voa = self
-        self.central_charge = Q(central_charge)
+        self.central_charge = as_rational(central_charge, "a central charge")
         self.lowest_weight = QZERO
         self.spec = VoaSpec(kind="virasoro", central_charge=self.central_charge)
         self.vacuum_key = ()
@@ -383,7 +386,7 @@ class VermaModule(_VirasoroAction, _PartitionBasis):
         super().__init__(voa.depth if depth is None else depth)
         self.voa = voa
         self.central_charge = voa.central_charge
-        self.highest_weight = Q(highest_weight)
+        self.highest_weight = as_rational(highest_weight, "a highest weight")
         self.lowest_weight = self.highest_weight
         self.spec = ModuleSpec(kind="verma", highest_weight=self.highest_weight)
         self._L_cache = {}
@@ -421,7 +424,8 @@ class _QuotientBasis(BaseRealization):
         self._levels = {}
         self._singular = []
         for vector in singular_vectors:
-            raw = {tuple(partition): Q(coeff) for partition, coeff in dict(vector).items()}
+            raw = {tuple(partition): as_rational(coeff, "a singular-vector coefficient")
+                   for partition, coeff in dict(vector).items()}
             self._validate_singular(raw)
             self._singular.append(raw)
 
@@ -600,11 +604,8 @@ def mode_matrix(module, k: int, src: int, dst: int) -> ExactMatrix:
     keys = module.keys(src)
     data = [{} for _ in range(module.dim(dst))]
     for c, key in enumerate(keys):
-        raw = module.apply_gen(k, key)
-        if raw:
-            for r, value in enumerate(module.coords(raw, dst)):
-                if value:
-                    data[r][c] = value
+        for r, value in module.coords(module.apply_gen(k, key), dst).items():
+            data[r][c] = value
     return ExactMatrix(len(data), len(keys), data)
 
 

@@ -134,6 +134,17 @@ def dense_matvec(a: list, vec) -> tuple:
     return tuple(sum((Q(x) * Q(v) for x, v in zip(row, vec)), Q(0)) for row in a)
 
 
+def sparse(vec) -> dict:
+    """A dense vector as the ``{col: value}`` row that ``ExactMatrix`` and
+    ``RowSpan`` take: nonzero entries only, values kept as given."""
+    return {j: c for j, c in enumerate(vec) if c}
+
+
+def dense(row: dict, width: int) -> tuple:
+    """A ``{col: value}`` row as a dense tuple, values kept as given, zeros ``Fraction(0)``."""
+    return tuple(row.get(j, Q(0)) for j in range(width))
+
+
 # ----------------------------------------------------------------------
 # free boson oracle: position-sum mode action on partition states
 
@@ -469,15 +480,26 @@ def _dict_matmul(a: dict, b: dict) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
+def dense_coords(module, raw: dict, level: int) -> tuple:
+    """Coordinates of a raw element over ``module.keys(level)``, found by a
+    search of the key list; a key not at ``level`` fails an assertion."""
+    keys = list(module.keys(level))
+    vec = [Q(0)] * len(keys)
+    for key, coeff in raw.items():
+        assert key in keys, f"{key!r} is not a basis key of level {level}"
+        vec[keys.index(key)] += coeff
+    return tuple(vec)
+
+
 def _generator_matrix(module, k: int, src: int, dst: int) -> dict:
     """The generator mode k from level src to level dst, as a sparse dict."""
     out = {}
     for c, key in enumerate(module.keys(src)):
         raw = module.apply_gen(k, key)
         if raw:
-            for r, value in enumerate(module.coords(raw, dst)):
+            for r, value in enumerate(dense_coords(module, raw, dst)):
                 if value:
-                    out[(r, c)] = Q(value)
+                    out[(r, c)] = value
     return out
 
 
@@ -582,9 +604,9 @@ def per_direction_witness(lower, upper):
     return PairOrderWitness(
         lower=lower, upper=upper, shift=shift,
         blocks={
-            n: ExactMatrix.from_rows(
-                [[entries.get((i, j), Q(0)) for j in range(up_t.dim(n))]
-                 for i in range(low_t.dim(n + shift))], up_t.dim(n))
+            n: ExactMatrix(low_t.dim(n + shift), up_t.dim(n), [
+                sparse([entries.get((i, j), Q(0)) for j in range(up_t.dim(n))])
+                for i in range(low_t.dim(n + shift))])
             for n, entries in blocks.items()
         },
     )
@@ -627,7 +649,7 @@ def scaled_join_series(joined, factors) -> dict:
                    for c in p.images(skey).get(n) or (Q(0),) * p.target.dim(n)]
             if not any(row):
                 continue
-            assert not span.reduce(row), f"paired row of {skey} at level {n} is outside the span"
+            assert not span.reduce(sparse(row)), f"paired row of {skey} at level {n} is outside the span"
             coords = tuple(row[col] for col in span.pivot_columns())
             if any(coords):
                 series.setdefault(skey, {})[n] = coords

@@ -133,7 +133,7 @@ def c1_perp_functionals(module, depth):
     cm = build_cm(module, 1, depth)
     out = []
     for t in range(depth + 1):
-        rows = list(cm.levels[t].span.basis_rows())
+        rows = cm.levels[t].span.rows()
         dim_t = module.dim(t)
         if not rows:
             for i in range(dim_t):
@@ -141,7 +141,7 @@ def c1_perp_functionals(module, depth):
                 unit[i] = Q(1)
                 out.append((t, tuple(unit)))
             continue
-        for vec in ExactMatrix.from_rows(rows, cols=dim_t).nullspace():
+        for vec in ExactMatrix(len(rows), dim_t, rows).nullspace():
             out.append((t, tuple(vec)))
     return out
 

@@ -24,17 +24,21 @@ from pathlib import Path
 
 import pytest
 
-from bruteforce import heisenberg_word_mode
+from bruteforce import dense, heisenberg_word_mode
 from vertexbound import cli, fusion
 from vertexbound.cofinite import build_cm
 from vertexbound.errors import InputShapeError, InternalInvariantViolation
+from vertexbound.frobenius import frobenius_series
+from vertexbound.laurent import LaurentPoly
 from vertexbound.linalg import ExactMatrix, RowSpan
 from vertexbound.modes import GradedVector, engine_for, mode_action, omega_vector
+from vertexbound.reduction import CorrelatorCombination, OdeSystem
 from vertexbound.voa import (
     FockModule,
     HeisenbergVoa,
     QuotientModule,
     VermaModule,
+    VirasoroQuotientVoa,
     VirasoroVoa,
     level2_singular_vector,
 )
@@ -89,8 +93,8 @@ def test_mode_action_outputs_are_fractions(name):
     assert all(
         type(c) is Q
         for level in cm.levels.values()
-        for row in level.span.basis_rows()
-        for c in row
+        for row in level.span.rows()
+        for c in dense(row, level.dim)
     )
 
 
@@ -218,20 +222,59 @@ def test_float_charges_and_twists_are_refused(bad):
     with pytest.raises(InputShapeError):
         h.scale(bad)
     assert h.scale(2).factor == 2 * h.factor
-    mat = ExactMatrix.from_rows([[1, 2], [3, 4]])
+    mat = ExactMatrix(2, 2, [{0: 1, 1: 2}, {0: 3, 1: 4}])
     span = RowSpan(2)
     for call in (
-        lambda: ExactMatrix.from_rows([[1, bad]]),
         lambda: ExactMatrix(1, 2, [{1: bad}]),
         lambda: ExactMatrix(1, 2, [{bad: 1}]),
         lambda: ExactMatrix(1, 2, [{2: Q(1)}]),
         lambda: mat.matvec([1, bad]),
         lambda: mat.solve([bad, 1]),
-        lambda: span.add((bad, 3)),
-        lambda: span.contains((3, bad)),
+        lambda: span.add({0: bad, 1: 3}),
+        lambda: span.contains({0: 3, 1: bad}),
     ):
         with pytest.raises(InputShapeError):
             call()
+    for call in _scalar_entry_points(bad):
+        with pytest.raises(InputShapeError):
+            call()
+
+
+def _scalar_entry_points(bad):
+    """Every public entry point that takes a scalar, each handed ``bad``."""
+    heisenberg, vir = HeisenbergVoa(2), VirasoroVoa(Q(1, 2), 2)
+    h = fusion.heisenberg_intertwiner(1, 2, 2)
+    system = OdeSystem(left="l", right="r", dimension=1, labels=[(0, 0)], entries={})
+    return [
+        lambda: FockModule(heisenberg, bad),
+        lambda: VermaModule(vir, bad),
+        lambda: VirasoroVoa(bad, 2),
+        lambda: VirasoroQuotientVoa(bad, (), 2),
+        # L(-1)|0> is singular in the Verma module of weight 0
+        lambda: QuotientModule(VermaModule(vir, 0), [(((1,), bad),)]),
+        lambda: level2_singular_vector(bad, Q(1, 2)),
+        lambda: level2_singular_vector(Q(1, 2), bad),
+        lambda: GradedVector(heisenberg, {1: (bad,)}),
+        lambda: GradedVector.basis_vector(heisenberg, (1,)).scale(bad),
+        lambda: CorrelatorCombination(None, None).scale(bad),
+        lambda: LaurentPoly({0: bad}),
+        lambda: LaurentPoly.monomial(1, bad),
+        lambda: LaurentPoly.one()(bad),
+        lambda: h.image_of((), (), 0, bad),
+        lambda: h.correlator({0: (bad,)}, (), ()),
+        lambda: frobenius_series(system, bad, 1),
+        lambda: fusion.weight_support_check(h, [0, bad]),
+    ]
+
+
+def test_a_malformed_functional_is_refused():
+    # one coefficient per basis vector of a level in 0..depth, nothing else
+    h = fusion.heisenberg_intertwiner(1, 2, 3)
+    assert h.target.dim(1) == 1 and h.target.dim(2) == 2
+    assert h.correlator({1: (1,)}, (1,), ()) == LaurentPoly({0: 3})
+    for theta in ({1: (1, 5, 7)}, {2: (1,)}, {9: (1,)}, {-1: (1,)}, {"1": (1,)}):
+        with pytest.raises(InputShapeError):
+            h.correlator(theta, (1,), ())
 
 
 def test_a_short_degree_bound_is_refused_not_floored(monkeypatch):

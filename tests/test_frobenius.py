@@ -10,7 +10,7 @@ from fractions import Fraction as Q
 import pytest
 import sympy
 
-from bruteforce import fock_top_correlator
+from bruteforce import fock_top_correlator, sparse
 from vertexbound.cli import main
 from vertexbound.cofinite import choose_complement
 from vertexbound.errors import (
@@ -84,7 +84,7 @@ def test_char_poly_matches_sympy():
     rng = random.Random(3)
     for n in (1, 2, 3, 4):
         rows = [[Q(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(n)] for i in range(n)]
-        matrix = ExactMatrix.from_rows(rows)
+        matrix = ExactMatrix(n, n, [sparse(row) for row in rows])
         coeffs = _char_poly(matrix)
         sm = sympy.Matrix(n, n, lambda i, j: sympy.Rational(
             rows[i][j].numerator, rows[i][j].denominator))

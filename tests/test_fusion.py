@@ -2,18 +2,21 @@
 
 import json
 import random
+from math import lcm
 from fractions import Fraction as Q
 
 import pytest
 
 from bruteforce import (
     commutator_defect,
+    dense,
     fock_top_correlator,
     fock_vertex_coefficients,
     fraction_gauss_jordan,
     materialized_twist,
     per_direction_witness,
     scaled_join_series,
+    sparse,
     sympy_rank,
 )
 from vertexbound import fusion, linalg
@@ -71,7 +74,7 @@ def test_zero_charge_on_the_left_reduces_to_the_module_action():
                     for lt in range(4):
                         mode = lu + lw - 1 - lt
                         raw = eng.apply_word(u_key, mode, w_key)
-                        want = h.target.coords(raw, lt)
+                        want = dense(h.target.coords(raw, lt), h.target.dim(lt))
                         got = entry.get(lt, zero_coords(h.target, lt))
                         assert tuple(got) == tuple(want)
 
@@ -338,10 +341,10 @@ def _spans_match_fraction_elimination(joined, factors):
             row = []
             for p in factors:
                 row.extend(p.images(skey).get(n) or zero_coords(p.target, n))
-            rows.append({j: c for j, c in enumerate(row) if c})
+            rows.append(sparse(row))
         pivots = fraction_gauss_jordan(rows, width)
-        expected = [tuple(rows[i].get(j, Q(0)) for j in range(width)) for i, _ in pivots]
-        assert joined.target.spans[n].basis_rows() == expected, n
+        expected = [dense(rows[i], width) for i, _ in pivots]
+        assert [dense(row, width) for row in joined.target.spans[n].rows()] == expected, n
 
 
 def test_join_spans_equal_rational_elimination_of_the_paired_rows():
@@ -382,9 +385,14 @@ def _join_cases():
 def test_join_series_equal_scaled_rows_reduced_against_the_span(case):
     factors = _join_cases()[case]
     joined = join(*factors)
-    assert joined.series == scaled_join_series(joined, factors)
-    assert all(type(c) is Q for images in joined.series.values()
-               for coords in images.values() for c in coords)
+    images = {skey: joined.images(skey) for skey in joined.series}
+    assert images == scaled_join_series(joined, factors)
+    # int numerators over one factor, 1 over the lcm of the denominators
+    assert all(type(c) is int for levels in joined.series.values()
+               for coords in levels.values() for c in coords)
+    values = [c for levels in images.values() for coords in levels.values() for c in coords]
+    assert joined.factor == Q(1, lcm(*(c.denominator for c in values)))
+    assert all(type(c) is Q for c in values)
 
 
 def test_join_refuses_a_paired_row_outside_its_span(monkeypatch):
@@ -535,7 +543,7 @@ def test_compare_witness_blocks_are_fractions():
         for block in witness.blocks.values():
             # no int or float may reach format_rational from the kernel
             values = [c for row in block.data for c in row.values()]
-            values += [c for row in block.to_lists() for c in row]
+            values += [c for row in block.data for c in dense(row, block.cols)]
             assert all(type(c) is Q for c in values)
 
 
@@ -666,8 +674,8 @@ def test_scale_shares_the_tables_and_multiplies_the_factor(monkeypatch):
 def _report(outcome) -> str:
     """A join (its report and level span rows) or a comparison, as JSON text."""
     if isinstance(outcome, IntertwinerData):
-        spans = [[[str(c) for c in row] for row in outcome.target.spans[n].basis_rows()]
-                 for n in range(outcome.depth + 1)]
+        spans = [[[str(c) for c in dense(row, span.width)] for row in span.rows()]
+                 for span in (outcome.target.spans[n] for n in range(outcome.depth + 1))]
         return json.dumps({"datum": outcome.to_json(), "spans": spans}, sort_keys=True)
     return json.dumps(outcome.to_json(), sort_keys=True)
 
@@ -762,19 +770,19 @@ def test_span_levels_agree_with_direct_matrix_arithmetic(lam, mu, depth):
     ambient = target.ambient
     rng = random.Random(23)
     for n in range(depth + 1):
-        rows = target.spans[n].basis_rows()
         width = ambient.dim(n)
+        rows = [dense(row, width) for row in target.spans[n].rows()]
         assert len(rows) == target.dim(n) and all(len(row) == width for row in rows)
         # a rational combination of the basis rows reads back its coefficients
         coeffs = tuple(Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in rows)
         vec = tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(width))
-        assert target.coords_in_span(vec, n) == coeffs
+        assert target.coords_in_span(sparse(vec), n) == coeffs
         # adding a unit vector that raises the rank leaves the span
         for i in range(width):
             unit = tuple(Q(int(col == i)) for col in range(width))
             if sympy_rank(list(rows) + [unit]) > len(rows):
                 off = tuple(a + b for a, b in zip(vec, unit))
-                assert target.coords_in_span(off, n) is None
+                assert target.coords_in_span(sparse(off), n) is None
         # the span action, mapped back through the basis rows, is the
         # ambient action on the same row
         keys = ambient.keys(n)
@@ -787,7 +795,7 @@ def test_span_levels_agree_with_direct_matrix_arithmetic(lam, mu, depth):
                         want[ambient.index(key)] += c * value
                 have = [Q(0)] * ambient.dim(n2)
                 for (_, j), c in target.apply_gen(k, (n, i)).items():
-                    for col, r in enumerate(target.spans[n2].basis_rows()[j]):
+                    for col, r in target.spans[n2].rows()[j].items():
                         have[col] += c * r
                 assert have == want, (n, i, k)
 

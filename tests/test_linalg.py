@@ -8,9 +8,14 @@ import sympy
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import dense_matmul, dense_matvec, fraction_gauss_jordan, sympy_rank
+from bruteforce import dense, dense_matmul, dense_matvec, fraction_gauss_jordan, sparse, sympy_rank
 from vertexbound.errors import InputShapeError
 from vertexbound.linalg import ExactMatrix, RowSpan
+
+
+def exact(rows, cols):
+    """The matrix of the dense ``rows``, built from their sparse rows."""
+    return ExactMatrix(len(rows), cols, [sparse(row) for row in rows])
 
 
 def random_matrix(rng, rows, cols, density=0.6):
@@ -27,13 +32,13 @@ def random_matrix(rng, rows, cols, density=0.6):
 
 def test_membership_example():
     # columns (1, 1) and (1, -1)
-    mat = ExactMatrix.from_rows([[1, 1], [1, -1]])
+    mat = ExactMatrix(2, 2, [{0: 1, 1: 1}, {0: 1, 1: -1}])
     assert mat.solve((2, 0)) == (Q(1), Q(1))
 
 
 def test_membership_failure_and_empty():
     # columns (1, 0) and (2, 0) miss (0, 1)
-    assert ExactMatrix.from_rows([[1, 2], [0, 0]]).solve((0, 1)) is None
+    assert ExactMatrix(2, 2, [{0: 1, 1: 2}, {}]).solve((0, 1)) is None
     no_columns = ExactMatrix(2, 0)
     assert no_columns.solve((0, 0)) == ()
     assert no_columns.solve((1, 0)) is None
@@ -42,19 +47,19 @@ def test_membership_failure_and_empty():
 def test_membership_shape_errors():
     # one column of length 3 against a right-hand side of length 2
     with pytest.raises(InputShapeError):
-        ExactMatrix.from_rows([[1], [2], [3]]).solve((1, 2))
+        ExactMatrix(3, 1, [{0: 1}, {0: 2}, {0: 3}]).solve((1, 2))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_rank_matches_sympy(seed):
     rng = random.Random(seed)
     rows = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-    mat = ExactMatrix.from_rows(rows)
+    mat = exact(rows, len(rows[0]))
     assert mat.rank() == sympy_rank(rows)
 
 
 def test_rref_is_canonical_and_idempotent():
-    mat = ExactMatrix.from_rows([[0, 2, 4], [1, 1, 1], [1, 3, 5]])
+    mat = exact([[0, 2, 4], [1, 1, 1], [1, 3, 5]], 3)
     reduced, pivots = mat.rref()
     assert [c for _, c in pivots] == [0, 1]
     again, pivots2 = reduced.rref()
@@ -71,7 +76,7 @@ def test_rref_is_canonical_and_idempotent():
 def test_nullspace_annihilates_and_has_right_dimension(seed):
     rng = random.Random(200 + seed)
     rows = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-    mat = ExactMatrix.from_rows(rows)
+    mat = exact(rows, len(rows[0]))
     basis = mat.nullspace()
     assert len(basis) == mat.cols - mat.rank()
     for vec in basis:
@@ -87,7 +92,7 @@ def test_nullspace_annihilates_and_has_right_dimension(seed):
 def test_solve_recovers_consistent_systems(seed):
     rng = random.Random(300 + seed)
     rows = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-    mat = ExactMatrix.from_rows(rows)
+    mat = exact(rows, len(rows[0]))
     x = [Q(rng.randint(-3, 3)) for _ in range(mat.cols)]
     rhs = mat.matvec(x)
     solution = mat.solve(rhs)
@@ -96,15 +101,15 @@ def test_solve_recovers_consistent_systems(seed):
 
 
 def test_solve_detects_inconsistency():
-    mat = ExactMatrix.from_rows([[1, 1], [1, 1]])
+    mat = ExactMatrix(2, 2, [{0: 1, 1: 1}, {0: 1, 1: 1}])
     assert mat.solve([1, 2]) is None
     assert mat.solve([1, 1]) == (Q(1), Q(0))
 
 
 def test_matmul_and_transpose():
-    a = ExactMatrix.from_rows([[1, 2], [3, 4]])
-    b = ExactMatrix.from_rows([[0, 1], [1, 0]])
-    assert a.matmul(b).to_lists() == [[Q(2), Q(1)], [Q(4), Q(3)]]
+    a = ExactMatrix(2, 2, [{0: 1, 1: 2}, {0: 3, 1: 4}])
+    b = ExactMatrix(2, 2, [{1: 1}, {0: 1}])
+    assert [dense(row, 2) for row in a.matmul(b).data] == [(Q(2), Q(1)), (Q(4), Q(3))]
     assert ExactMatrix.identity(3).matmul(ExactMatrix.identity(3)) == ExactMatrix.identity(3)
 
 
@@ -114,22 +119,37 @@ def test_rowspan_matches_batch_rank(seed):
     vectors = [tuple(row) for row in random_matrix(rng, 7, 5, density=0.5)]
     span = RowSpan(5)
     for vec in vectors:
-        span.add(vec)
+        span.add(sparse(vec))
     assert span.rank == sympy_rank(vectors)
     for vec in vectors:
-        assert span.contains(vec)
+        assert span.contains(sparse(vec))
     # residuals of contained combinations vanish exactly
     combo = tuple(a + b for a, b in zip(vectors[0], vectors[1]))
-    assert span.contains(combo)
+    assert span.contains(sparse(combo))
+
+
+@pytest.mark.parametrize("call", ["add", "contains", "reduce"])
+def test_rowspan_refuses_columns_outside_its_width_and_inexact_values(call):
+    span = RowSpan(3)
+    span.add({0: 1, 2: Q(1, 2)})
+    method = getattr(span, call)
+    for row in ({-1: 1}, {3: 1}, {"0": 1}, {0: 1, 3: 0}):
+        with pytest.raises(InputShapeError, match="outside"):
+            method(row)
+    for bad in (0.5, 1e-3, "1/2", None, 0.1, "1/3"):
+        with pytest.raises(InputShapeError, match="int or a Fraction"):
+            method({1: 2, 2: bad})
+    assert span.rank == 1 and span.rows() == [{0: 1, 2: Q(1, 2)}]
+    assert method({0: 2, 2: 1}) == {"add": False, "contains": True, "reduce": {}}[call]
 
 
 def test_rowspan_pivots_are_sorted_and_membership_is_exact():
     span = RowSpan(3)
-    assert span.add((0, 1, 1))
-    assert span.add((1, 0, 0))
-    assert not span.add((1, 1, 1))
+    assert span.add({1: 1, 2: 1})
+    assert span.add({0: 1})
+    assert not span.add({0: 1, 1: 1, 2: 1})
     assert span.pivot_columns() == (0, 1)
-    assert not span.contains((0, 0, 1))
+    assert not span.contains({2: 1})
 
 
 # ----------------------------------------------------------------------
@@ -183,9 +203,9 @@ def tall_matrices(draw):
 
 
 def oracle_rref(rows, cols):
-    work = [{j: c for j, c in enumerate(row) if c} for row in rows]
+    work = [sparse(row) for row in rows]
     pivots = fraction_gauss_jordan(work, cols)
-    return [[row.get(j, Q(0)) for j in range(cols)] for row in work], pivots
+    return [dense(row, cols) for row in work], pivots
 
 
 def oracle_solve(rows, cols, rhs):
@@ -212,11 +232,11 @@ def oracle_nullspace(rows, cols):
 
 
 def check_against_oracle(rows, cols, data):
-    mat = ExactMatrix.from_rows(rows, cols)
+    mat = exact(rows, cols)
     reduced, pivots = mat.rref()
     expected, expected_pivots = oracle_rref(rows, cols)
     assert pivots == expected_pivots
-    assert reduced.to_lists() == expected
+    assert [dense(row, cols) for row in reduced.data] == expected
     assert mat.rank() == len(expected_pivots)
     assert mat.nullspace() == oracle_nullspace(rows, cols)
     consistent = mat.matvec([data.draw(rationals) for _ in range(cols)])
@@ -241,13 +261,13 @@ def test_kernel_matches_rational_elimination_on_tall_blocks(matrix, data):
 
 def test_kernel_handles_empty_shapes():
     for rows, cols in (([], 0), ([], 4), ([[], [], []], 0)):
-        mat = ExactMatrix.from_rows(rows, cols)
+        mat = exact(rows, cols)
         reduced, pivots = mat.rref()
         assert (reduced, pivots) == (mat, [])
         assert mat.rank() == 0
         assert mat.nullspace() == oracle_nullspace(rows, cols)
         assert mat.solve([Q(0)] * len(rows)) == (Q(0),) * cols
-    assert ExactMatrix.from_rows([[], []], 0).solve([Q(0), Q(1)]) is None
+    assert ExactMatrix(2, 0, [{}, {}]).solve([Q(0), Q(1)]) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,10 +279,10 @@ def test_rref_matches_sympy(matrix):
     expected, expected_pivots = sympy.Matrix(
         [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]
     ).rref()
-    reduced, pivots = ExactMatrix.from_rows(rows, cols).rref()
+    reduced, pivots = exact(rows, cols).rref()
     assert tuple(col for _, col in pivots) == expected_pivots
-    assert [[sympy.Rational(c.numerator, c.denominator) for c in row]
-            for row in reduced.to_lists()] == expected.tolist()
+    assert [[sympy.Rational(c.numerator, c.denominator) for c in dense(row, cols)]
+            for row in reduced.data] == expected.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -280,10 +300,10 @@ def _stored(mat) -> list:
 
 def test_eliminating_methods_return_only_fractions():
     rows = [[2, 4, -6, 1], [1, 2, -3, 5], [0, 3, 9, -12], [4, 8, -12, 2]]
-    mat = ExactMatrix.from_rows(rows)
+    mat = exact(rows, 4)
     reduced, _ = mat.rref()
     assert _all_fractions(_stored(reduced))
-    assert _all_fractions(c for row in reduced.to_lists() for c in row)
+    assert _all_fractions(c for row in reduced.data for c in dense(row, 4))
     solution = mat.solve([3, 6, 0, 6])
     assert solution is not None and _all_fractions(solution)
     basis = mat.nullspace()
@@ -304,45 +324,43 @@ int_rows = st.integers(1, 5).flatmap(
 @given(int_rows, st.data())
 def test_int_input_leaves_the_kernel_as_fractions(rows, data):
     nrows, width = len(rows), len(rows[0])
-    sparse = [{j: c for j, c in enumerate(row) if c} for row in rows]
-    assert all(type(c) is int for row in sparse for c in row.values())
-    # the direct constructor keeps the int rows as they are; from_rows converts
-    direct = ExactMatrix(nrows, width, sparse)
-    from_rows = ExactMatrix.from_rows(rows)
-    assert direct == from_rows
-    assert direct.data is sparse
-    assert _all_fractions(_stored(from_rows))
-    assert _all_fractions(c for row in from_rows.to_lists() for c in row)
+    int_rows = [sparse(row) for row in rows]
+    assert all(type(c) is int for row in int_rows for c in row.values())
+    # the constructor keeps the int rows as they are; the same matrix over Fractions
+    direct = ExactMatrix(nrows, width, int_rows)
+    fractions = ExactMatrix(nrows, width, [{j: Q(c) for j, c in row.items()} for row in int_rows])
+    assert direct == fractions
+    assert direct.data is int_rows
     assert _all_fractions(_stored(direct.matmul(ExactMatrix.identity(width))))
     rhs = data.draw(st.lists(st.integers(-6, 6), min_size=nrows, max_size=nrows))
-    for mat in (direct, from_rows):
+    for mat in (direct, fractions):
         reduced, _ = mat.rref()
-        assert _all_fractions(c for row in reduced.to_lists() for c in row)
+        assert _all_fractions(c for row in reduced.data for c in dense(row, width))
         solution = mat.solve(rhs)
         assert solution is None or _all_fractions(solution)
         assert all(_all_fractions(vec) for vec in mat.nullspace())
     # the kernel takes the int rows unconverted and hands back Fractions
     reduced, pivots = direct.rref()
-    assert (reduced, pivots) == from_rows.rref()
+    assert (reduced, pivots) == fractions.rref()
     assert _all_fractions(_stored(reduced))
-    assert direct.rank() == from_rows.rank() == len(pivots)
+    assert direct.rank() == fractions.rank() == len(pivots)
     solution = direct.solve(rhs)
-    assert solution == from_rows.solve(rhs)
+    assert solution == fractions.solve(rhs)
     assert solution is None or _all_fractions(solution)
     basis = direct.nullspace()
-    assert basis == from_rows.nullspace()
+    assert basis == fractions.nullspace()
     assert all(_all_fractions(vec) for vec in basis)
     span = RowSpan(width)
-    for row in rows:
+    for row in int_rows:
         assert _all_fractions(span.reduce(row).values())
         span.add(row)
-        assert all(_all_fractions(vec) for vec in span.basis_rows())
+        assert all(_all_fractions(kept.values()) for kept in span.rows())
     probe = data.draw(st.lists(st.integers(-6, 6), min_size=width, max_size=width))
-    assert _all_fractions(span.reduce(probe).values())
+    assert _all_fractions(span.reduce(sparse(probe)).values())
 
 
-# a Fraction entry is stored as the given object; from_rows converts any
-# other, the direct constructor keeps an int as it is
+# the constructor stores every entry, a Fraction or an int, as the given
+# object; eliminating converts the rest
 mixed_scalars = st.one_of(st.integers(-6, 6), small_rationals)
 
 
@@ -353,18 +371,15 @@ def test_constructors_keep_given_fractions_and_convert_the_rest(matrix, data):
     entries = {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
     as_fractions = [[Q(c) for c in row] for row in rows]
     rhs = data.draw(st.lists(mixed_scalars, min_size=len(rows), max_size=len(rows)))
-    from_rows = ExactMatrix.from_rows(rows, cols)
-    direct = ExactMatrix(len(rows), cols, [{j: c for j, c in enumerate(row) if c} for row in rows])
-    assert _all_fractions(_stored(from_rows))
-    for mat in (from_rows, direct):
-        stored = {(i, j): c for i, row in enumerate(mat.data) for j, c in row.items()}
-        assert stored == {key: Q(c) for key, c in entries.items()}
-        for key, c in entries.items():
-            if type(c) is Q or mat is direct:
-                assert stored[key] is c
-        reduced, pivots = mat.rref()
-        assert (reduced.to_lists(), pivots) == oracle_rref(as_fractions, cols)
-        assert mat.solve(rhs) == oracle_solve(as_fractions, cols, [Q(b) for b in rhs])
+    mat = exact(rows, cols)
+    stored = {(i, j): c for i, row in enumerate(mat.data) for j, c in row.items()}
+    assert stored == {key: Q(c) for key, c in entries.items()}
+    for key, c in entries.items():
+        assert stored[key] is c
+    reduced, pivots = mat.rref()
+    assert ([dense(row, cols) for row in reduced.data], pivots) == oracle_rref(as_fractions, cols)
+    assert _all_fractions(_stored(reduced))
+    assert mat.solve(rhs) == oracle_solve(as_fractions, cols, [Q(b) for b in rhs])
 
 
 # ----------------------------------------------------------------------
@@ -384,10 +399,10 @@ def matrix_pairs(draw):
 @given(matrix_pairs(), st.data())
 def test_matmul_and_matvec_match_dense_products(pair, data):
     a, b, inner, cols = pair
-    left = ExactMatrix.from_rows(a, inner)
-    product = left.matmul(ExactMatrix.from_rows(b, cols))
+    left = exact(a, inner)
+    product = left.matmul(exact(b, cols))
     assert (product.rows, product.cols) == (len(a), cols)
-    assert product.to_lists() == dense_matmul(a, b, inner, cols)
+    assert [list(dense(row, cols)) for row in product.data] == dense_matmul(a, b, inner, cols)
     assert _all_fractions(_stored(product))
     vec = data.draw(st.lists(mixed_scalars, min_size=inner, max_size=inner))
     assert left.matvec(vec) == dense_matvec(a, vec)
@@ -398,8 +413,8 @@ def test_matmul_and_matvec_match_dense_products(pair, data):
 @given(rational_matrices(scalars=mixed_scalars, max_rows=5, max_cols=5), st.data())
 def test_equality_matches_dense_equality(matrix, data):
     rows, cols = matrix
-    mat = ExactMatrix.from_rows(rows, cols)
-    dense = [[Q(c) for c in row] for row in rows]
+    mat = exact(rows, cols)
+    values = [[Q(c) for c in row] for row in rows]
     # the same values, built another way and with each row's columns reversed
     reversed_rows = [dict(reversed([(j, c) for j, c in enumerate(row) if c])) for row in rows]
     assert mat == ExactMatrix(len(rows), cols, reversed_rows)
@@ -411,5 +426,5 @@ def test_equality_matches_dense_equality(matrix, data):
         j = data.draw(st.integers(0, cols - 1))
         changed = [list(row) for row in rows]
         changed[i][j] = data.draw(mixed_scalars)
-        other = ExactMatrix.from_rows(changed, cols)
-        assert (mat == other) == (dense == [[Q(c) for c in row] for row in changed])
+        other = exact(changed, cols)
+        assert (mat == other) == (values == [[Q(c) for c in row] for row in changed])

@@ -9,6 +9,8 @@ import sympy
 
 from bruteforce import (
     _generator_matrix,
+    dense,
+    dense_coords,
     level2_singular_charge,
     osc_mode,
     partition_count,
@@ -217,7 +219,7 @@ def test_quotient_dimensions_match_independent_rank(h):
             vec = dict(sing)
             for part in reversed(word):
                 vec = apply_raw(verma, 1 - part, vec)
-            span.append(verma.coords(vec, n))
+            span.append(dense_coords(verma, vec, n))
         expected = partition_count(n, 1) - sympy_rank(span)
         assert quotient.dim(n) == expected, n
 
@@ -254,7 +256,7 @@ def test_vacuum_quotient_via_found_singular_vector():
             vec = dict(found[0])
             for part in reversed(word):
                 vec = apply_raw(voa, 1 - part, vec)
-            span.append(voa.coords(vec, n))
+            span.append(dense_coords(voa, vec, n))
         assert quotient.dim(n) == voa.dim(n) - sympy_rank(span), n
     assert quotient.dim(6) == voa.dim(6) - 1
 
@@ -302,12 +304,39 @@ def test_mode_matrix_matches_the_generator_matrix_oracle(name):
             oracle = _generator_matrix(module, k, src, dst)
             rows, cols = module.dim(dst), module.dim(src)
             assert (matrix.rows, matrix.cols) == (rows, cols)
-            assert matrix.to_lists() == [[oracle.get((r, c), 0) for c in range(cols)]
-                                         for r in range(rows)], (k, src, dst)
+            assert [dense(row, cols) for row in matrix.data] == [
+                tuple(oracle.get((r, c), 0) for c in range(cols)) for r in range(rows)], (k, src, dst)
             seen.add("lowering" if dst < src else "raising" if dst > src else "level")
             if dst < 0:
                 seen.add("below zero")
     assert seen == {"lowering", "raising", "level", "below zero"}
+
+
+@pytest.mark.parametrize("name", ["fock", "verma", "quotient", "direct-sum", "join-target"])
+def test_coords_are_the_nonzero_entries_of_the_dense_oracle(name):
+    module = _mode_matrix_modules()[name]
+    gw = module.voa.gen_weight
+    rng = random.Random(11)
+    checked = 0
+    for n in range(module.depth + 1):
+        keys = module.keys(n)
+        mixed = {key: rng.choice([0, 1, -2, Q(3, 5)]) for key in keys}
+        # every generator mode image landing at level n
+        images = [module.apply_gen(src + gw - 1 - n, key)
+                  for src in range(module.depth + 1) for key in module.keys(src)]
+        for raw in [mixed, *images]:
+            row = module.coords(raw, n)
+            assert type(row) is dict
+            assert all(row.values()), (n, raw)
+            assert dense(row, len(keys)) == dense_coords(module, raw, n), (n, raw)
+            # values are kept as given, an int as an int
+            assert all(row[keys.index(key)] is c for key, c in raw.items() if c)
+            checked += 1
+        above = module.keys(n + 1)
+        if above:
+            with pytest.raises(InputShapeError):
+                module.coords({**mixed, above[0]: 1}, n)
+    assert checked > module.depth + 1
 
 
 def _oracle_singular_vectors(verma, level):
