@@ -168,7 +168,9 @@ class ComplementBasis:
     Each ``labels[i] == (level, key)`` names the basis monomial chosen
     at that level; selection is the graded-lex earliest monomial whose
     class is new in ``M / (C_m + already chosen)``.  ``vectors`` is
-    derived from the labels.
+    derived from the labels.  For ``m == 1`` (not over a direct sum)
+    ``c1_pairs[n]`` keeps level n's C_1 spanning pairs (``CmLevel.pairs``)
+    for the correlator reduction; otherwise it is None.
     """
 
     module: object
@@ -178,6 +180,7 @@ class ComplementBasis:
     lowest_weight: object
     labels: list = field(default_factory=list)
     summands: list | None = None
+    c1_pairs: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def vectors(self) -> list:
@@ -251,6 +254,7 @@ def choose_complement(module, depth: int, m: int = 1) -> ComplementBasis:
             for n in range(window + 1)
             for key in _greedy_level_complement(module, cm.levels[n].span, n, dims[n])
         ],
+        c1_pairs={n: level.pairs for n, level in cm.levels.items()} if m == 1 else None,
     )
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .errors import InputShapeError, InternalInvariantViolation
 from .laurent import LaurentPoly, Q, QONE, QZERO, as_rational, binomial, format_rational
@@ -608,17 +608,19 @@ def _reduced_basis(rows: list, parts: list) -> list:
     return [{j: factors[j] * c for j, c in reduced.data[i].items()} for i in range(len(pivots))]
 
 
-def _numerator_coords(span: RowSpan, parts: list, rows: dict) -> dict:
-    """Span coordinates of each paired numerator row of ``parts``, checked on integers.
+def _numerator_coords(span: RowSpan, parts: list, rows: dict, top: int) -> dict:
+    """Span coordinates of each paired numerator row of ``parts``, checked on
+    integers, as numerators over ``top``, a common denominator of the
+    data factors.
 
     With f_j the factor of column j's datum, the scaled row s = f r lies
     in the span, whose reduced rows B_i lead at the pivot columns p_i,
     exactly when f_j r_j = sum_i f_{p_i} r_{p_i} B_ij at every free column
-    j; its coordinates are the s_{p_i}.  Over one common denominator den
-    the check reads a_j r_j = sum_i r_{p_i} c_ij with a_j = den f_j and
-    c_ij = den f_{p_i} B_ij integers, so no scaled row is built.  Rows
-    of ``Fraction``s (a datum stored with factor 1) take the same exact
-    route.
+    j; its coordinates are the s_{p_i} = (top f_{p_i}) r_{p_i} / top.  Over one
+    common denominator den the check reads a_j r_j = sum_i r_{p_i} c_ij
+    with a_j = den f_j and c_ij = den f_{p_i} B_ij integers, so no scaled
+    row is built.  Rows of ``Fraction``s (a datum stored with factor 1)
+    take the same exact route, and their numerators stay ``Fraction``s.
     """
     factors = [datum.factor for datum, level in parts for _ in range(datum.target.dim(level))]
     pivots = span.pivot_columns()
@@ -628,12 +630,13 @@ def _numerator_coords(span: RowSpan, parts: list, rows: dict) -> dict:
     checks = [(j, factors[j].numerator * (den // factors[j].denominator),
                [(p, g.numerator * (den // g.denominator)) for p, g in zip(pivots, col) if g])
               for j, col in zip(free, weights)]
+    scales = [(p, factors[p].numerator * (top // factors[p].denominator)) for p in pivots]
     out = {}
     for skey, row in rows.items():
         if any(a * row.get(j, 0) != sum(row.get(p, 0) * c for p, c in terms)
                for j, a, terms in checks):
             raise InternalInvariantViolation("paired coefficient escaped its own span")
-        out[skey] = tuple(factors[p] * row.get(p, 0) for p in pivots)
+        out[skey] = tuple(b * row.get(p, 0) for p, b in scales)
     return out
 
 
@@ -692,17 +695,24 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
         for row in _reduced_basis(list(paired[n].values()), parts[n]):
             spans[n].add(row)
     _saturate_spans(spans, ambient, depth)
+    top = lcm(*(p.factor.denominator for p in factors))
     coords = {}
     for n, rows in paired.items():
-        for skey, expressed in _numerator_coords(spans[n], parts[n], rows).items():
+        for skey, expressed in _numerator_coords(spans[n], parts[n], rows, top).items():
             if any(expressed):
                 coords.setdefault(skey, {})[n] = expressed
-    den = lcm(*(c.denominator for levels in coords.values() for v in levels.values() for c in v))
-    series = {skey: {n: tuple(c.numerator * (den // c.denominator) for c in vec)
-                     for n, vec in levels.items()}
+    # extra clears the denominators of numerators a datum stores as Fractions
+    extra = lcm(*(c.denominator for levels in coords.values() for v in levels.values() for c in v))
+    if extra != 1:
+        top *= extra
+        coords = {skey: {n: tuple((c * extra).numerator for c in vec) for n, vec in levels.items()}
+                  for skey, levels in coords.items()}
+    g = gcd(top, *(c for levels in coords.values() for v in levels.values() for c in v))
+    series = {skey: {n: tuple(c // g for c in vec) for n, vec in levels.items()}
               for skey, levels in coords.items()}
     target = SpanModule(ambient, spans, depth)
-    return IntertwinerData(p1.source_left, p1.source_right, target, depth, j_max, series, Q(1, den))
+    return IntertwinerData(p1.source_left, p1.source_right, target, depth, j_max, series,
+                           Q(1, top // g))
 
 
 # ----------------------------------------------------------------------

@@ -324,10 +324,11 @@ def mode_action(v: GradedVector, k: int, w: GradedVector) -> GradedVector:
                 if not w_coeff:
                     continue
                 for v_word, v_coeff in v_raw.items():
+                    scale = v_coeff * w_coeff
                     raw_combine(
                         level_part,
                         engine.apply_word(v_word, k, keys[i]),
-                        v_coeff * w_coeff,
+                        scale.numerator if scale.denominator == 1 else scale,
                     )
         except LevelCapExceeded:
             truncated = True
@@ -472,10 +473,10 @@ def _raw_apply(engine, v_word, k, raw):
     return out
 
 
-def _raw_commutator_defect(adjoint, engine, v1_word, v2_word, n, m, w_key):
+def _raw_commutator_defect(adjoint, engine, composed, v1_word, v2_word, n, m, w_key):
     """lhs - rhs of the commutator identity at raw level; {} means it holds."""
-    defect = _raw_apply(engine, v1_word, n, engine.apply_word(v2_word, m, w_key))
-    for key, coeff in _raw_apply(engine, v2_word, m, engine.apply_word(v1_word, n, w_key)).items():
+    defect = dict(composed(v1_word, n, v2_word, m))
+    for key, coeff in composed(v2_word, m, v1_word, n).items():
         raw_acc(defect, key, -coeff)
     for i in range(0, sum(v1_word) + sum(v2_word)):
         factor = binomial(n, i)
@@ -486,7 +487,7 @@ def _raw_commutator_defect(adjoint, engine, v1_word, v2_word, n, m, w_key):
     return defect
 
 
-def _raw_associativity_defect(adjoint, engine, v1_word, v2_word, n, m, w_key, w_level):
+def _raw_associativity_defect(adjoint, engine, composed, v1_word, v2_word, n, m, w_key, w_level):
     """lhs - rhs of the iterate identity at raw level; {} means it holds."""
     defect = {}
     for p_key, p_coeff in adjoint.apply_word(v1_word, n, v2_word).items():
@@ -500,9 +501,7 @@ def _raw_associativity_defect(adjoint, engine, v1_word, v2_word, n, m, w_key, w_
             continue
         if i % 2:
             factor = -factor
-        inner = engine.apply_word(v2_word, m + i, w_key)
-        if inner:
-            raw_combine(defect, _raw_apply(engine, v1_word, n - i, inner), -factor)
+        raw_combine(defect, composed(v1_word, n - i, v2_word, m + i), -factor)
     for i in range(0, w_level + wt1):
         factor = binomial(n, i)
         if not factor:
@@ -510,19 +509,32 @@ def _raw_associativity_defect(adjoint, engine, v1_word, v2_word, n, m, w_key, w_
         if i % 2:
             factor = -factor
         factor = -sign_n * factor
-        inner = engine.apply_word(v1_word, i, w_key)
-        if inner:
-            raw_combine(defect, _raw_apply(engine, v2_word, n + m - i, inner), -factor)
+        raw_combine(defect, composed(v2_word, n + m - i, v1_word, i), -factor)
     return defect
 
 
 def _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, report):
-    """Both identities for one ``(v1, v2, w)`` at every guarded mode pair."""
+    """Both identities for one ``(v1, v2, w)`` at every guarded mode pair.
+
+    Both identities read their two-mode terms ``a_p (b_q w)`` from one
+    table, built on first use and dropped with the triple; a defect
+    copies an entry before it accumulates into it.
+    """
     voa = module.voa
     depth = module.depth
     voa_depth = voa.depth
     w1, w2 = voa.level_of(v1_word), voa.level_of(v2_word)
     w_level = module.level_of(w_key)
+    table = {}
+
+    def composed(a_word, p, b_word, q):
+        key = (a_word, p, b_word, q)
+        found = table.get(key)
+        if found is None:
+            found = _raw_apply(engine, a_word, p, engine.apply_word(b_word, q, w_key))
+            table[key] = found
+        return found
+
     # commutator: both one-mode intermediates and the final level inside
     # the window
     for m in range(w_level + w2 - 1 - depth, w_level + w2):
@@ -530,7 +542,9 @@ def _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, report):
             final = w_level + w1 + w2 - n - m - 2
             if not 0 <= final <= depth:
                 continue
-            defect = _raw_commutator_defect(adjoint, engine, v1_word, v2_word, n, m, w_key)
+            defect = _raw_commutator_defect(
+                adjoint, engine, composed, v1_word, v2_word, n, m, w_key
+            )
             report.commutator_checked += 1
             if defect:
                 report.failures.append(
@@ -545,7 +559,7 @@ def _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, report):
                 if not 0 <= final <= depth:
                     continue
                 defect = _raw_associativity_defect(
-                    adjoint, engine, v1_word, v2_word, n, m, w_key, w_level
+                    adjoint, engine, composed, v1_word, v2_word, n, m, w_key, w_level
                 )
                 report.associativity_checked += 1
                 if defect:

@@ -70,7 +70,9 @@ class _SpanningSolver:
     ``v_{-1} a``, from a system that is square for a C_1 complement.
     Results are memoized per (level, coordinates).
 
-    The solver keeps the module, the depth and the complement labels,
+    The pivot pairs are the ones ``choose_complement`` kept when it
+    built C_1 itself (m = 1); other levels are built here.  The solver
+    keeps the module, the depth, the complement labels and those pairs,
     not the basis that owns it, so a basis is freed by reference
     counting alone.
     """
@@ -79,6 +81,7 @@ class _SpanningSolver:
         self.module = basis.module
         self.depth = basis.depth
         self._labels = basis.labels
+        self._c1_pairs = basis.c1_pairs or {}
         self._levels = {}
         self._memo = {}
 
@@ -87,7 +90,9 @@ class _SpanningSolver:
         if data is not None:
             return data
         module = self.module
-        pair_keys = cm_level(module, 1, n).pairs
+        pair_keys = self._c1_pairs.get(n)
+        if pair_keys is None:
+            pair_keys = cm_level(module, 1, n).pairs
         rows = [{} for _ in range(module.dim(n))]
         for j, (v_key, a_key) in enumerate(pair_keys):
             image = engine_for(module).apply_word(v_key, -1, a_key)

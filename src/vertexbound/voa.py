@@ -413,7 +413,7 @@ class _QuotientBasis(BaseRealization):
     at any level, so the quotient inherits the parent's unbounded
     internal range.  A singular vector is given as ``(partition, coeff)``
     pairs or as the ``{partition: coeff}`` dict ``singular_vectors_at``
-    returns.
+    returns.  Generator images are memoized per realization.
     """
 
     def __init__(self, parent, singular_vectors, depth: int):
@@ -422,6 +422,7 @@ class _QuotientBasis(BaseRealization):
         self.voa = parent.voa
         self.lowest_weight = parent.lowest_weight
         self._levels = {}
+        self._gen_cache = {}
         self._singular = []
         for vector in singular_vectors:
             raw = {tuple(partition): as_rational(coeff, "a singular-vector coefficient")
@@ -494,7 +495,12 @@ class _QuotientBasis(BaseRealization):
         return out
 
     def apply_gen(self, k: int, key) -> dict:
-        return self.reduce_parent_raw(self.parent.apply_gen(k, key))
+        cache = self._gen_cache
+        found = cache.get((k, key))
+        if found is None:
+            found = self.reduce_parent_raw(self.parent.apply_gen(k, key))
+            cache[(k, key)] = found
+        return found
 
     def label(self, key) -> str:
         return self.parent.label(key)

@@ -468,6 +468,101 @@ def commutator_defect(data, u_key, w_key, mode: int, final_level: int, j: int = 
 
 
 # ----------------------------------------------------------------------
+# the identity suite's defects, every composition built afresh
+
+def _combine_state(out: dict, raw: dict, factor) -> None:
+    for key, value in raw.items():
+        _acc_state(out, key, factor * value)
+
+
+def _compose(engine, a_word, p, b_word, q, w_key) -> dict:
+    """``a_p (b_q w)`` through the engine's one-mode images, with no table."""
+    out = {}
+    for mid_key, mid_coeff in engine.apply_word(b_word, q, w_key).items():
+        _combine_state(out, engine.apply_word(a_word, p, mid_key), mid_coeff)
+    return out
+
+
+def raw_commutator_defect(adjoint, engine, v1_word, v2_word, n, m, w_key) -> dict:
+    """lhs - rhs of the commutator identity
+
+        v1_n v2_m w - v2_m v1_n w = sum_i C(n, i) (v1_i v2)_{n+m-i} w
+
+    with both compositions built afresh; {} means it holds.  ``engine``
+    and ``adjoint`` are the mode engines of the module and the algebra.
+    """
+    defect = _compose(engine, v1_word, n, v2_word, m, w_key)
+    _combine_state(defect, _compose(engine, v2_word, m, v1_word, n, w_key), -1)
+    for i in range(sum(v1_word) + sum(v2_word)):
+        for p_key, p_coeff in adjoint.apply_word(v1_word, i, v2_word).items():
+            _combine_state(defect, engine.apply_word(p_key, n + m - i, w_key),
+                           -_binom(n, i) * p_coeff)
+    return defect
+
+
+def raw_associativity_defect(adjoint, engine, v1_word, v2_word, n, m, w_key, w_level) -> dict:
+    """lhs - rhs of the iterate identity
+
+        (v1_n v2)_m w = sum_i (-1)^i C(n, i) (v1_{n-i} v2_{m+i} w
+                                              - (-1)^n v2_{n+m-i} v1_i w)
+
+    with every composition built afresh; {} means it holds.  The sums
+    stop where ``v2_{m+i} w`` and ``v1_i w`` vanish for level reasons.
+    """
+    defect = {}
+    for p_key, p_coeff in adjoint.apply_word(v1_word, n, v2_word).items():
+        _combine_state(defect, engine.apply_word(p_key, m, w_key), p_coeff)
+    for i in range(w_level + sum(v2_word) - m):
+        _combine_state(defect, _compose(engine, v1_word, n - i, v2_word, m + i, w_key),
+                       -(-1) ** i * _binom(n, i))
+    for i in range(w_level + sum(v1_word)):
+        _combine_state(defect, _compose(engine, v2_word, n + m - i, v1_word, i, w_key),
+                       (-1) ** (n + i) * _binom(n, i))
+    return defect
+
+
+def identity_triple_failures(module):
+    """The suite's commutator and iterate checks over every ``(v1, v2, w)``,
+    each defect from the untabulated kernels above.
+
+    Enumerates the same triples and guarded mode pairs, in the same order,
+    as ``modes.run_identity_suite``; returns ``(failures, commutator
+    count, associativity count)`` with every failure, none cut off.
+    """
+    from vertexbound.modes import engine_for
+
+    voa = module.voa
+    engine, adjoint = engine_for(module), engine_for(voa)
+    depth, voa_depth = module.depth, voa.depth
+    failures, counts = [], {"commutator": 0, "associativity": 0}
+    for w1 in range(voa_depth + 1):
+        for w2 in range(min(voa_depth + 1, voa_depth + 2 - w1)):
+            for v1_word, v2_word in itertools.product(voa.keys(w1), voa.keys(w2)):
+                for w_level in range(depth + 1):
+                    for w_key in module.keys(w_level):
+                        m_range = range(w_level + w2 - 1 - depth, w_level + w2)
+                        cases = [("commutator", n, m) for m in m_range
+                                 for n in range(w_level + w1 - 1 - depth, w_level + w1)]
+                        if w_level + w1 - 1 <= depth:
+                            cases += [("associativity", n, m) for m in m_range
+                                      for n in range(w1 + w2 - 1 - voa_depth, w1 + w2)]
+                        for kind, n, m in cases:
+                            if not 0 <= w_level + w1 + w2 - n - m - 2 <= depth:
+                                continue
+                            counts[kind] += 1
+                            if kind == "commutator":
+                                defect = raw_commutator_defect(
+                                    adjoint, engine, v1_word, v2_word, n, m, w_key)
+                            else:
+                                defect = raw_associativity_defect(
+                                    adjoint, engine, v1_word, v2_word, n, m, w_key, w_level)
+                            if defect:
+                                failures.append((kind, voa.label(v1_word), voa.label(v2_word),
+                                                 n, m, module.label(w_key)))
+    return failures, counts["commutator"], counts["associativity"]
+
+
+# ----------------------------------------------------------------------
 # the order witness, one full solve per direction
 
 def _dict_matmul(a: dict, b: dict) -> dict:

@@ -5,7 +5,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from bruteforce import sugawara_L
+from bruteforce import identity_triple_failures, sugawara_L
+from vertexbound import modes
 from vertexbound.errors import InputShapeError, TruncationError
 from vertexbound.modes import (
     GradedVector,
@@ -26,6 +27,7 @@ from vertexbound.voa import (
     VermaModule,
     VirasoroVoa,
     level2_singular_vector,
+    raw_combine,
 )
 
 
@@ -164,6 +166,29 @@ def test_mode_action_flags_formal_overflow():
     assert not ok.truncated and ok == w.scale(1)
 
 
+def test_mode_action_keeps_integral_fock_data_on_ints(monkeypatch):
+    # an integral coefficient product reaches the engine's int images as
+    # an int; only a fractional one brings Fractions in before from_raw
+    voa = HeisenbergVoa(depth=4)
+    fock = FockModule(voa, Q(1))
+    seen = []
+
+    def recording(out, other, factor=1):
+        seen.append(type(factor))
+        raw_combine(out, other, factor)
+
+    monkeypatch.setattr(modes, "raw_combine", recording)
+    v = mode_action(generator_vector(voa), -2, generator_vector(voa)).scale(3)
+    w = GradedVector.basis_vector(fock, (2,)) - GradedVector.basis_vector(fock, (1, 1)).scale(2)
+    seen.clear()
+    out = mode_action(v, 1, w)
+    assert seen and set(seen) == {int}
+    assert all(type(c) is Q for coords in out.components.values() for c in coords)
+    seen.clear()
+    assert mode_action(v, 1, w.scale(Q(1, 2))) == out.scale(Q(1, 2))
+    assert Q in seen
+
+
 def test_identity_checks_refuse_truncated_combinations():
     voa = HeisenbergVoa(depth=2)
     fock = FockModule(voa, Q(1))
@@ -273,6 +298,49 @@ def test_identity_suite_catches_a_doubled_oscillator_mode():
     assert not report.all_passed
     assert len(report.failures) == 20  # the report keeps the first 20
     assert report.failures[0][:3] == ("associativity", "a(-1)|0>", "a(-1)|0>")
+
+
+def _fock_1():
+    return FockModule(HeisenbergVoa(depth=4), Q(1))
+
+
+def _ising_sigma():
+    c, h = Q(1, 2), Q(1, 16)
+    return QuotientModule(VermaModule(VirasoroVoa(c, depth=5), h), [level2_singular_vector(c, h)])
+
+
+def _wrong_central_charge():
+    broken = VermaModule(VirasoroVoa(Q(1, 2), depth=4), Q(1, 16))
+    broken.central_charge = Q(3, 2)
+    return broken
+
+
+def _doubled_oscillator_mode():
+    fock = _fock_1()
+    action = fock.apply_gen
+    fock.apply_gen = lambda k, key: (
+        {out: 2 * c for out, c in action(k, key).items()} if k == 1 else action(k, key)
+    )
+    return fock
+
+
+@pytest.mark.parametrize("make, counts, n_failures", [
+    (_fock_1, (12000, 7732, 58), 0),
+    (_ising_sigma, (6006, 3751, 65), 0),
+    (_wrong_central_charge, (2400, 1544, 58), 18),
+    (_doubled_oscillator_mode, (12000, 7732, 58), 3133),
+], ids=["fock-1", "ising-sigma", "wrong-central-charge", "doubled-oscillator-mode"])
+def test_identity_suite_matches_the_untabulated_defects(monkeypatch, make, counts, n_failures):
+    # the whole failure list, before the report's cut, equals the one the
+    # oracle kernels give when they build every composition afresh
+    monkeypatch.setattr(modes, "MAX_FAILURES", 10 ** 9)
+    report = run_identity_suite(make())
+    assert (report.commutator_checked, report.associativity_checked,
+            report.vacuum_checked) == counts
+    assert len(report.failures) == n_failures
+    failures, commutator, associativity = identity_triple_failures(make())
+    assert (commutator, associativity) == counts[:2]
+    assert report.failures == failures
 
 
 def test_engine_memo_is_reused():

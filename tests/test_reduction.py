@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 import pytest
 
 from bruteforce import fock_top_correlator, full_column_solve, plain_correlator_reduction
-from vertexbound import reduction
+from vertexbound import cofinite, reduction
 from vertexbound.cofinite import choose_complement
 from vertexbound.errors import InputShapeError, TruncationError
 from vertexbound.laurent import LaurentPoly
@@ -27,8 +27,10 @@ from vertexbound.voa import (
     HeisenbergVoa,
     QuotientModule,
     VermaModule,
+    VirasoroQuotientVoa,
     VirasoroVoa,
     level2_singular_vector,
+    singular_vectors_at,
 )
 
 
@@ -125,7 +127,11 @@ def test_express_matches_full_column_solve(name):
                 [FockModule(voa, Q(1)), FockModule(voa, Q(2))]),
         }[name]()
         basis = choose_complement(module, 6)
-    for level in range(0, 7):
+    assert_matches_full_column_solve(module, basis)
+
+
+def assert_matches_full_column_solve(module, basis):
+    for level in range(0, basis.depth + 1):
         pair_keys, comp, columns = full_span_oracle(module, basis, level)
         for u in basis_vectors(module, level):
             solution = full_column_solve(columns, u.coords_at(level))
@@ -138,10 +144,30 @@ def test_express_matches_full_column_solve(name):
             ]
             expected_comp = solution[len(pair_keys):]
             pairs, e = express_in_c1_plus_complement(u, basis)
-            assert pairs == expected_pairs, (name, level)
+            assert pairs == expected_pairs, (module.describe(), level)
             coords = e.coords_at(level)
             assert [coords[module.index(key)] for _, key in comp] == expected_comp
             assert recombine(pairs, e) == u
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_solver_rebuilds_c1_pairs_only_for_an_m2_complement(monkeypatch, m):
+    # an m = 1 complement keeps the C_1 pairs it built and the solver
+    # reads them; an m = 2 one built C_2, so the solver builds C_1 itself;
+    # the decompositions are the full column solve's either way
+    c = Q(1, 2)
+    module = VirasoroQuotientVoa(c, singular_vectors_at(VirasoroVoa(c, 10), 6), depth=10)
+    basis = choose_complement(module, 7, m)
+    assert (basis.c1_pairs is None) == (m == 2)
+    built = []
+
+    def counting_cm_level(module, m, n):
+        built.append(n)
+        return cofinite.cm_level(module, m, n)
+
+    monkeypatch.setattr(reduction, "cm_level", counting_cm_level)
+    assert_matches_full_column_solve(module, basis)
+    assert built == ([] if m == 1 else [n for n in range(8) if module.dim(n)])
 
 
 def test_express_quotient_singular_relation():

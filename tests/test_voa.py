@@ -261,6 +261,29 @@ def test_vacuum_quotient_via_found_singular_vector():
     assert quotient.dim(6) == voa.dim(6) - 1
 
 
+def _memo_quotients():
+    c = Q(1, 2)
+    voa = VirasoroVoa(c, depth=7)
+    return [
+        *(QuotientModule(VermaModule(voa, h), [level2_singular_vector(c, h)])
+          for h in (Q(1, 16), Q(1, 2))),
+        VirasoroQuotientVoa(c, singular_vectors_at(voa, 6), depth=7),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["sigma", "epsilon", "vacuum-quotient"])
+def test_memoized_quotient_generator_images_equal_fresh_reductions(index):
+    quotient = _memo_quotients()[index]
+    gw = quotient.voa.gen_weight
+    for n in range(quotient.depth + 1):
+        for key in quotient.keys(n):
+            for k in range(n + gw - 1 - quotient.depth, n + gw):
+                image = quotient.apply_gen(k, key)
+                fresh = quotient.reduce_parent_raw(quotient.parent.apply_gen(k, key))
+                assert image == fresh, (n, key, k)
+                assert quotient.apply_gen(k, key) is image
+
+
 def test_quotients_take_singular_vectors_in_the_form_singular_vectors_at_returns():
     c, h = Q(1, 2), Q(1, 2)
     verma = VermaModule(VirasoroVoa(c, depth=6), h)
