@@ -136,8 +136,9 @@ def cm_level(module, m: int, n: int) -> CmLevel:
         for v_key, u_key in candidates:
             if span.rank == dim_n:
                 break
-            image = engine.apply_word(v_key, -m, u_key)
-            if image and span.add(module.coords(image, n)):
+            # a row's scale leaves the span and its growth unchanged
+            nums, _ = engine.apply_word(v_key, -m, u_key)
+            if nums and span.add(module.coords(nums, n)):
                 grew.append((v_key, u_key))
     return CmLevel(level=n, dim=dim_n, rank=span.rank, span=span, pairs=grew)
 
@@ -395,7 +396,8 @@ def nilpotency_report(module, depth: int | None = None) -> NilpotencyReport:
         for col, key in enumerate(module.keys(n)):
             image = {}
             for word, coeff in omega_raw.items():
-                raw_combine(image, engine.apply_word(word, 1, key), coeff)
+                nums, den = engine.apply_word(word, 1, key)
+                raw_combine(image, nums, coeff / den)
             # L(0) - wt: the weight comes off the diagonal entry
             raw_acc(image, key, -module.weight_of(key))
             for row, coeff in module.coords(image, n).items():

@@ -14,16 +14,22 @@ module's depth is dropped and a sticky ``truncated`` flag is raised on
 the returned :class:`GradedVector`.  Identity checks refuse flagged
 inputs with :class:`~vertexbound.errors.TruncationError`, so a reported
 identity is never an artifact of dropped terms.
+
+Inside, the engine works on ``(nums, den)`` results (see
+:class:`ModeEngine`); the identity suite stays on them, and
+``mode_action`` divides by ``den`` once per output coefficient.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import product
+from math import gcd, lcm
 
-from .errors import InputShapeError, TruncationError
+from .errors import InputShapeError, InternalInvariantViolation, TruncationError
 from .laurent import Q, QONE, QZERO, as_rational, binomial
-from .voa import LevelCapExceeded, raw_acc, raw_combine
+from .voa import LevelCapExceeded
 
 
 class GradedVector:
@@ -209,6 +215,42 @@ def generator_vector(voa) -> GradedVector:
 # ----------------------------------------------------------------------
 # the mode engine
 
+def add_scaled(acc: dict, den: int, nums: dict, d: int, factor: int) -> int:
+    """Add ``factor * nums / d`` to the numerators ``acc`` over ``den``.
+
+    Returns the denominator ``acc`` is over afterwards: ``den``, or the
+    lcm of ``den`` and ``d`` when ``d`` does not divide it, in which case
+    ``acc`` is rescaled in place.  Keys whose sum is zero are dropped.
+    """
+    if d != den:
+        if den % d:
+            f = lcm(den, d) // den
+            for key in acc:
+                acc[key] *= f
+            den *= f
+        factor *= den // d
+    for key, c in nums.items():
+        s = acc.get(key)
+        if s is None:
+            acc[key] = c * factor
+        elif s := s + c * factor:
+            acc[key] = s
+        else:
+            del acc[key]
+    return den
+
+
+def lowest_terms(acc: dict, den: int) -> tuple:
+    """``(nums, den)`` for the numerators ``acc`` over ``den``, its content
+    stripped with one gcd; ``({}, 1)`` for an empty ``acc``."""
+    if den == 1:
+        return acc, 1
+    g = gcd(den, *acc.values())
+    if g == 1:
+        return acc, den
+    return {key: c // g for key, c in acc.items()}, den // g
+
+
 class ModeEngine:
     """Memoized exact mode application for one module realization.
 
@@ -217,35 +259,61 @@ class ModeEngine:
     algebra and ``w_key`` is a basis key of the module.  Words need not
     be canonical basis keys; any descending tuple denotes the
     corresponding product of creation operators on the vacuum.
+
+    Results are ``(nums, den)``: ``{key: int}`` numerators over one
+    positive ``int`` denominator, in lowest terms (``den == 1`` on
+    integral data); callers never change them.  Each generator image
+    is read once into the same form and kept in a table.  The module is
+    held weakly, so realizations are freed by reference counting when
+    the command that built them returns.
     """
 
     def __init__(self, module):
-        self.module = module
-        self.voa = module.voa
+        self._module = weakref.ref(module)
+        self._gen_weight = module.voa.gen_weight
         self._memo = {}
+        self._gens = {}
 
-    def apply_word(self, v_word: tuple, k: int, w_key) -> dict:
+    @property
+    def module(self):
+        module = self._module()
+        if module is None:
+            raise InternalInvariantViolation("a mode engine outlived its module realization")
+        return module
+
+    def gen_image(self, k: int, key) -> tuple:
+        """``module.apply_gen(k, key)`` as ``(nums, den)``; over the lcm of
+        the image's denominators, the numerators are in lowest terms."""
+        found = self._gens.get((k, key))
+        if found is None:
+            raw = self.module.apply_gen(k, key)
+            den = lcm(*(c.denominator for c in raw.values()))
+            found = self._gens[(k, key)] = (
+                {out: c.numerator * (den // c.denominator) for out, c in raw.items() if c}, den)
+        return found
+
+    def apply_word(self, v_word: tuple, k: int, w_key) -> tuple:
         memo_key = (v_word, k, w_key)
         found = self._memo.get(memo_key)
         if found is not None:
             return found
         if not v_word:
-            result = {w_key: 1} if k == -1 else {}
+            result = ({w_key: 1} if k == -1 else {}), 1
         else:
             result = self._expand(v_word, k, w_key)
         self._memo[memo_key] = result
         return result
 
-    def _expand(self, v_word, k, w_key) -> dict:
-        module = self.module
+    def _expand(self, v_word, k, w_key) -> tuple:
         part = v_word[0]
         rest = v_word[1:]
-        gen_weight = self.voa.gen_weight
+        gen_weight = self._gen_weight
+        gens = self._gens
         j = -part if gen_weight == 1 else 1 - part
         wt_rest = sum(rest)
-        w_level = module.level_of(w_key)
+        w_level = self.module.level_of(w_key)
         sign_j = -1 if j % 2 else 1
-        out = {}
+        acc, den = {}, 1
         # first branch: g_{j-i} (u_{k+i} w); terms with u_{k+i} w at
         # negative formal level vanish identically
         for i in range(0, w_level + wt_rest - k):
@@ -254,13 +322,11 @@ class ModeEngine:
                 continue
             if i % 2:
                 coeff = -coeff
-            inner = self.apply_word(rest, k + i, w_key)
-            if not inner:
-                continue
-            for mid_key, mid_coeff in inner.items():
-                scale = coeff * mid_coeff
-                for fin_key, fin_coeff in module.apply_gen(j - i, mid_key).items():
-                    raw_acc(out, fin_key, scale * fin_coeff)
+            inner, d1 = self.apply_word(rest, k + i, w_key)
+            for mid_key, mid_num in inner.items():
+                gen, d2 = gens.get((j - i, mid_key)) or self.gen_image(j - i, mid_key)
+                if gen:
+                    den = add_scaled(acc, den, gen, d1 * d2, coeff * mid_num)
         # second branch: -(-1)^j u_{j+k-i} (g_i w); g_i w vanishes once i
         # exceeds the level plus generator weight
         for i in range(0, w_level + gen_weight):
@@ -270,14 +336,12 @@ class ModeEngine:
             if i % 2:
                 coeff = -coeff
             coeff = -sign_j * coeff
-            inner = module.apply_gen(i, w_key)
-            if not inner:
-                continue
-            for mid_key, mid_coeff in inner.items():
-                scale = coeff * mid_coeff
-                for fin_key, fin_coeff in self.apply_word(rest, j + k - i, mid_key).items():
-                    raw_acc(out, fin_key, scale * fin_coeff)
-        return out
+            gen, d1 = gens.get((i, w_key)) or self.gen_image(i, w_key)
+            for mid_key, mid_num in gen.items():
+                inner, d2 = self.apply_word(rest, j + k - i, mid_key)
+                if inner:
+                    den = add_scaled(acc, den, inner, d1 * d2, coeff * mid_num)
+        return lowest_terms(acc, den)
 
 
 def engine_for(module) -> ModeEngine:
@@ -318,22 +382,22 @@ def mode_action(v: GradedVector, k: int, w: GradedVector) -> GradedVector:
             continue
         keys = module.keys(w_level)
         coords = w.components[w_level]
-        level_part = {}
+        acc, den = {}, 1
         try:
             for i, w_coeff in enumerate(coords):
                 if not w_coeff:
                     continue
                 for v_word, v_coeff in v_raw.items():
                     scale = v_coeff * w_coeff
-                    raw_combine(
-                        level_part,
-                        engine.apply_word(v_word, k, keys[i]),
-                        scale.numerator if scale.denominator == 1 else scale,
-                    )
+                    nums, d = engine.apply_word(v_word, k, keys[i])
+                    if nums:
+                        den = add_scaled(acc, den, nums, d * scale.denominator, scale.numerator)
         except LevelCapExceeded:
             truncated = True
             continue
-        raw_combine(out, level_part)
+        # the target levels of distinct w levels differ, so no key repeats
+        nums, den = lowest_terms(acc, den)
+        out.update(nums if den == 1 else {key: Q(c, den) for key, c in nums.items()})
     return GradedVector.from_raw(module, out, truncated)
 
 
@@ -466,34 +530,33 @@ class IdentitySuiteReport:
         }
 
 
-def _raw_apply(engine, v_word, k, raw):
-    out = {}
-    for w_key, coeff in raw.items():
-        raw_combine(out, engine.apply_word(v_word, k, w_key), coeff)
-    return out
-
-
-def _raw_commutator_defect(adjoint, engine, composed, v1_word, v2_word, n, m, w_key):
-    """lhs - rhs of the commutator identity at raw level; {} means it holds."""
-    defect = dict(composed(v1_word, n, v2_word, m))
-    for key, coeff in composed(v2_word, m, v1_word, n).items():
-        raw_acc(defect, key, -coeff)
-    for i in range(0, sum(v1_word) + sum(v2_word)):
+def _raw_commutator_defect(adjoint, engine, composed, v1_word, v2_word, n, m, w_key, top):
+    """lhs - rhs of the commutator identity as numerators over a common
+    denominator; it holds when every numerator is zero."""
+    nums, den = composed(v1_word, n, v2_word, m)
+    defect = dict(nums)
+    nums, d = composed(v2_word, m, v1_word, n)
+    den = add_scaled(defect, den, nums, d, -1)
+    for i in range(0, top):
         factor = binomial(n, i)
         if not factor:
             continue
-        for p_key, p_coeff in adjoint.apply_word(v1_word, i, v2_word).items():
-            raw_combine(defect, engine.apply_word(p_key, n + m - i, w_key), -factor * p_coeff)
+        p_nums, p_den = adjoint.apply_word(v1_word, i, v2_word)
+        for p_key, p_coeff in p_nums.items():
+            nums, d = engine.apply_word(p_key, n + m - i, w_key)
+            den = add_scaled(defect, den, nums, p_den * d, -factor * p_coeff)
     return defect
 
 
-def _raw_associativity_defect(adjoint, engine, composed, v1_word, v2_word, n, m, w_key, w_level):
-    """lhs - rhs of the iterate identity at raw level; {} means it holds."""
-    defect = {}
-    for p_key, p_coeff in adjoint.apply_word(v1_word, n, v2_word).items():
-        raw_combine(defect, engine.apply_word(p_key, m, w_key), p_coeff)
-    wt1 = sum(v1_word)
-    wt2 = sum(v2_word)
+def _raw_associativity_defect(adjoint, engine, composed, v1_word, v2_word, n, m, w_key,
+                              w_level, wt1, wt2):
+    """lhs - rhs of the iterate identity as numerators over a common
+    denominator; it holds when every numerator is zero."""
+    defect, den = {}, 1
+    p_nums, p_den = adjoint.apply_word(v1_word, n, v2_word)
+    for p_key, p_coeff in p_nums.items():
+        nums, d = engine.apply_word(p_key, m, w_key)
+        den = add_scaled(defect, den, nums, p_den * d, p_coeff)
     sign_n = -1 if n % 2 else 1
     for i in range(0, w_level + wt2 - m):
         factor = binomial(n, i)
@@ -501,7 +564,8 @@ def _raw_associativity_defect(adjoint, engine, composed, v1_word, v2_word, n, m,
             continue
         if i % 2:
             factor = -factor
-        raw_combine(defect, composed(v1_word, n - i, v2_word, m + i), -factor)
+        nums, d = composed(v1_word, n - i, v2_word, m + i)
+        den = add_scaled(defect, den, nums, d, -factor)
     for i in range(0, w_level + wt1):
         factor = binomial(n, i)
         if not factor:
@@ -509,7 +573,8 @@ def _raw_associativity_defect(adjoint, engine, composed, v1_word, v2_word, n, m,
         if i % 2:
             factor = -factor
         factor = -sign_n * factor
-        raw_combine(defect, composed(v2_word, n + m - i, v1_word, i), -factor)
+        nums, d = composed(v2_word, n + m - i, v1_word, i)
+        den = add_scaled(defect, den, nums, d, -factor)
     return defect
 
 
@@ -531,8 +596,12 @@ def _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, report):
         key = (a_word, p, b_word, q)
         found = table.get(key)
         if found is None:
-            found = _raw_apply(engine, a_word, p, engine.apply_word(b_word, q, w_key))
-            table[key] = found
+            inner, d = engine.apply_word(b_word, q, w_key)
+            acc, den = {}, 1
+            for mid_key, coeff in inner.items():
+                nums, d2 = engine.apply_word(a_word, p, mid_key)
+                den = add_scaled(acc, den, nums, d * d2, coeff)
+            found = table[key] = acc, den
         return found
 
     # commutator: both one-mode intermediates and the final level inside
@@ -543,7 +612,7 @@ def _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, report):
             if not 0 <= final <= depth:
                 continue
             defect = _raw_commutator_defect(
-                adjoint, engine, composed, v1_word, v2_word, n, m, w_key
+                adjoint, engine, composed, v1_word, v2_word, n, m, w_key, w1 + w2
             )
             report.commutator_checked += 1
             if defect:
@@ -559,7 +628,7 @@ def _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, report):
                 if not 0 <= final <= depth:
                     continue
                 defect = _raw_associativity_defect(
-                    adjoint, engine, composed, v1_word, v2_word, n, m, w_key, w_level
+                    adjoint, engine, composed, v1_word, v2_word, n, m, w_key, w_level, w1, w2
                 )
                 report.associativity_checked += 1
                 if defect:

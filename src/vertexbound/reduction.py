@@ -51,7 +51,7 @@ from .errors import (
     InternalInvariantViolation,
     TruncationError,
 )
-from .laurent import LaurentPoly, QONE, as_rational
+from .laurent import LaurentPoly, Q, QONE, as_rational
 from .linalg import ExactMatrix
 from .modes import GradedVector, engine_for, mode_action, omega_vector
 
@@ -95,9 +95,9 @@ class _SpanningSolver:
             pair_keys = cm_level(module, 1, n).pairs
         rows = [{} for _ in range(module.dim(n))]
         for j, (v_key, a_key) in enumerate(pair_keys):
-            image = engine_for(module).apply_word(v_key, -1, a_key)
-            for i, c in module.coords(image, n).items():
-                rows[i][j] = c
+            nums, den = engine_for(module).apply_word(v_key, -1, a_key)
+            for i, c in module.coords(nums, n).items():
+                rows[i][j] = c if den == 1 else Q(c, den)
         comp_at_level = [
             (idx, key) for idx, (lv, key) in enumerate(self._labels) if lv == n
         ]

@@ -219,6 +219,21 @@ class BaseRealization:
         return f"<{self.describe()} depth={self.depth}>"
 
 
+class _VacuumAlgebra:
+    """An algebra realization, which is also its own adjoint module.
+
+    ``voa`` answers the realization itself without storing it, since a
+    stored self-reference would keep every realization alive until a
+    full garbage collection; modules keep ``voa`` as a plain attribute.
+    """
+
+    is_voa = True
+
+    @property
+    def voa(self):
+        return self
+
+
 class _PartitionBasis(BaseRealization):
     """Basis indexed by partitions with a fixed minimum part."""
 
@@ -293,7 +308,7 @@ class _VirasoroAction:
         return out
 
 
-class HeisenbergVoa(_OscillatorAction, _PartitionBasis):
+class HeisenbergVoa(_VacuumAlgebra, _OscillatorAction, _PartitionBasis):
     """Rank-one free boson vacuum algebra, truncated at ``depth``.
 
     The adjoint module has basis ``a(-n_1)...a(-n_k)|0>`` over partitions
@@ -301,13 +316,11 @@ class HeisenbergVoa(_OscillatorAction, _PartitionBasis):
     central charge 1, so the generator weight is 1.
     """
 
-    is_voa = True
     gen_weight = 1
     min_part = 1
 
     def __init__(self, depth: int):
         super().__init__(depth)
-        self.voa = self
         self.charge = QZERO
         self.lowest_weight = QZERO
         self.spec = VoaSpec(kind="heisenberg")
@@ -343,20 +356,18 @@ class FockModule(_OscillatorAction, _PartitionBasis):
         return word + f"|{format_rational(self.charge)}>"
 
 
-class VirasoroVoa(_VirasoroAction, _PartitionBasis):
+class VirasoroVoa(_VacuumAlgebra, _VirasoroAction, _PartitionBasis):
     """Universal Virasoro vacuum algebra at rational central charge.
 
     Vacuum basis over partitions with parts >= 2; ``L(-1)|0> = 0`` and
     positive modes annihilate the vacuum.
     """
 
-    is_voa = True
     gen_weight = 2
     min_part = 2
 
     def __init__(self, central_charge, depth: int):
         super().__init__(depth)
-        self.voa = self
         self.central_charge = as_rational(central_charge, "a central charge")
         self.lowest_weight = QZERO
         self.spec = VoaSpec(kind="virasoro", central_charge=self.central_charge)
@@ -413,16 +424,14 @@ class _QuotientBasis(BaseRealization):
     at any level, so the quotient inherits the parent's unbounded
     internal range.  A singular vector is given as ``(partition, coeff)``
     pairs or as the ``{partition: coeff}`` dict ``singular_vectors_at``
-    returns.  Generator images are memoized per realization.
+    returns.
     """
 
     def __init__(self, parent, singular_vectors, depth: int):
         super().__init__(depth)
         self.parent = parent
-        self.voa = parent.voa
         self.lowest_weight = parent.lowest_weight
         self._levels = {}
-        self._gen_cache = {}
         self._singular = []
         for vector in singular_vectors:
             raw = {tuple(partition): as_rational(coeff, "a singular-vector coefficient")
@@ -495,12 +504,7 @@ class _QuotientBasis(BaseRealization):
         return out
 
     def apply_gen(self, k: int, key) -> dict:
-        cache = self._gen_cache
-        found = cache.get((k, key))
-        if found is None:
-            found = self.reduce_parent_raw(self.parent.apply_gen(k, key))
-            cache[(k, key)] = found
-        return found
+        return self.reduce_parent_raw(self.parent.apply_gen(k, key))
 
     def label(self, key) -> str:
         return self.parent.label(key)
@@ -513,6 +517,7 @@ class QuotientModule(_QuotientBasis):
         if not isinstance(verma, VermaModule):
             raise InputShapeError("module quotients are built from Verma modules")
         super().__init__(verma, singular_vectors, verma.depth if depth is None else depth)
+        self.voa = verma.voa
         self.highest_weight = verma.highest_weight
         self.central_charge = verma.central_charge
         self.spec = ModuleSpec(
@@ -525,16 +530,14 @@ class QuotientModule(_QuotientBasis):
         )
 
 
-class VirasoroQuotientVoa(_QuotientBasis):
+class VirasoroQuotientVoa(_VacuumAlgebra, _QuotientBasis):
     """Quotient of the universal Virasoro algebra by vacuum singular vectors."""
 
-    is_voa = True
     gen_weight = 2
 
     def __init__(self, central_charge, singular_vectors, depth: int):
         parent = VirasoroVoa(central_charge, depth)
         super().__init__(parent, singular_vectors, depth)
-        self.voa = self
         self.central_charge = parent.central_charge
         self.vacuum_key = ()
         self.generator_raw = {(2,): QONE}

@@ -361,6 +361,11 @@ def _binom(n: int, k: int) -> Q:
     return out
 
 
+def _sign(e: int) -> int:
+    """(-1)^e for any integer e, as an int (``(-1) ** e`` is a float for e < 0)."""
+    return -1 if e % 2 else 1
+
+
 def _acc_state(out: dict, key, value) -> None:
     s = out.get(key, Q(0)) + value
     if s:
@@ -468,6 +473,43 @@ def commutator_defect(data, u_key, w_key, mode: int, final_level: int, j: int = 
 
 
 # ----------------------------------------------------------------------
+# the mode engine's iterate expansion on Fraction values
+
+def fraction_apply_word(module, v_word, k, w_key, memo: dict) -> dict:
+    """``v_k w`` as ``{key: Fraction}``, by the iterate expansion
+
+        (g_j u)_k w = sum_i C(j, i) (-1)^i [g_{j-i} (u_{k+i} w) - (-1)^j u_{j+k-i} (g_i w)]
+
+    on the realization's own ``apply_gen`` images, read afresh at every
+    use, with every sum in ``Fraction``s.  ``memo`` caches by
+    ``(v_word, k, w_key)``, as the engine does.
+    """
+    found = memo.get((v_word, k, w_key))
+    if found is not None:
+        return found
+    out = {}
+    if not v_word:
+        if k == -1:
+            out[w_key] = Q(1)
+    else:
+        gw = module.voa.gen_weight
+        rest = v_word[1:]
+        j = -v_word[0] if gw == 1 else 1 - v_word[0]
+        w_level = module.level_of(w_key)
+        for i in range(w_level + sum(rest) - k):
+            coeff = _sign(i) * _binom(j, i)
+            for mid_key, mid in fraction_apply_word(module, rest, k + i, w_key, memo).items():
+                _combine_state(out, module.apply_gen(j - i, mid_key), coeff * mid)
+        for i in range(w_level + gw):
+            coeff = -_sign(j + i) * _binom(j, i)
+            for mid_key, mid in module.apply_gen(i, w_key).items():
+                _combine_state(out, fraction_apply_word(module, rest, j + k - i, mid_key, memo),
+                               coeff * mid)
+    memo[(v_word, k, w_key)] = out
+    return out
+
+
+# ----------------------------------------------------------------------
 # the identity suite's defects, every composition built afresh
 
 def _combine_state(out: dict, raw: dict, factor) -> None:
@@ -475,11 +517,17 @@ def _combine_state(out: dict, raw: dict, factor) -> None:
         _acc_state(out, key, factor * value)
 
 
+def word_values(engine, v_word, k, w_key) -> dict:
+    """The engine's ``v_k w`` read as ``Fraction`` values: ``nums / den``."""
+    nums, den = engine.apply_word(v_word, k, w_key)
+    return {key: Q(c, den) for key, c in nums.items()}
+
+
 def _compose(engine, a_word, p, b_word, q, w_key) -> dict:
     """``a_p (b_q w)`` through the engine's one-mode images, with no table."""
     out = {}
-    for mid_key, mid_coeff in engine.apply_word(b_word, q, w_key).items():
-        _combine_state(out, engine.apply_word(a_word, p, mid_key), mid_coeff)
+    for mid_key, mid_coeff in word_values(engine, b_word, q, w_key).items():
+        _combine_state(out, word_values(engine, a_word, p, mid_key), mid_coeff)
     return out
 
 
@@ -494,8 +542,8 @@ def raw_commutator_defect(adjoint, engine, v1_word, v2_word, n, m, w_key) -> dic
     defect = _compose(engine, v1_word, n, v2_word, m, w_key)
     _combine_state(defect, _compose(engine, v2_word, m, v1_word, n, w_key), -1)
     for i in range(sum(v1_word) + sum(v2_word)):
-        for p_key, p_coeff in adjoint.apply_word(v1_word, i, v2_word).items():
-            _combine_state(defect, engine.apply_word(p_key, n + m - i, w_key),
+        for p_key, p_coeff in word_values(adjoint, v1_word, i, v2_word).items():
+            _combine_state(defect, word_values(engine, p_key, n + m - i, w_key),
                            -_binom(n, i) * p_coeff)
     return defect
 
@@ -510,14 +558,14 @@ def raw_associativity_defect(adjoint, engine, v1_word, v2_word, n, m, w_key, w_l
     stop where ``v2_{m+i} w`` and ``v1_i w`` vanish for level reasons.
     """
     defect = {}
-    for p_key, p_coeff in adjoint.apply_word(v1_word, n, v2_word).items():
-        _combine_state(defect, engine.apply_word(p_key, m, w_key), p_coeff)
+    for p_key, p_coeff in word_values(adjoint, v1_word, n, v2_word).items():
+        _combine_state(defect, word_values(engine, p_key, m, w_key), p_coeff)
     for i in range(w_level + sum(v2_word) - m):
         _combine_state(defect, _compose(engine, v1_word, n - i, v2_word, m + i, w_key),
-                       -(-1) ** i * _binom(n, i))
+                       -_sign(i) * _binom(n, i))
     for i in range(w_level + sum(v1_word)):
         _combine_state(defect, _compose(engine, v2_word, n + m - i, v1_word, i, w_key),
-                       (-1) ** (n + i) * _binom(n, i))
+                       _sign(n + i) * _binom(n, i))
     return defect
 
 

@@ -1,7 +1,11 @@
+import gc
+import importlib
+import io
 import json
 import signal
 import textwrap
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -451,3 +455,49 @@ def test_run_section_defaults_feed_cli(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["payload"]["quotient_dims"] == [1, 0, 0, 0, 0]
+
+
+# ----------------------------------------------------------------------
+# lifetimes: a command's realizations go when it returns
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _cyclic_garbage(argv):
+    """The exit code of one in-process run and the names of the vertexbound
+    types it left for the cycle collector rather than reference counting."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with redirect_stdout(io.StringIO()):
+            code = main(argv)
+        gc.collect()
+        leaked = sorted({type(obj).__qualname__ for obj in gc.garbage
+                         if type(obj).__module__.startswith("vertexbound")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    return code, leaked
+
+
+@pytest.mark.parametrize("family", ["fock", "ising", "order"])
+def test_commands_free_their_realizations_by_reference_counting(tmp_path, monkeypatch, family):
+    # the benchmark's pipeline commands and its order config's join and compare
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("VERTEXBOUND_CACHE", str(tmp_path / "cache"))
+    workloads = importlib.import_module("workloads")
+    if family == "order":
+        config = workloads.prepare("order", 77, tmp_path)["order"]
+        runs = {"join": ["join", "--config", config, "--depth", str(workloads.ORDER_JOIN_DEPTH)],
+                "compare": ["compare", "--config", config]}
+    else:
+        config = workloads.prepare("pipeline", 0, tmp_path)[family]
+        commands = {"fock": workloads.PIPELINE_FOCK_COMMANDS,
+                    "ising": workloads.PIPELINE_ISING_COMMANDS}[family]
+        runs = {command: [command, "--config", config] for command in commands}
+        depth, threads = workloads.PIPELINE_IDENTITY[family]
+        runs["identity-suite"] = ["identity-suite", "--config", config,
+                                  "--depth", str(depth), "--threads", str(threads)]
+    results = {name: _cyclic_garbage(argv) for name, argv in runs.items()}
+    assert results == {name: (0, []) for name in runs}

@@ -164,13 +164,13 @@ def test_fock_engine_words_are_int_and_match_the_oracle():
     for word in words:
         for n, key in _levels(fock):
             for k in range(n + sum(word) - 1 - DEPTH, n + sum(word) + 1):
-                got = engine.apply_word(word, k, key)
-                assert _all_ints(got), (word, k, key)
+                got, den = engine.apply_word(word, k, key)
+                assert den == 1 and _all_ints(got), (word, k, key)
                 assert got == heisenberg_word_mode(word, k, key, Q(1)), (word, k, key)
                 checked += bool(got)
     assert checked > 500
     # intermediate results of the iterate expansion as well
-    assert all(_all_ints(raw) for raw in engine._memo.values())
+    assert all(den == 1 and _all_ints(raw) for raw, den in engine._memo.values())
 
 
 # ----------------------------------------------------------------------

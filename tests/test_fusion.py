@@ -73,7 +73,8 @@ def test_zero_charge_on_the_left_reduces_to_the_module_action():
                     entry = h.images((u_key, w_key, 0))
                     for lt in range(4):
                         mode = lu + lw - 1 - lt
-                        raw = eng.apply_word(u_key, mode, w_key)
+                        nums, den = eng.apply_word(u_key, mode, w_key)
+                        raw = {key: Q(c, den) for key, c in nums.items()}
                         want = dense(h.target.coords(raw, lt), h.target.dim(lt))
                         got = entry.get(lt, zero_coords(h.target, lt))
                         assert tuple(got) == tuple(want)

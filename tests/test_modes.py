@@ -1,13 +1,16 @@
 """Composite mode actions, truncation semantics, and the identity suite."""
 
+import gc
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
-from bruteforce import identity_triple_failures, sugawara_L
+from bruteforce import fraction_apply_word, identity_triple_failures, sugawara_L
 from vertexbound import modes
-from vertexbound.errors import InputShapeError, TruncationError
+from vertexbound.errors import InputShapeError, InternalInvariantViolation, TruncationError
+from vertexbound.fusion import heisenberg_intertwiner, join
 from vertexbound.modes import (
     GradedVector,
     check_associativity,
@@ -21,13 +24,15 @@ from vertexbound.modes import (
     vacuum_vector,
 )
 from vertexbound.voa import (
+    DirectSumModule,
     FockModule,
     HeisenbergVoa,
     QuotientModule,
     VermaModule,
+    VirasoroQuotientVoa,
     VirasoroVoa,
     level2_singular_vector,
-    raw_combine,
+    singular_vectors_at,
 )
 
 
@@ -167,17 +172,18 @@ def test_mode_action_flags_formal_overflow():
 
 
 def test_mode_action_keeps_integral_fock_data_on_ints(monkeypatch):
-    # an integral coefficient product reaches the engine's int images as
-    # an int; only a fractional one brings Fractions in before from_raw
+    # integral data reaches from_raw on ints; only a fractional
+    # coefficient brings Fractions in before it
     voa = HeisenbergVoa(depth=4)
     fock = FockModule(voa, Q(1))
     seen = []
+    from_raw = GradedVector.from_raw.__func__
 
-    def recording(out, other, factor=1):
-        seen.append(type(factor))
-        raw_combine(out, other, factor)
+    def recording(cls, module, raw, truncated=False):
+        seen.extend(type(c) for c in raw.values())
+        return from_raw(cls, module, raw, truncated)
 
-    monkeypatch.setattr(modes, "raw_combine", recording)
+    monkeypatch.setattr(GradedVector, "from_raw", classmethod(recording))
     v = mode_action(generator_vector(voa), -2, generator_vector(voa)).scale(3)
     w = GradedVector.basis_vector(fock, (2,)) - GradedVector.basis_vector(fock, (1, 1)).scale(2)
     seen.clear()
@@ -350,3 +356,60 @@ def test_engine_memo_is_reused():
     assert engine is engine_for(fock)
     first = engine.apply_word((2, 1), 0, (1,))
     assert engine.apply_word((2, 1), 0, (1,)) is first
+
+
+# ----------------------------------------------------------------------
+# (nums, den) results against the Fraction iterate expansion
+
+def _oracle_modules():
+    heisenberg = HeisenbergVoa(depth=4)
+    c = Q(1, 2)
+    virasoro = VirasoroVoa(c, depth=6)
+    h = heisenberg_intertwiner(1, 2, 3)
+    return {
+        "fock-1": FockModule(heisenberg, Q(1)),
+        "fock-1/2": FockModule(heisenberg, Q(1, 2)),
+        "fock-(-3/2)": FockModule(heisenberg, Q(-3, 2)),
+        "verma-1/16": VermaModule(virasoro, Q(1, 16)),
+        **{name: QuotientModule(VermaModule(virasoro, hw), [level2_singular_vector(c, hw)])
+           for name, hw in (("sigma", Q(1, 16)), ("epsilon", Q(1, 2)))},
+        "vacuum-quotient": VirasoroQuotientVoa(c, singular_vectors_at(virasoro, 6), depth=6),
+        "direct-sum": DirectSumModule((FockModule(heisenberg, 1), FockModule(heisenberg, Q(-1, 2)))),
+        "join-target": join(h, h.scale(Q(-3, 4))).target,
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_modules()))
+def test_engine_results_are_lowest_terms_and_match_the_fraction_expansion(name):
+    module = _oracle_modules()[name]
+    voa, depth = module.voa, module.depth
+    engine = engine_for(module)
+    for wt in range(voa.depth + 1):
+        for word in voa.keys(wt):
+            for n in range(depth + 1):
+                for key in module.keys(n):
+                    for k in range(n + wt - 1 - depth, n + wt):
+                        engine.apply_word(word, k, key)
+    oracle = {}
+    for (word, k, key), (nums, den) in engine._memo.items():
+        assert type(den) is int and den > 0
+        assert all(type(c) is int and c for c in nums.values())
+        assert gcd(den, *nums.values()) == 1
+        assert {out: Q(c, den) for out, c in nums.items()} == \
+            fraction_apply_word(module, word, k, key, oracle), (word, k, key)
+    assert len(engine._memo) > 100
+    # integral data stays over 1; the others need a denominator somewhere
+    dens = {den for _, den in engine._memo.values()}
+    assert (dens == {1}) == (name in ("fock-1", "join-target")), dens
+
+
+def test_an_engine_refuses_once_its_module_is_gone():
+    fock = FockModule(HeisenbergVoa(depth=3), Q(1))
+    engine = engine_for(fock)
+    assert engine.apply_word((1,), -1, ()) == ({(1,): 1}, 1)
+    del fock
+    gc.collect()
+    # a memoized result is still an answer; new work refuses
+    assert engine.apply_word((1,), -1, ()) == ({(1,): 1}, 1)
+    with pytest.raises(InternalInvariantViolation):
+        engine.apply_word((2,), -1, ())

@@ -20,6 +20,7 @@ from bruteforce import (
 )
 from vertexbound.errors import InputShapeError
 from vertexbound.fusion import heisenberg_intertwiner, join
+from vertexbound.modes import engine_for
 from vertexbound.voa import (
     DirectSumModule,
     FockModule,
@@ -273,15 +274,18 @@ def _memo_quotients():
 
 @pytest.mark.parametrize("index", range(3), ids=["sigma", "epsilon", "vacuum-quotient"])
 def test_memoized_quotient_generator_images_equal_fresh_reductions(index):
+    # the mode engine's generator table holds each quotient image once
     quotient = _memo_quotients()[index]
+    engine = engine_for(quotient)
     gw = quotient.voa.gen_weight
     for n in range(quotient.depth + 1):
         for key in quotient.keys(n):
             for k in range(n + gw - 1 - quotient.depth, n + gw):
-                image = quotient.apply_gen(k, key)
+                image = engine.gen_image(k, key)
+                nums, den = image
                 fresh = quotient.reduce_parent_raw(quotient.parent.apply_gen(k, key))
-                assert image == fresh, (n, key, k)
-                assert quotient.apply_gen(k, key) is image
+                assert {out: Q(c, den) for out, c in nums.items()} == fresh, (n, key, k)
+                assert engine.gen_image(k, key) is image
 
 
 def test_quotients_take_singular_vectors_in_the_form_singular_vectors_at_returns():
