@@ -43,8 +43,6 @@ from .linalg import ExactMatrix
 from .modes import (
     GradedVector,
     basis_vectors,
-    check_associativity,
-    check_commutator,
     mode_action,
     omega_vector,
     run_identity_suite,
@@ -102,8 +100,6 @@ __all__ = [
     "basis_vectors",
     "vacuum_vector",
     "omega_vector",
-    "check_commutator",
-    "check_associativity",
     "run_identity_suite",
     "build_cm",
     "cm_quotient_dims",

@@ -83,7 +83,7 @@ class CmSubspace:
         for level in vec.levels():
             if level > self.depth:
                 raise TruncationError(f"level {level} exceeds the certified depth {self.depth}")
-            row = {j: c for j, c in enumerate(vec.components[level]) if c}
+            row = self.module.coords(vec.components[level], level)
             if not self.levels[level].span.contains(row):
                 return False
         return True

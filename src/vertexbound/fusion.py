@@ -271,8 +271,8 @@ class IntertwinerData:
                 for level, coords in self.series.get(skey, {}).items()}
 
     def series_vector(self, u_key, w_key, j: int, target_level: int) -> GradedVector:
-        coords = self.images((u_key, w_key, j)).get(target_level)
-        return GradedVector(self.target, {target_level: coords} if coords else {})
+        coords = self.images((u_key, w_key, j)).get(target_level, ())
+        return GradedVector(self.target, dict(zip(self.target.keys(target_level), coords)))
 
     def _as_source_vector(self, value, module) -> GradedVector:
         if isinstance(value, GradedVector):
@@ -312,7 +312,7 @@ class IntertwinerData:
             for key, c in zip(self.target.keys(level), entry.get(level, ())):
                 if c:
                     raw_acc(raw, key, coeff * c)
-        return GradedVector.from_raw(self.target, raw, truncated)
+        return GradedVector(self.target, raw, truncated)
 
     def correlator(self, theta, u, w, j: int = 0) -> LaurentPoly:
         """The pairing <theta, Y(u, z) w> as a Laurent polynomial.
@@ -738,15 +738,15 @@ class PairOrderWitness:
             raise InputShapeError("witness applies to vectors of the upper target")
         low = self.lower.target
         truncated = vec.truncated
-        components = {}
+        raw = {}
         for n in vec.levels():
             block = self.blocks.get(n)
             if block is None:
                 if self.shift is not None and n + self.shift > low.depth:
                     truncated = True
                 continue
-            components[n + self.shift] = block.matvec(vec.coords_at(n))
-        return GradedVector(low, components, truncated)
+            raw.update(zip(low.keys(n + self.shift), block.matvec(vec.coords_at(n))))
+        return GradedVector(low, raw, truncated)
 
     def verify(self) -> bool:
         """Recheck f . Y_upper = Y_lower on every recorded coefficient."""

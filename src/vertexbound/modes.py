@@ -11,9 +11,9 @@ whose sums terminate on any vector of a lower-truncated module.  All
 intermediate arithmetic is exact at arbitrary internal level; truncation
 happens only at the public boundary, where a result component above the
 module's depth is dropped and a sticky ``truncated`` flag is raised on
-the returned :class:`GradedVector`.  Identity checks refuse flagged
-inputs with :class:`~vertexbound.errors.TruncationError`, so a reported
-identity is never an artifact of dropped terms.
+the returned :class:`GradedVector`.  The identity suite enumerates only
+combinations whose formal levels stay inside the truncation window, so a
+reported identity is never an artifact of dropped terms.
 
 Inside, the engine works on ``(nums, den)`` results (see
 :class:`ModeEngine`); the identity suite stays on them, and
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import gcd, lcm
 
-from .errors import InputShapeError, InternalInvariantViolation, TruncationError
+from .errors import InputShapeError, InternalInvariantViolation
 from .laurent import Q, QONE, QZERO, as_rational, binomial
 from .voa import LevelCapExceeded
 
@@ -35,71 +35,51 @@ from .voa import LevelCapExceeded
 class GradedVector:
     """An element of a truncated graded module, stored level by level.
 
-    ``components`` maps a level to the coordinate tuple over that
-    level's ordered basis; levels whose coordinates are all zero are
-    never stored.  ``truncated`` records that some computation feeding
-    this vector discarded content above the module depth; the flag is
-    sticky under all arithmetic.
+    ``components`` maps a level to ``{basis key: Fraction}`` holding only
+    the nonzero coefficients; a level without one is never stored.
+    ``truncated`` records that some computation feeding this vector
+    discarded content above the module depth; the flag is sticky under
+    all arithmetic.
     """
 
     __slots__ = ("module", "components", "truncated")
 
-    def __init__(self, module, components=None, truncated=False):
+    def __init__(self, module, raw=None, truncated=False):
+        """The vector ``sum raw[key] * key`` of a raw key-to-coefficient dict.
+
+        Content above the module depth is dropped and flagged.  A key that
+        is not a basis key of ``module``, or a coefficient that is not an
+        ``int`` or a ``Fraction``, is refused with ``InputShapeError``.
+        """
+        components = {}
+        if raw:
+            depth = module.depth
+            for key, coeff in raw.items():
+                if type(coeff) is not Q:
+                    coeff = as_rational(coeff, "a coefficient")
+                if not coeff:
+                    continue
+                level = module.level_of(key)
+                if level > depth:
+                    truncated = True
+                    continue
+                module.index(key)
+                components.setdefault(level, {})[key] = coeff
         self.module = module
-        clean = {}
-        if components:
-            for level, coords in components.items():
-                coords = tuple(c if type(c) is Q else as_rational(c, "a coordinate") for c in coords)
-                if len(coords) != module.dim(level):
-                    raise InputShapeError(
-                        f"level {level} of {module.describe()} has dimension "
-                        f"{module.dim(level)}, got {len(coords)} coordinates"
-                    )
-                if any(coords):
-                    clean[level] = coords
-        self.components = clean
+        self.components = components
         self.truncated = bool(truncated)
 
     # ------------------------------------------------------------------
     @classmethod
     def zero(cls, module, truncated=False) -> "GradedVector":
-        return cls(module, {}, truncated)
+        return cls(module, None, truncated)
 
     @classmethod
     def basis_vector(cls, module, key) -> "GradedVector":
-        level = module.level_of(key)
-        coords = [QZERO] * module.dim(level)
-        coords[module.index(key)] = QONE
-        return cls(module, {level: tuple(coords)})
-
-    @classmethod
-    def from_raw(cls, module, raw: dict, truncated=False) -> "GradedVector":
-        """Bucket a raw key-to-coefficient dict by level into coordinate tuples.
-
-        The one place a raw element is made dense (elimination rows take
-        ``module.coords``).  Content above the module depth is dropped and flagged.
-        """
-        components = {}
-        for key, coeff in raw.items():
-            if not coeff:
-                continue
-            level = module.level_of(key)
-            if level > module.depth:
-                truncated = True
-                continue
-            if level not in components:
-                components[level] = [QZERO] * module.dim(level)
-            components[level][module.index(key)] = coeff
-        return cls(module, components, truncated)
+        return cls(module, {key: QONE})
 
     def to_raw(self) -> dict:
-        out = {}
-        for level, coords in self.components.items():
-            keys = self.module.keys(level)
-            for i, c in enumerate(coords):
-                if c:
-                    out[keys[i]] = c
-        return out
+        return {key: c for coeffs in self.components.values() for key, c in coeffs.items()}
 
     # ------------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -109,7 +89,9 @@ class GradedVector:
         return tuple(sorted(self.components))
 
     def coords_at(self, level: int) -> tuple:
-        return self.components.get(level, tuple([QZERO] * self.module.dim(level)))
+        """The coordinate tuple over the level's ordered basis."""
+        coeffs = self.components.get(level, {})
+        return tuple(coeffs.get(key, QZERO) for key in self.module.keys(level))
 
     def homogeneous_level(self):
         """The single occupied level, or None (zero or mixed)."""
@@ -122,12 +104,7 @@ class GradedVector:
         level = self.homogeneous_level()
         if level is None:
             raise InputShapeError("weight is defined for nonzero homogeneous vectors only")
-        keys = self.module.keys(level)
-        coords = self.components[level]
-        for i, c in enumerate(coords):
-            if c:
-                return self.module.weight_of(keys[i])
-        raise InputShapeError("weight of the zero vector is undefined")
+        return self.module.weight_of(next(iter(self.components[level])))
 
     # ------------------------------------------------------------------
     def _binary(self, other, sign) -> "GradedVector":
@@ -135,19 +112,10 @@ class GradedVector:
             return NotImplemented
         if other.module is not self.module:
             raise InputShapeError("vectors live in different module realizations")
-        out = dict(self.components)
-        for level, coords in other.components.items():
-            if level in out:
-                merged = tuple(a + sign * b for a, b in zip(out[level], coords))
-                if any(merged):
-                    out[level] = merged
-                else:
-                    del out[level]
-            else:
-                out[level] = tuple(sign * b for b in coords) if sign != 1 else coords
-        result = GradedVector(self.module, truncated=self.truncated or other.truncated)
-        result.components = out
-        return result
+        raw = self.to_raw()
+        for key, c in other.to_raw().items():
+            raw[key] = raw.get(key, 0) + sign * c
+        return GradedVector(self.module, raw, self.truncated or other.truncated)
 
     def __add__(self, other):
         return self._binary(other, 1)
@@ -160,13 +128,8 @@ class GradedVector:
 
     def scale(self, factor) -> "GradedVector":
         factor = factor if type(factor) is Q else as_rational(factor, "a vector scale")
-        result = GradedVector(self.module, truncated=self.truncated)
-        if factor:
-            result.components = {
-                level: tuple(factor * c for c in coords)
-                for level, coords in self.components.items()
-            }
-        return result
+        return GradedVector(self.module, {key: factor * c for key, c in self.to_raw().items()},
+                            self.truncated)
 
     def __mul__(self, factor):
         if isinstance(factor, (int, Q)):
@@ -182,18 +145,10 @@ class GradedVector:
         return self.module is other.module and self.components == other.components
 
     def __repr__(self):
-        if self.is_zero():
-            body = "0"
-        else:
-            parts = []
-            for level in self.levels():
-                keys = self.module.keys(level)
-                for i, c in enumerate(self.components[level]):
-                    if c:
-                        parts.append(f"{c}*{self.module.label(keys[i])}")
-            body = " + ".join(parts)
+        parts = [f"{c}*{self.module.label(key)}"
+                 for level in self.levels() for key, c in self.components[level].items()]
         flag = ", truncated" if self.truncated else ""
-        return f"<{body}{flag}>"
+        return f"<{' + '.join(parts) or '0'}{flag}>"
 
 
 def basis_vectors(module, level: int) -> list:
@@ -205,11 +160,11 @@ def vacuum_vector(voa) -> GradedVector:
 
 
 def omega_vector(voa) -> GradedVector:
-    return GradedVector.from_raw(voa, dict(voa.omega_raw))
+    return GradedVector(voa, voa.omega_raw)
 
 
 def generator_vector(voa) -> GradedVector:
-    return GradedVector.from_raw(voa, dict(voa.generator_raw))
+    return GradedVector(voa, voa.generator_raw)
 
 
 # ----------------------------------------------------------------------
@@ -371,25 +326,21 @@ def mode_action(v: GradedVector, k: int, w: GradedVector) -> GradedVector:
     if v_level is None:
         raise InputShapeError("mode actions require a homogeneous acting element")
     engine = engine_for(module)
-    v_raw = v.to_raw()
+    v_coeffs = v.components[v_level]
     out = {}
-    for w_level in w.levels():
+    for w_level, w_coeffs in w.components.items():
         target = w_level + v_level - k - 1
         if target < 0:
             continue
         if target > module.depth:
             truncated = True
             continue
-        keys = module.keys(w_level)
-        coords = w.components[w_level]
         acc, den = {}, 1
         try:
-            for i, w_coeff in enumerate(coords):
-                if not w_coeff:
-                    continue
-                for v_word, v_coeff in v_raw.items():
+            for w_key, w_coeff in w_coeffs.items():
+                for v_word, v_coeff in v_coeffs.items():
                     scale = v_coeff * w_coeff
-                    nums, d = engine.apply_word(v_word, k, keys[i])
+                    nums, d = engine.apply_word(v_word, k, w_key)
                     if nums:
                         den = add_scaled(acc, den, nums, d * scale.denominator, scale.numerator)
         except LevelCapExceeded:
@@ -398,102 +349,7 @@ def mode_action(v: GradedVector, k: int, w: GradedVector) -> GradedVector:
         # the target levels of distinct w levels differ, so no key repeats
         nums, den = lowest_terms(acc, den)
         out.update(nums if den == 1 else {key: Q(c, den) for key, c in nums.items()})
-    return GradedVector.from_raw(module, out, truncated)
-
-
-# ----------------------------------------------------------------------
-# identity checks
-
-def _require_certified(*vectors):
-    for vec in vectors:
-        if vec.truncated:
-            raise TruncationError(
-                "identity check touches levels above the truncation depth; "
-                "raise the depth to certify this combination"
-            )
-
-
-def check_commutator(v1: GradedVector, v2: GradedVector, n: int, m: int,
-                     w: GradedVector) -> bool:
-    """Verify ``[v1_n, v2_m] w = sum_i binom(n, i) (v1_i v2)_{n+m-i} w``.
-
-    Exact on certified data; combinations that would need content above
-    the truncation depth raise :class:`TruncationError` instead of
-    returning a vacuous answer.
-    """
-    _require_certified(v1, v2, w)
-    a = mode_action(v2, m, w)
-    b = mode_action(v1, n, w)
-    lhs = mode_action(v1, n, a) - mode_action(v2, m, b)
-    _require_certified(lhs)
-    rhs = GradedVector.zero(w.module)
-    top = v1.homogeneous_level() + v2.homogeneous_level()
-    for i in range(0, top):
-        product = mode_action(v1, i, v2)
-        _require_certified(product)
-        if product.is_zero():
-            continue
-        term = mode_action(product, n + m - i, w)
-        _require_certified(term)
-        rhs = rhs + term.scale(binomial(n, i))
-    return lhs == rhs
-
-
-def check_associativity(v1: GradedVector, v2: GradedVector, n: int, m: int,
-                        w: GradedVector) -> bool:
-    """Verify the iterate identity for ``(v1_n v2)_m w``.
-
-    The right-hand side is
-    ``sum_i binom(n, i) (-1)^i { v1_{n-i} v2_{m+i} w - (-1)^n v2_{n+m-i} v1_i w }``
-    with both inner sums truncating at negative formal levels.
-    """
-    _require_certified(v1, v2, w)
-    product = mode_action(v1, n, v2)
-    _require_certified(product)
-    lhs = mode_action(product, m, w)
-    _require_certified(lhs)
-    wt1 = v1.homogeneous_level()
-    wt2 = v2.homogeneous_level()
-    w_top = max(w.levels(), default=0)
-    rhs = GradedVector.zero(w.module)
-    sign_n = -1 if n % 2 else 1
-    for i in range(0, w_top + wt2 - m):
-        inner = mode_action(v2, m + i, w)
-        term = mode_action(v1, n - i, inner)
-        _require_certified(term)
-        coeff = binomial(n, i) * (1 if i % 2 == 0 else -1)
-        rhs = rhs + term.scale(coeff)
-    for i in range(0, w_top + wt1):
-        inner = mode_action(v1, i, w)
-        term = mode_action(v2, n + m - i, inner)
-        _require_certified(term)
-        coeff = -sign_n * binomial(n, i) * (1 if i % 2 == 0 else -1)
-        rhs = rhs + term.scale(coeff)
-    return lhs == rhs
-
-
-@dataclass
-class ShiftCheck:
-    """Both sides of ``(L(-1)v)_{-m} w = m v_{-m-1} w``."""
-
-    lhs: GradedVector
-    rhs: GradedVector
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def l_minus_one_shift(v: GradedVector, m: int, w: GradedVector) -> ShiftCheck:
-    """Evaluate the translation-generator shift on a test vector."""
-    _require_certified(v, w)
-    voa = v.module
-    shifted = mode_action(omega_vector(voa), 0, v)
-    _require_certified(shifted)
-    lhs = mode_action(shifted, -m, w)
-    rhs = mode_action(v, -m - 1, w).scale(m)
-    _require_certified(lhs, rhs)
-    return ShiftCheck(lhs, rhs)
+    return GradedVector(module, out, truncated)
 
 
 # ----------------------------------------------------------------------

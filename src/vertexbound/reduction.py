@@ -179,7 +179,7 @@ def express_in_c1_plus_complement(u: GradedVector, basis: ComplementBasis):
          GradedVector.basis_vector(module, a_key))
         for v_key, a_key, coeff in raw_pairs
     ]
-    e = GradedVector.from_raw(module, {basis.labels[idx][1]: alpha for idx, alpha in complement})
+    e = GradedVector(module, {basis.labels[idx][1]: alpha for idx, alpha in complement})
     return pairs, e
 
 

@@ -91,10 +91,11 @@ def raw_combine(out: dict, other: dict, factor=1) -> None:
 
 
 class LevelCapExceeded(Exception):
-    """Internal signal: a hard-capped realization was pushed past its cap.
+    """Internal signal: ``fusion.SpanModule.apply_gen`` was asked for a
+    level above its computed basis.
 
-    Never escapes the public layer; callers convert it into a truncation
-    flag or a :class:`~vertexbound.errors.TruncationError`.
+    Never escapes the public layer: ``mode_action`` turns it into a
+    truncation flag and the order-witness solve skips that mode.
     """
 
 

@@ -85,8 +85,8 @@ def test_mode_action_outputs_are_fractions(name):
             w = GradedVector.basis_vector(module, key)
             for k in range(n + wt - 1 - DEPTH, n + wt):
                 result = mode_action(v, k, w)
-                for coords in result.components.values():
-                    assert all(type(c) is Q for c in coords), (v, k, key)
+                for coeffs in result.components.values():
+                    assert all(type(c) is Q for c in coeffs.values()), (v, k, key)
                 seen += not result.is_zero()
     assert seen >= 150
     cm = build_cm(module, 1, 2)
@@ -254,7 +254,7 @@ def _scalar_entry_points(bad):
         lambda: QuotientModule(VermaModule(vir, 0), [(((1,), bad),)]),
         lambda: level2_singular_vector(bad, Q(1, 2)),
         lambda: level2_singular_vector(Q(1, 2), bad),
-        lambda: GradedVector(heisenberg, {1: (bad,)}),
+        lambda: GradedVector(heisenberg, {(1,): bad}),
         lambda: GradedVector.basis_vector(heisenberg, (1,)).scale(bad),
         lambda: CorrelatorCombination(None, None).scale(bad),
         lambda: LaurentPoly({0: bad}),

@@ -517,7 +517,7 @@ def test_witnesses_commute_with_the_generator_modes(case):
     checked = 0
     for witness in witnesses:
         up = witness.upper.target
-        g = GradedVector.from_raw(up.voa, dict(up.voa.generator_raw))
+        g = GradedVector(up.voa, up.voa.generator_raw)
         gw = up.voa.gen_weight
         for n in range(up.depth + 1):
             for key in up.keys(n):
@@ -757,7 +757,7 @@ def test_join_targets_carry_a_working_module_action():
     assert target.describe().startswith("Span[")
     gen = target.voa.generator_raw
     vec = GradedVector.basis_vector(target, (0, 0))
-    g = GradedVector.from_raw(target.voa, dict(gen))
+    g = GradedVector(target.voa, gen)
     moved = mode_action(g, -2, vec)
     assert moved.levels() == (2,) and not moved.truncated
     with pytest.raises(LevelCapExceeded):

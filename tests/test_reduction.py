@@ -185,7 +185,7 @@ def test_express_guards():
     beyond = GradedVector.basis_vector(left, (6,))
     with pytest.raises(TruncationError):
         express_in_c1_plus_complement(beyond, basis)
-    flagged = GradedVector(left, {1: (Q(1),)}, truncated=True)
+    flagged = GradedVector(left, {(1,): Q(1)}, truncated=True)
     with pytest.raises(TruncationError):
         express_in_c1_plus_complement(flagged, basis)
     other = GradedVector.basis_vector(left.voa, (1,))
