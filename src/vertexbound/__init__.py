@@ -16,7 +16,6 @@ from .cofinite import (
     log_power_bound,
     log_recursion_state,
     nilpotency_report,
-    weight_support,
 )
 from .config import RunConfig
 from .errors import (
@@ -35,7 +34,6 @@ from .fusion import (
     compare,
     heisenberg_intertwiner,
     join,
-    weight_support_check,
     zero_intertwiner,
 )
 from .laurent import LaurentPoly, Q
@@ -50,7 +48,6 @@ from .modes import (
 )
 from .reduction import (
     assemble_ode,
-    express_in_c1_plus_complement,
     fusion_bound,
     reduce,
 )
@@ -105,11 +102,9 @@ __all__ = [
     "cm_quotient_dims",
     "choose_complement",
     "graded_dims",
-    "weight_support",
     "nilpotency_report",
     "log_recursion_state",
     "log_power_bound",
-    "express_in_c1_plus_complement",
     "reduce",
     "assemble_ode",
     "fusion_bound",
@@ -120,6 +115,5 @@ __all__ = [
     "zero_intertwiner",
     "join",
     "compare",
-    "weight_support_check",
     "RunConfig",
 ]

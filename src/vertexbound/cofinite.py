@@ -24,6 +24,7 @@ most of the mode-engine work there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import (
     InputShapeError,
@@ -337,30 +338,6 @@ def graded_dims(module, depth: int) -> GradedDimReport:
 
 
 # ----------------------------------------------------------------------
-# weight support
-
-def weight_support(module) -> tuple:
-    """Minimal lowest weights covering ``wt(M)``, distinct mod Z.
-
-    Two summand weights in one integer coset are merged to the smaller
-    one, so ``wt(M)`` is contained in the union of ``a + N`` over the
-    returned representatives.
-    """
-    if isinstance(module, DirectSumModule):
-        raw = [w for s in module.summands for w in weight_support(s)]
-    else:
-        raw = [module.lowest_weight]
-    by_coset = {}
-    for w in raw:
-        key = w - w.numerator // w.denominator  # fractional part in [0,1)
-        if key in by_coset:
-            by_coset[key] = min(by_coset[key], w)
-        else:
-            by_coset[key] = w
-    return tuple(sorted(by_coset.values()))
-
-
-# ----------------------------------------------------------------------
 # nilpotency of L(0) - wt
 
 @dataclass
@@ -434,6 +411,41 @@ class LogPowerBound:
     attained: bool
 
 
+def _log_step(state: dict, step: int, orders: tuple) -> dict:
+    """The state of log coefficient ``step + 1`` from that of ``step``."""
+    nu, nw, nt = orders
+    new: dict = {}
+    inv = Q(1, step + 1)
+    for (a, b, c), coeff in state.items():
+        for da, db, dc, sign in ((1, 0, 0, -1), (0, 1, 0, 1), (0, 0, 1, 1)):
+            a2, b2, c2 = a + da, b + db, c + dc
+            if a2 >= nt or b2 >= nu or c2 >= nw:
+                continue
+            key = (a2, b2, c2)
+            value = new.get(key, QZERO) + sign * inv * coeff
+            if value:
+                new[key] = value
+            else:
+                new.pop(key, None)
+    return new
+
+
+def _log_states(orders: tuple):
+    """The states of log coefficients 0, 1, ..., up to the first empty one.
+
+    Each step raises the monomial degree a + b + c by one and every
+    exponent stays below its order, so the walk ends after at most
+    ``N_U + N_W + N_T - 2`` steps.
+    """
+    state = {(0, 0, 0): QONE}
+    step = 0
+    while state:
+        yield state
+        state = _log_step(state, step, orders)
+        step += 1
+    yield state
+
+
 def log_recursion_state(orders: tuple, k: int) -> dict:
     """Symbolic state of the k-th log coefficient under the recursion.
 
@@ -444,26 +456,7 @@ def log_recursion_state(orders: tuple, k: int) -> dict:
     means the coefficient vanishes identically for every such module
     triple.
     """
-    nu, nw, nt = orders
-    state = {(0, 0, 0): QONE}
-    for step in range(k):
-        new: dict = {}
-        inv = Q(1, step + 1)
-        for (a, b, c), coeff in state.items():
-            for da, db, dc, sign in ((1, 0, 0, -1), (0, 1, 0, 1), (0, 0, 1, 1)):
-                a2, b2, c2 = a + da, b + db, c + dc
-                if a2 >= nt or b2 >= nu or c2 >= nw:
-                    continue
-                key = (a2, b2, c2)
-                value = new.get(key, QZERO) + sign * inv * coeff
-                if value:
-                    new[key] = value
-                else:
-                    new.pop(key, None)
-        state = new
-        if not state:
-            break
-    return state
+    return next(islice(_log_states(orders), k, None), {})
 
 
 def log_power_bound(n_u: int, n_w: int, n_t: int) -> LogPowerBound:
@@ -471,26 +464,25 @@ def log_power_bound(n_u: int, n_w: int, n_t: int) -> LogPowerBound:
 
     ``coarse_bound = 3 max`` is the coarse estimate; the iteration itself
     yields the first k with ``u_{(k,n)} w = 0`` for all compatible
-    modules, which comes out as ``N_U + N_W + N_T - 2``.
+    modules, which comes out as ``N_U + N_W + N_T - 2``.  The recursion
+    is walked once, up to that first empty state.
     """
     if n_u < 1 or n_w < 1 or n_t < 1:
         raise InputShapeError("nilpotency orders must be positive integers")
     orders = (n_u, n_w, n_t)
-    coarse = 3 * max(orders)
-    vanish = None
     bound_guess = n_u + n_w + n_t - 2
-    for k in range(0, 3 * max(orders) + 2):
-        if not log_recursion_state(orders, k):
-            vanish = k
+    previous = {}
+    for vanish, state in enumerate(_log_states(orders)):
+        if not state:
             break
-    if vanish is None or vanish != bound_guess:
+        previous = state
+    if vanish != bound_guess:
         raise InternalInvariantViolation(
             f"log recursion vanished at {vanish}, expected {bound_guess}"
         )
-    attained = bool(log_recursion_state(orders, vanish - 1)) if vanish else False
     return LogPowerBound(
         orders=orders,
-        coarse_bound=coarse,
+        coarse_bound=3 * max(orders),
         sharp_bound=vanish,
-        attained=attained,
+        attained=bool(previous),
     )

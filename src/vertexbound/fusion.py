@@ -16,8 +16,12 @@ so f is solved one level at a time and its commutation with the
 generator modes is checked afterwards on the solved blocks.  Both
 operations build a paired row space the same way: the paired
 coefficients of a level (pair) are eliminated once, and only the reduced
-basis rows are kept.  A join closes them under the action; a comparison
-reduces them again with each direction's own columns first.
+basis rows are kept.  A join takes them as its target's level spans; a
+comparison reduces them again with each direction's own columns first.
+The coefficient span of a genuine intertwining operator is already a
+submodule, by the commutator formula (Frenkel-Huang-Lepowsky, Mem. AMS
+494, 1993), so a join adds nothing to close it: a target that is not
+closed is refused by its own action the first time a mode leaves it.
 
 The concrete generator of examples is the free-boson vertex operator
 Fock(lam) x Fock(mu) -> Fock(lam+mu) (Frenkel-Lepowsky-Meurman, ch. 4),
@@ -39,9 +43,8 @@ from itertools import accumulate, product
 from math import factorial, gcd, lcm
 
 from .errors import InputShapeError, InternalInvariantViolation
-from .laurent import LaurentPoly, Q, QONE, QZERO, as_rational, binomial, format_rational
+from .laurent import Q, QONE, QZERO, as_rational, binomial, format_rational
 from .linalg import ExactMatrix, RowSpan
-from .modes import GradedVector
 from .voa import (
     BaseRealization,
     DirectSumModule,
@@ -270,78 +273,6 @@ class IntertwinerData:
         return {level: tuple(self.factor * c for c in coords)
                 for level, coords in self.series.get(skey, {}).items()}
 
-    def series_vector(self, u_key, w_key, j: int, target_level: int) -> GradedVector:
-        coords = self.images((u_key, w_key, j)).get(target_level, ())
-        return GradedVector(self.target, dict(zip(self.target.keys(target_level), coords)))
-
-    def _as_source_vector(self, value, module) -> GradedVector:
-        if isinstance(value, GradedVector):
-            if value.module is not module and value.module.spec != module.spec:
-                raise InputShapeError(
-                    f"vector lives in {value.module.describe()}, expected {module.describe()}"
-                )
-            return value
-        return GradedVector.basis_vector(module, value)
-
-    def _pairs(self, u: GradedVector, w: GradedVector, j: int):
-        """``(u_key, w_key, cu * cw, images)`` over the basis pairs of u x w."""
-        for u_key, cu in u.to_raw().items():
-            for w_key, cw in w.to_raw().items():
-                yield u_key, w_key, cu * cw, self.images((u_key, w_key, j))
-
-    def image_of(self, u, w, j: int, m) -> GradedVector:
-        """The mode image ``u_{(j,m)} w`` for vectors u in U and w in W.
-
-        Weight slots beyond the truncation depth are dropped and flagged
-        on the result; slots outside the target's weight support are
-        genuinely zero.
-        """
-        u = self._as_source_vector(u, self.source_left)
-        w = self._as_source_vector(w, self.source_right)
-        m = as_rational(m, "the mode index")
-        truncated = u.truncated or w.truncated
-        raw = {}
-        for u_key, w_key, coeff, entry in self._pairs(u, w, j):
-            slot = self.mode_index(u_key, w_key, 0) - m
-            if slot.denominator != 1 or slot < 0:
-                continue
-            if slot > self.depth:
-                truncated = True
-                continue
-            level = int(slot)
-            for key, c in zip(self.target.keys(level), entry.get(level, ())):
-                if c:
-                    raw_acc(raw, key, coeff * c)
-        return GradedVector(self.target, raw, truncated)
-
-    def correlator(self, theta, u, w, j: int = 0) -> LaurentPoly:
-        """The pairing <theta, Y(u, z) w> as a Laurent polynomial.
-
-        ``theta`` is a functional on the truncated target given as
-        ``{level: coefficient tuple}``, one coefficient per basis vector of
-        a level in ``0..depth``; anything else is refused.  Powers are
-        relative to the overall z^(h_T - h_U - h_W): the level-t image of
-        a pair at source levels (lu, lw) lands on z^(t - lu - lw).
-        Coefficients beyond the truncation window are absent, not zero.
-        """
-        u = self._as_source_vector(u, self.source_left)
-        w = self._as_source_vector(w, self.source_right)
-        functional = {}
-        for level, coeffs in theta.items():
-            if not (type(level) is int and 0 <= level <= self.depth):
-                raise InputShapeError(f"functional level {level!r} outside 0..{self.depth}")
-            if len(coeffs) != self.target.dim(level):
-                raise InputShapeError(f"functional level {level} needs one value per basis vector")
-            functional[level] = [as_rational(d, "a functional coefficient") for d in coeffs]
-        terms = []
-        for u_key, w_key, coeff, entry in self._pairs(u, w, j):
-            base = self.source_left.level_of(u_key) + self.source_right.level_of(w_key)
-            for level, coords in entry.items():
-                value = sum(c * d for c, d in zip(coords, functional.get(level, ())) if c and d)
-                if value:
-                    terms.append((level - base, coeff * value))
-        return LaurentPoly(terms)
-
     # -- algebraic certificates ---------------------------------------
 
     def surjectivity_certificate(self) -> dict:
@@ -358,9 +289,6 @@ class IntertwinerData:
                     break
             out[n] = (span.rank, dim)
         return out
-
-    def is_surjective(self) -> bool:
-        return all(rank == dim for rank, dim in self.surjectivity_certificate().values())
 
     # -- derived data --------------------------------------------------
 
@@ -494,9 +422,11 @@ class SpanModule(BaseRealization):
 
     Each level is read off a ``RowSpan`` over the ambient level basis:
     its rows are in reduced echelon form, so the coordinates of a member
-    vector are its entries at the pivot columns.  The cap is hard:
-    asking the action for a level beyond the stored depth raises
-    ``LevelCapExceeded`` because the basis there was never computed.
+    vector are its entries at the pivot columns.  Closure is checked, not
+    assumed: a generator mode whose ambient image leaves the span raises
+    ``InternalInvariantViolation``.  The cap is hard: asking the action
+    for a level beyond the stored depth raises ``LevelCapExceeded``
+    because the basis there was never computed.
     """
 
     def __init__(self, ambient, spans: dict, depth: int):
@@ -540,46 +470,17 @@ class SpanModule(BaseRealization):
             raise LevelCapExceeded(
                 f"span basis is only stored up to level {self.depth}"
             )
-        image = _row_image(self.ambient, self.ambient.keys(n), self.spans[n].rows()[i], k, n2)
-        coords = self.coords_in_span(image, n2)
+        keys = self.ambient.keys(n)
+        raw = {}
+        for col, c in self.spans[n].rows()[i].items():
+            for rk, rc in self.ambient.apply_gen(k, keys[col]).items():
+                raw_acc(raw, rk, c * rc)
+        coords = self.coords_in_span(self.ambient.coords(raw, n2), n2)
         if coords is None:
             raise InternalInvariantViolation(
                 "span module is not closed under the algebra action"
             )
         return {(n2, idx): c for idx, c in enumerate(coords) if c}
-
-
-def _row_image(ambient, keys: tuple, row: dict, k: int, n2: int) -> dict:
-    """Generator mode k on the sparse ambient row over the level basis ``keys``,
-    as a sparse row over level ``n2``."""
-    raw = {}
-    for col, c in row.items():
-        for rk, rc in ambient.apply_gen(k, keys[col]).items():
-            raw_acc(raw, rk, c * rc)
-    return ambient.coords(raw, n2)
-
-
-def _saturate_spans(spans: dict, ambient, depth: int) -> None:
-    # close the level spans under every generator mode that stays under
-    # the cap; coefficient spans of genuine intertwiners are already
-    # closed, so this usually converges in one sweep
-    voa = ambient.voa
-    if voa is None:
-        return
-    gw = voa.gen_weight
-    changed = True
-    while changed:
-        changed = False
-        for n in range(depth + 1):
-            keys = ambient.keys(n)
-            for row in spans[n].rows():
-                for k in range(n + gw - 1 - depth, n + gw):
-                    n2 = n + gw - 1 - k
-                    if spans[n2].rank == spans[n2].width:
-                        continue  # a full span cannot grow
-                    image = _row_image(ambient, keys, row, k, n2)
-                    if image and spans[n2].add(image):
-                        changed = True
 
 
 def _paired_rows(parts: list):
@@ -659,15 +560,17 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
     """The paired-coefficient join of two data over the same sources.
 
     The new target is the level-wise span of the paired coefficients
-    (Y1(u, z) w, Y2(u, z) w) inside the direct sum of the two targets,
-    closed under the algebra action within the truncation; both factors
-    project back onto it, so the result dominates each in the order.
-    Each level's span starts from the reduced basis of its paired rows,
-    eliminated once as numerators, and every paired coefficient is then
-    checked against the closed span and expressed in it on its numerators
-    (``_numerator_coords``): the membership check is still made at run
-    time, in integers, and a row outside the span raises
-    ``InternalInvariantViolation``.  The result keeps the coordinates as
+    (Y1(u, z) w, Y2(u, z) w) inside the direct sum of the two targets;
+    both factors project back onto it, so the result dominates each in
+    the order.  Each level's span is the reduced basis of its paired
+    rows, eliminated once as numerators, and nothing is added to close
+    it under the action: for genuine intertwining operators it is closed
+    already, and ``SpanModule.apply_gen`` refuses a mode that leaves it.
+    Every paired coefficient is then checked against its level span and
+    expressed in it on its numerators (``_numerator_coords``): the
+    membership check is made at run time, in integers, and a row outside
+    the span raises ``InternalInvariantViolation``.  The result keeps the
+    coordinates as
     ``int`` numerators over the factor 1/D, D the lcm of their
     denominators, so a further join eliminates integers again.
     """
@@ -687,18 +590,15 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
             "truncated joins need target modules with a common lowest weight"
         )
     ambient = DirectSumModule(targets, depth)
-    spans, paired, parts = {}, {}, {}
-    for n in range(depth + 1):
-        parts[n] = [(p, n) for p in factors]
-        paired[n] = dict(_paired_rows(parts[n]))
-        spans[n] = RowSpan(ambient.dim(n))
-        for row in _reduced_basis(list(paired[n].values()), parts[n]):
-            spans[n].add(row)
-    _saturate_spans(spans, ambient, depth)
     top = lcm(*(p.factor.denominator for p in factors))
-    coords = {}
-    for n, rows in paired.items():
-        for skey, expressed in _numerator_coords(spans[n], parts[n], rows, top).items():
+    spans, coords = {}, {}
+    for n in range(depth + 1):
+        parts = [(p, n) for p in factors]
+        rows = dict(_paired_rows(parts))
+        spans[n] = RowSpan(ambient.dim(n))
+        for row in _reduced_basis(list(rows.values()), parts):
+            spans[n].add(row)
+        for skey, expressed in _numerator_coords(spans[n], parts, rows, top).items():
             if any(expressed):
                 coords.setdefault(skey, {})[n] = expressed
     # extra clears the denominators of numerators a datum stores as Fractions
@@ -732,42 +632,6 @@ class PairOrderWitness:
     upper: IntertwinerData
     shift: int | None
     blocks: dict
-
-    def apply(self, vec: GradedVector) -> GradedVector:
-        if vec.module is not self.upper.target:
-            raise InputShapeError("witness applies to vectors of the upper target")
-        low = self.lower.target
-        truncated = vec.truncated
-        raw = {}
-        for n in vec.levels():
-            block = self.blocks.get(n)
-            if block is None:
-                if self.shift is not None and n + self.shift > low.depth:
-                    truncated = True
-                continue
-            raw.update(zip(low.keys(n + self.shift), block.matvec(vec.coords_at(n))))
-        return GradedVector(low, raw, truncated)
-
-    def verify(self) -> bool:
-        """Recheck f . Y_upper = Y_lower on every recorded coefficient."""
-        if self.shift is None:
-            return _vanishes(self.lower)
-        low, up = self.lower, self.upper
-        for skey in set(up.series) | set(low.series):
-            up_entry = up.images(skey)
-            low_entry = low.images(skey)
-            slots = {lt + self.shift for lt in up_entry} | set(low_entry)
-            for t in slots:
-                n = t - self.shift
-                if not (0 <= t <= low.depth) or not (0 <= n <= up.depth):
-                    continue
-                zero = (QZERO,) * low.target.dim(t)
-                have = up_entry.get(n)
-                block = self.blocks.get(n)
-                image = block.matvec(have) if have and block is not None else zero
-                if image != tuple(low_entry.get(t) or zero):
-                    return False
-        return True
 
     def to_json(self) -> dict:
         return {
@@ -966,14 +830,3 @@ def compare(p1: IntertwinerData, p2: IntertwinerData) -> ComparisonResult:
     if backward is not None:
         return ComparisonResult("greater_eq", backward)
     return ComparisonResult("incomparable")
-
-
-def weight_support_check(data: IntertwinerData, reference) -> bool:
-    """True when every realized target weight lies in some a_i + N."""
-    refs = [as_rational(a, "a reference weight") for a in reference]
-    for n in range(data.target.depth + 1):
-        for key in data.target.keys(n):
-            w = data.target.weight_of(key)
-            if not any((w - a).denominator == 1 and w >= a for a in refs):
-                return False
-    return True

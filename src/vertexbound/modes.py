@@ -163,10 +163,6 @@ def omega_vector(voa) -> GradedVector:
     return GradedVector(voa, voa.omega_raw)
 
 
-def generator_vector(voa) -> GradedVector:
-    return GradedVector(voa, voa.generator_raw)
-
-
 # ----------------------------------------------------------------------
 # the mode engine
 

@@ -160,29 +160,6 @@ def _solver_for(basis: ComplementBasis) -> _SpanningSolver:
     return solver
 
 
-def express_in_c1_plus_complement(u: GradedVector, basis: ComplementBasis):
-    """Write ``u = sum_k v^k_{-1} a^k + e`` with ``e`` in the complement.
-
-    Returns ``(pairs, e)`` where each pair is a ``(v, a)`` of graded
-    vectors with ``v`` homogeneous of positive weight, and the identity
-    holds exactly.  The decomposition is the solver's canonical one and
-    is independent of any target module.
-    """
-    if basis.module is not u.module:
-        raise InputShapeError("vector and complement basis belong to different modules")
-    if u.is_zero():
-        return [], GradedVector.zero(u.module)
-    module = u.module
-    raw_pairs, complement = _solver_for(basis).decompose(u)
-    pairs = [
-        (GradedVector.basis_vector(module.voa, v_key).scale(coeff),
-         GradedVector.basis_vector(module, a_key))
-        for v_key, a_key, coeff in raw_pairs
-    ]
-    e = GradedVector(module, {basis.labels[idx][1]: alpha for idx, alpha in complement})
-    return pairs, e
-
-
 # ----------------------------------------------------------------------
 # correlator combinations
 

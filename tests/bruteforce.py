@@ -440,10 +440,10 @@ def commutator_defect(data, u_key, w_key, mode: int, final_level: int, j: int = 
 
     for the algebra generator g.  Returns the difference as a vector in
     the target, or None when truncation clips any contributor.  Only the
-    datum's public ``series_vector``/``image_of``/``mode_index`` and the
-    engine's ``mode_action`` are used.
+    datum's ``images``/``mode_index`` (through :func:`series_vector` and
+    :func:`mode_image`) and the engine's ``mode_action`` are used.
     """
-    from vertexbound.modes import GradedVector, generator_vector, mode_action
+    from vertexbound.modes import GradedVector, mode_action
 
     gw = data.target.voa.gen_weight
     inner_level = final_level + 1 + mode - gw
@@ -452,9 +452,9 @@ def commutator_defect(data, u_key, w_key, mode: int, final_level: int, j: int = 
     u_vec = GradedVector.basis_vector(data.source_left, u_key)
     w_vec = GradedVector.basis_vector(data.source_right, w_key)
     m = data.mode_index(u_key, w_key, inner_level)
-    g = generator_vector(data.target.voa)
-    lhs = mode_action(g, mode, data.series_vector(u_key, w_key, j, inner_level))
-    swapped = data.image_of(u_vec, mode_action(g, mode, w_vec), j, m)
+    g = GradedVector(data.target.voa, data.target.voa.generator_raw)
+    lhs = mode_action(g, mode, series_vector(data, (u_key, w_key, j), inner_level))
+    swapped = mode_image(data, u_vec, mode_action(g, mode, w_vec), j, m)
     rhs = GradedVector.zero(data.target)
     for i in range(0, data.source_left.level_of(u_key) + gw):
         c = _binom(mode, i)
@@ -465,11 +465,133 @@ def commutator_defect(data, u_key, w_key, mode: int, final_level: int, j: int = 
             return None
         if gu.is_zero():
             continue
-        rhs = rhs + data.image_of(gu, w_vec, j, mode + m - i).scale(c)
+        rhs = rhs + mode_image(data, gu, w_vec, j, mode + m - i).scale(c)
     defect = lhs - swapped - rhs
     if defect.truncated:
         return None
     return defect
+
+
+# ----------------------------------------------------------------------
+# intertwiner data read through ``images`` alone
+
+def series_vector(data, skey, level: int):
+    """The level-``level`` image of the series key ``skey``, as a target vector."""
+    from vertexbound.modes import GradedVector
+
+    coords = data.images(skey).get(level, ())
+    return GradedVector(data.target, dict(zip(data.target.keys(level), coords)))
+
+
+def mode_image(data, u, w, j: int, m):
+    """The mode image ``u_{(j,m)} w`` for graded vectors u in U and w in W.
+
+    Summed over the basis pairs of u and w: a pair's image sits at the
+    weight slot ``mode_index(u_key, w_key, 0) - m`` of the target.  A slot
+    past the truncation depth is dropped and flags the result; a negative
+    or non-integral slot is genuinely zero.
+    """
+    from vertexbound.modes import GradedVector
+
+    m = Q(m)
+    truncated = u.truncated or w.truncated
+    raw = {}
+    for u_key, cu in u.to_raw().items():
+        for w_key, cw in w.to_raw().items():
+            slot = data.mode_index(u_key, w_key, 0) - m
+            if slot.denominator != 1 or slot < 0:
+                continue
+            if slot > data.depth:
+                truncated = True
+                continue
+            level = int(slot)
+            coords = data.images((u_key, w_key, j)).get(level, ())
+            for key, c in zip(data.target.keys(level), coords):
+                raw[key] = raw.get(key, Q(0)) + cu * cw * c
+    return GradedVector(data.target, raw, truncated)
+
+
+def correlator(data, theta: dict, u_key, w_key, j: int = 0) -> dict:
+    """``<theta, Y(u, z) w>`` for basis keys u, w, as ``{z-power: Fraction}``.
+
+    ``theta`` maps a target level to one coefficient per basis vector.
+    Powers are relative to z^(h_T - h_U - h_W): the level-t image of a
+    pair at source levels (lu, lw) lands on z^(t - lu - lw).  Zero
+    coefficients are left out, as in :func:`fock_top_correlator`.
+    """
+    base = data.source_left.level_of(u_key) + data.source_right.level_of(w_key)
+    out = {}
+    for level, coords in data.images((u_key, w_key, j)).items():
+        value = sum((c * Q(d) for c, d in zip(coords, theta.get(level, ()))), Q(0))
+        if value:
+            out[level - base] = value
+    return out
+
+
+def surjective(data) -> bool:
+    """True when the images of ``data`` span every target level up to its
+    depth, each level's coordinate rows eliminated by
+    :func:`fraction_gauss_jordan`."""
+    for n in range(data.depth + 1):
+        rows = [sparse(images[n]) for images in map(data.images, data.series) if n in images]
+        if len(fraction_gauss_jordan(rows, data.target.dim(n))) != data.target.dim(n):
+            return False
+    return True
+
+
+def _dense_block(block) -> list:
+    """An ``ExactMatrix`` block read entry by entry into dense rows."""
+    return [[block.entry(r, c) for c in range(block.cols)] for r in range(block.rows)]
+
+
+def witness_holds(witness) -> bool:
+    """Recheck f . Y_upper = Y_lower on every coefficient either datum records.
+
+    A zero witness (``shift`` None) holds when every lower coefficient
+    vanishes.  Otherwise the level-n images of each series key under the
+    upper datum, mapped by block n, must equal its level n + shift images
+    under the lower one, wherever both levels lie inside the truncations;
+    a missing block is the zero map.
+    """
+    low, up, shift = witness.lower, witness.upper, witness.shift
+    if shift is None:
+        return all(not any(coords) for skey in low.series for coords in low.images(skey).values())
+    blocks = {n: _dense_block(block) for n, block in witness.blocks.items()}
+    for skey in set(up.series) | set(low.series):
+        up_entry, low_entry = up.images(skey), low.images(skey)
+        for t in {n + shift for n in up_entry} | set(low_entry):
+            n = t - shift
+            if not (0 <= t <= low.depth and 0 <= n <= up.depth):
+                continue
+            zero = (Q(0),) * low.target.dim(t)
+            have = up_entry.get(n)
+            image = dense_matvec(blocks[n], have) if have and n in blocks else zero
+            if image != tuple(low_entry.get(t) or zero):
+                return False
+    return True
+
+
+def apply_witness(witness, vec):
+    """The witness map on a vector of the upper target, level by level.
+
+    A level without a block maps to zero, and flags the result when
+    level + shift lies past the lower target's depth.
+    """
+    from vertexbound.modes import GradedVector
+
+    assert vec.module is witness.upper.target, "the witness maps the upper target"
+    low = witness.lower.target
+    truncated = vec.truncated
+    raw = {}
+    for n in vec.levels():
+        block = witness.blocks.get(n)
+        if block is None:
+            if witness.shift is not None and n + witness.shift > low.depth:
+                truncated = True
+            continue
+        image = dense_matvec(_dense_block(block), vec.coords_at(n))
+        raw.update(zip(low.keys(n + witness.shift), image))
+    return GradedVector(low, raw, truncated)
 
 
 # ----------------------------------------------------------------------

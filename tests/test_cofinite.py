@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import dense, partition_count, sympy_rank
-from vertexbound import linalg
+from vertexbound import cofinite, linalg
 from vertexbound.cofinite import (
     build_cm,
     choose_complement,
@@ -18,7 +18,6 @@ from vertexbound.cofinite import (
     log_power_bound,
     log_recursion_state,
     nilpotency_report,
-    weight_support,
 )
 from vertexbound.errors import (
     InputShapeError,
@@ -420,27 +419,6 @@ def test_direct_sum_dims_and_certificate():
 
 
 # ----------------------------------------------------------------------
-# weight support
-
-def test_weight_support_merges_integer_cosets():
-    voa = HeisenbergVoa(6)
-    f1 = FockModule(voa, 1)
-    f2 = FockModule(voa, 2)
-    f3 = FockModule(voa, 3)
-    assert weight_support(DirectSumModule([f1, f2])) == (Q(1, 2), Q(2))
-    # 9/2 - 1/2 is an integer, so the pair collapses to the smaller weight
-    assert weight_support(DirectSumModule([f1, f3])) == (Q(1, 2),)
-    assert weight_support(DirectSumModule([f2, f1])) == (Q(1, 2), Q(2))
-    assert weight_support(f1) == (Q(1, 2),)
-    assert weight_support(DirectSumModule([])) == ()
-
-
-def test_weight_support_single_fractional():
-    voa = HeisenbergVoa(4)
-    assert weight_support(FockModule(voa, Q(3, 2))) == (Q(9, 8),)
-
-
-# ----------------------------------------------------------------------
 # nilpotency of L(0) - wt
 
 def test_realized_modules_are_semisimple():
@@ -505,6 +483,25 @@ def test_log_recursion_matches_multinomial_oracle(n_u, n_w, n_t):
     bound = log_power_bound(n_u, n_w, n_t)
     assert bound.sharp_bound == n_u + n_w + n_t - 2
     assert bound.coarse_bound == 3 * max(orders)
+
+
+@pytest.mark.parametrize("orders", [(1, 1, 1), (2, 2, 2), (3, 1, 2), (10, 10, 10)])
+def test_log_recursion_is_walked_once(monkeypatch, orders):
+    steps = []
+    original = cofinite._log_step
+
+    def counting(state, step, orders):
+        steps.append(step)
+        return original(state, step, orders)
+
+    monkeypatch.setattr(cofinite, "_log_step", counting)
+    bound = log_power_bound(*orders)
+    # one step per log coefficient, up to the first that vanishes
+    assert steps == list(range(bound.sharp_bound))
+    for k in (0, 3, bound.sharp_bound + 2):
+        steps.clear()
+        log_recursion_state(orders, k)
+        assert steps == list(range(min(k, bound.sharp_bound)))
 
 
 def test_log_power_bound_rejects_bad_orders():

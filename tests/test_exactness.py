@@ -193,16 +193,11 @@ def test_heisenberg_series_coordinates_are_fractions(lam, mu, monkeypatch):
         return original(value)
 
     monkeypatch.setattr(fusion, "format_rational", recording)
-    theta = {n: (Q(1),) * h.target.dim(n) for n in range(4)}
     for datum in (h, h.scale(Q(-2, 3))):
         read = []
-        for (u_key, w_key, j) in datum.series:
-            for level, coords in datum.images((u_key, w_key, j)).items():
+        for skey in datum.series:
+            for coords in datum.images(skey).values():
                 read.extend(coords)
-                read.extend(datum.series_vector(u_key, w_key, j, level).to_raw().values())
-                m = datum.mode_index(u_key, w_key, level)
-                read.extend(datum.image_of(u_key, w_key, j, m).to_raw().values())
-            read.extend(datum.correlator(theta, u_key, w_key, j).terms.values())
         assert read and all(type(c) is Q for c in read)
         formatted.clear()
         datum.to_json()
@@ -243,7 +238,6 @@ def test_float_charges_and_twists_are_refused(bad):
 def _scalar_entry_points(bad):
     """Every public entry point that takes a scalar, each handed ``bad``."""
     heisenberg, vir = HeisenbergVoa(2), VirasoroVoa(Q(1, 2), 2)
-    h = fusion.heisenberg_intertwiner(1, 2, 2)
     system = OdeSystem(left="l", right="r", dimension=1, labels=[(0, 0)], entries={})
     return [
         lambda: FockModule(heisenberg, bad),
@@ -260,21 +254,8 @@ def _scalar_entry_points(bad):
         lambda: LaurentPoly({0: bad}),
         lambda: LaurentPoly.monomial(1, bad),
         lambda: LaurentPoly.one()(bad),
-        lambda: h.image_of((), (), 0, bad),
-        lambda: h.correlator({0: (bad,)}, (), ()),
         lambda: frobenius_series(system, bad, 1),
-        lambda: fusion.weight_support_check(h, [0, bad]),
     ]
-
-
-def test_a_malformed_functional_is_refused():
-    # one coefficient per basis vector of a level in 0..depth, nothing else
-    h = fusion.heisenberg_intertwiner(1, 2, 3)
-    assert h.target.dim(1) == 1 and h.target.dim(2) == 2
-    assert h.correlator({1: (1,)}, (1,), ()) == LaurentPoly({0: 3})
-    for theta in ({1: (1, 5, 7)}, {2: (1,)}, {9: (1,)}, {-1: (1,)}, {"1": (1,)}):
-        with pytest.raises(InputShapeError):
-            h.correlator(theta, (1,), ())
 
 
 def test_a_short_degree_bound_is_refused_not_floored(monkeypatch):

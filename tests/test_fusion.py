@@ -8,16 +8,22 @@ from fractions import Fraction as Q
 import pytest
 
 from bruteforce import (
+    apply_witness,
     commutator_defect,
+    correlator,
     dense,
     fock_top_correlator,
     fock_vertex_coefficients,
     fraction_gauss_jordan,
     materialized_twist,
+    mode_image,
     per_direction_witness,
     scaled_join_series,
+    series_vector,
     sparse,
+    surjective,
     sympy_rank,
+    witness_holds,
 )
 from vertexbound import fusion, linalg
 from vertexbound.cofinite import choose_complement, cm_quotient_dims
@@ -27,13 +33,12 @@ from vertexbound.fusion import (
     compare,
     heisenberg_intertwiner,
     join,
-    weight_support_check,
     zero_intertwiner,
 )
 from vertexbound.laurent import format_rational
 from vertexbound.modes import GradedVector, engine_for, mode_action
 from vertexbound.reduction import fusion_bound
-from vertexbound.voa import DirectSumModule, FockModule, HeisenbergVoa, LevelCapExceeded
+from vertexbound.voa import DirectSumModule, FockModule, HeisenbergVoa, LevelCapExceeded, mode_matrix
 
 
 TOP_DUAL = {0: (Q(1),)}
@@ -89,8 +94,7 @@ def test_top_correlators_match_the_bruteforce_kernel(lam, mu):
             for lw in range(3):
                 for w_key in h.source_right.keys(lw):
                     oracle = fock_top_correlator({u_key: Q(1)}, lam, {w_key: Q(1)}, mu)
-                    poly = h.correlator(TOP_DUAL, u_key, w_key)
-                    assert poly.terms == oracle
+                    assert correlator(h, TOP_DUAL, u_key, w_key) == oracle
 
 
 ORACLE_CASES = [
@@ -128,10 +132,10 @@ def test_correlator_is_linear_in_the_functional_and_the_datum():
     h = heisenberg_intertwiner(1, 1, 4)
     tripled = h.scale(3)
     theta = {0: (Q(1),), 1: (Q(2),)}
-    base = h.correlator(theta, (1,), ())
-    assert tripled.correlator(theta, (1,), ()) == base * 3
+    base = correlator(h, theta, (1,), ())
+    assert base and correlator(tripled, theta, (1,), ()) == {k: 3 * c for k, c in base.items()}
     doubled = {level: tuple(2 * c for c in coords) for level, coords in theta.items()}
-    assert h.correlator(doubled, (1,), ()) == base * 2
+    assert correlator(h, doubled, (1,), ()) == {k: 2 * c for k, c in base.items()}
 
 
 @pytest.mark.parametrize("lam,mu", [(Q(1), Q(2)), (Q(1, 2), Q(1, 2))])
@@ -151,23 +155,26 @@ def test_transported_commutator_identities_hold_within_the_window(lam, mu):
 
 
 def test_mode_images_respect_bilinearity():
+    # the commutator oracle reads the series through mode_image
     h = heisenberg_intertwiner(1, 2, 4)
     u = GradedVector.basis_vector(h.source_left, (1,)).scale(3)
     w = GradedVector.basis_vector(h.source_right, ())
-    single = h.image_of((1,), (), 0, h.mode_index((1,), (), 0))
-    scaled = h.image_of(u, w, 0, h.mode_index((1,), (), 0))
-    assert scaled == single.scale(3)
+    scaled = mode_image(h, u, w, 0, h.mode_index((1,), (), 0))
+    assert not scaled.is_zero()
+    assert scaled == series_vector(h, ((1,), (), 0), 0).scale(3)
 
 
 def test_mode_images_flag_truncated_weight_slots():
+    # the commutator oracle skips a case exactly when a slot is flagged
     h = heisenberg_intertwiner(1, 2, 2)
+    top = GradedVector.basis_vector(h.source_left, ())
+    w = GradedVector.basis_vector(h.source_right, ())
     # mode index below every stored slot lands past the cap
-    deep = h.mode_index((), (), 0) - 5
-    image = h.image_of((), (), 0, deep)
+    image = mode_image(h, top, w, 0, h.mode_index((), (), 0) - 5)
     assert image.truncated
     assert image.is_zero()
     # non-integral slots are genuinely zero, not truncated
-    off = h.image_of((), (), 0, h.mode_index((), (), 0) - Q(1, 2))
+    off = mode_image(h, top, w, 0, h.mode_index((), (), 0) - Q(1, 2))
     assert off.is_zero() and not off.truncated
 
 
@@ -175,9 +182,10 @@ def test_surjectivity_certificate_is_full_for_the_fock_operator():
     h = heisenberg_intertwiner(1, 2, 4)
     cert = h.surjectivity_certificate()
     assert all(rank == dim for rank, dim in cert.values())
-    assert h.is_surjective()
+    assert surjective(h)
     zero = zero_intertwiner(h.source_left, h.source_right, 4)
-    assert zero.is_surjective()
+    assert all(rank == dim == 0 for rank, dim in zero.surjectivity_certificate().values())
+    assert surjective(zero)
 
 
 def test_scaling_by_zero_is_rejected():
@@ -204,8 +212,8 @@ def test_join_with_itself_is_a_diagonal_copy_of_the_target():
     assert [jj.target.dim(n) for n in range(5)] == [h.target.dim(n) for n in range(5)]
     result = compare(jj, h)
     assert result.relation == "equivalent"
-    assert result.witness.verify()
-    assert result.reverse_witness.verify()
+    assert witness_holds(result.witness)
+    assert witness_holds(result.reverse_witness)
 
 
 def test_join_with_a_scalar_twist_stays_equivalent_to_the_factor():
@@ -241,28 +249,16 @@ def test_join_never_feeds_a_full_level_span(monkeypatch):
 
 
 def test_join_offers_each_direction_once(monkeypatch):
-    # the order workload's shape: three proportional twists, depth 4;
-    # only the paired coefficients count, not the closure under the modes
+    # the order workload's shape: three proportional twists, depth 4
     offers = []
-    saturating = []
     original_add = linalg.RowSpan.add
-    original_saturate = fusion._saturate_spans
 
     def counting_add(self, vec):
-        if not saturating:
-            lead = next(c for c in vec if c)
-            offers.append((self, tuple(c / lead for c in vec)))
+        lead = next(c for c in vec if c)
+        offers.append((self, tuple(c / lead for c in vec)))
         return original_add(self, vec)
 
-    def marked_saturate(*args):
-        saturating.append(True)
-        try:
-            return original_saturate(*args)
-        finally:
-            saturating.pop()
-
     monkeypatch.setattr(linalg.RowSpan, "add", counting_add)
-    monkeypatch.setattr(fusion, "_saturate_spans", marked_saturate)
     h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 4)
     joined = join(join(h.scale(Q(-3, 2)), h.scale(Q(5, 4))), h.scale(2))
     keys = [(id(span), direction) for span, direction in offers]
@@ -297,6 +293,14 @@ def test_join_is_idempotent_up_to_equivalence():
     assert compare(twice, h).relation == "equivalent"
 
 
+def gapped(h):
+    """``h`` with every level-2 image dropped, a datum that is not surjective."""
+    return IntertwinerData(h.source_left, h.source_right, h.target, h.depth, 0, {
+        skey: {level: coords for level, coords in h.images(skey).items() if level != 2}
+        for skey in h.series
+    })
+
+
 def direct_sum_pair(depth=4):
     """Y1, Y2 on U = Fock(1) + Fock(-2), W = Fock(1/2), one summand each.
 
@@ -322,12 +326,12 @@ def test_direct_sum_sources_give_a_strict_order_and_an_incomparable_pair():
     assert modes[0]["u"] == "[0]|1>" and len(modes) == len(y1.series)
     joined = join(y1, y2)
     assert [joined.target.dim(n) for n in range(5)] == [2, 2, 4, 6, 10]
-    assert joined.is_surjective()
+    assert surjective(joined)
     assert compare(y1, y2).relation == "incomparable"
     below = compare(y1, joined)
-    assert below.relation == "less_eq" and below.witness.verify()
+    assert below.relation == "less_eq" and witness_holds(below.witness)
     above = compare(joined, y1)
-    assert above.relation == "greater_eq" and above.witness.verify()
+    assert above.relation == "greater_eq" and witness_holds(above.witness)
     assert compare(y1, y1.scale(3)).relation == "equivalent"
 
 
@@ -396,11 +400,37 @@ def test_join_series_equal_scaled_rows_reduced_against_the_span(case):
     assert all(type(c) is Q for c in values)
 
 
+@pytest.mark.parametrize("case", list(_join_cases()))
+def test_join_targets_are_closed_under_every_generator_mode(case):
+    # the level spans are the paired coefficients alone; every generator
+    # mode inside the window must map them into each other
+    target = join(*_join_cases()[case]).target
+    gw = target.voa.gen_weight
+    for n in range(target.depth + 1):
+        for k in range(n + gw - 1 - target.depth, n + gw):
+            n2 = n + gw - 1 - k
+            matrix = mode_matrix(target, k, n, n2)
+            assert (matrix.rows, matrix.cols) == (target.dim(n2), target.dim(n))
+
+
+def test_join_of_a_gapped_datum_leaves_its_gap_and_the_action_refuses_it():
+    # no level-2 coefficient survives the gap, so the joined level 2 is
+    # empty; the generator modes into it leave the target, and the first
+    # one to run says so
+    d = gapped(heisenberg_intertwiner(Q(1, 2), Q(3, 2), 4))
+    joined = join(d, d.scale(2))
+    assert [joined.target.dim(n) for n in range(5)] == [1, 1, 0, 3, 5]
+    assert joined.surjectivity_certificate()[2] == (0, 0)
+    g = GradedVector(joined.target.voa, joined.target.voa.generator_raw)
+    top = GradedVector.basis_vector(joined.target, (0, 0))
+    with pytest.raises(InternalInvariantViolation, match="span module is not closed"):
+        mode_action(g, -2, top)
+
+
 def test_join_refuses_a_paired_row_outside_its_span(monkeypatch):
-    # a level span that lost a basis row and is never saturated back
+    # a level span that lost a basis row
     original = fusion._reduced_basis
     monkeypatch.setattr(fusion, "_reduced_basis", lambda rows, parts: original(rows, parts)[:-1])
-    monkeypatch.setattr(fusion, "_saturate_spans", lambda *args: None)
     h = heisenberg_intertwiner(1, 2, 3)
     with pytest.raises(InternalInvariantViolation, match="escaped its own span"):
         join(h, h.scale(2))
@@ -431,9 +461,9 @@ def test_scalar_twists_are_equivalent_with_the_inverse_scalar_witness():
     assert result.relation == "equivalent"
     block = result.witness.blocks[0]
     assert block.entry(0, 0) == Q(1, 2)
-    assert result.witness.verify()
+    assert witness_holds(result.witness)
     top = GradedVector.basis_vector(h.target, ())
-    assert result.witness.apply(top) == top.scale(Q(1, 2))
+    assert apply_witness(result.witness, top) == top.scale(Q(1, 2))
 
 
 def test_comparison_with_itself_yields_the_identity_witness():
@@ -483,14 +513,10 @@ def test_non_unique_witness_is_an_invariant_violation():
 
 def test_compare_requires_surjective_data():
     h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 3)
-    # drop every level-2 image: the series no longer fix f_2, although
+    # without level-2 images the series no longer fix f_2, although
     # commutation with the generator modes would
-    gapped = {
-        skey: {level: coords for level, coords in h.images(skey).items() if level != 2}
-        for skey in h.series
-    }
-    d = IntertwinerData(h.source_left, h.source_right, h.target, h.depth, 0, gapped)
-    assert not d.is_surjective()
+    d = gapped(h)
+    assert not surjective(d)
     with pytest.raises(InternalInvariantViolation, match="level 2"):
         compare(d, d)
     assert compare(h, d).relation == "incomparable"
@@ -522,9 +548,9 @@ def test_witnesses_commute_with_the_generator_modes(case):
         for n in range(up.depth + 1):
             for key in up.keys(n):
                 v = GradedVector.basis_vector(up, key)
-                image = witness.apply(v)
+                image = apply_witness(witness, v)
                 for k in range(n + gw - 1 - up.depth, n + gw):
-                    left = witness.apply(mode_action(g, k, v))
+                    left = apply_witness(witness, mode_action(g, k, v))
                     right = mode_action(g, k, image)
                     if left.truncated or right.truncated:
                         continue
@@ -599,10 +625,7 @@ def _order_cases():
     factor = h.scale(2)
     joined = join(factor, h.scale(Q(-3, 4)))
     zero = zero_intertwiner(h.source_left, h.source_right, 3)
-    gapped = IntertwinerData(h.source_left, h.source_right, h.target, h.depth, 0, {
-        skey: {level: coords for level, coords in h.images(skey).items() if level != 2}
-        for skey in h.series
-    })
+    level_2_gap = gapped(h)
     return {
         "depth-5 twists": (deep.scale(Q(-3, 2)), deep.scale(Q(5, 4))),
         "join over factor": (joined, factor),
@@ -616,9 +639,9 @@ def _order_cases():
         "integral shift reversed": (_retargeted(h, 0), h),
         "level map two levels up": (_two_levels_up(h), h),
         "level map two levels down": (h, _two_levels_up(h)),
-        "gapped with itself": (gapped, gapped),
-        "gapped above": (h, gapped),
-        "gapped below": (gapped, h),
+        "gapped with itself": (level_2_gap, level_2_gap),
+        "gapped above": (h, level_2_gap),
+        "gapped below": (level_2_gap, h),
     }
 
 
@@ -733,18 +756,6 @@ def test_factor_twists_report_like_materialized_ones(case):
     carried = [_report(outcome) for outcome in build(lambda data, c: data.scale(c))]
     materialized = [_report(outcome) for outcome in build(materialized_twist)]
     assert carried == materialized
-
-
-# ----------------------------------------------------------------------
-# weight support
-
-def test_weight_support_against_reference_cosets():
-    h = heisenberg_intertwiner(1, 2, 3)  # target Fock(3), lowest weight 9/2
-    assert weight_support_check(h, [Q(9, 2)])
-    assert not weight_support_check(h, [Q(0)])
-    assert weight_support_check(h, [Q(0), Q(1, 2)])
-    zero = zero_intertwiner(h.source_left, h.source_right, 3)
-    assert weight_support_check(zero, [])
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from vertexbound.fusion import heisenberg_intertwiner, join
 from vertexbound.modes import (
     GradedVector,
     engine_for,
-    generator_vector,
     mode_action,
     omega_vector,
     run_identity_suite,
@@ -133,7 +132,7 @@ def test_mode_action_rejects_inhomogeneous_actor():
 def test_generator_modes_agree_with_base_action():
     voa = HeisenbergVoa(depth=5)
     fock = FockModule(voa, Q(3, 2))
-    gen = generator_vector(voa)
+    gen = GradedVector(voa, voa.generator_raw)
     for level in range(4):
         for key in fock.keys(level):
             w = GradedVector.basis_vector(fock, key)
@@ -205,7 +204,7 @@ def test_virasoro_omega_modes_are_the_generator_action():
 def test_mode_action_flags_formal_overflow():
     voa = HeisenbergVoa(depth=2)
     fock = FockModule(voa, Q(1))
-    gen = generator_vector(voa)
+    gen = GradedVector(voa, voa.generator_raw)
     w = GradedVector.basis_vector(fock, (2,))
     out = mode_action(gen, -2, w)  # formal target level 4 > 2
     assert out.is_zero() and out.truncated
@@ -227,7 +226,8 @@ def test_mode_action_keeps_integral_fock_data_on_ints(monkeypatch):
         init(self, module, raw, truncated)
 
     monkeypatch.setattr(GradedVector, "__init__", recording)
-    v = mode_action(generator_vector(voa), -2, generator_vector(voa)).scale(3)
+    gen = GradedVector(voa, voa.generator_raw)
+    v = mode_action(gen, -2, gen).scale(3)
     w = GradedVector.basis_vector(fock, (2,)) - GradedVector.basis_vector(fock, (1, 1)).scale(2)
     seen.clear()
     out = mode_action(v, 1, w)
@@ -266,7 +266,7 @@ def test_l_minus_one_shift_examples():
     fock = FockModule(heisenberg, Q(1))
     vir = VirasoroVoa(Q(1, 2), depth=6)
     verma = VermaModule(vir, Q(1, 16))
-    cases = [(generator_vector(heisenberg), GradedVector.basis_vector(fock, key))
+    cases = [(GradedVector(heisenberg, heisenberg.generator_raw), GradedVector.basis_vector(fock, key))
              for key in [(), (1,), (2,)]]
     cases.append((GradedVector.basis_vector(vir, (2,)), GradedVector.basis_vector(verma, (1,))))
     for v, w in cases:

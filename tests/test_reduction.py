@@ -17,7 +17,6 @@ from vertexbound.modes import GradedVector, basis_vectors, mode_action, omega_ve
 from vertexbound.reduction import (
     CorrelatorCombination,
     assemble_ode,
-    express_in_c1_plus_complement,
     fusion_bound,
     reduce,
 )
@@ -49,6 +48,23 @@ def quotient_self_pair(depth=4):
     return quot, basis
 
 
+def express(u, basis):
+    """Write ``u = sum_k v^k_{-1} a^k + e`` with ``e`` in the complement.
+
+    Returns ``(pairs, e)``: each pair is a ``(v, a)`` of graded vectors,
+    read off the spanning solver that ``reduce`` decomposes with.
+    """
+    module = u.module
+    if u.is_zero():
+        return [], GradedVector.zero(module)
+    raw_pairs, complement = reduction._solver_for(basis).decompose(u)
+    pairs = [(GradedVector.basis_vector(module.voa, v_key).scale(coeff),
+              GradedVector.basis_vector(module, a_key))
+             for v_key, a_key, coeff in raw_pairs]
+    e = GradedVector(module, {basis.labels[idx][1]: alpha for idx, alpha in complement})
+    return pairs, e
+
+
 def recombine(pairs, e):
     """Evaluate ``sum v_{-1} a + e`` back into a graded vector."""
     total = e
@@ -63,7 +79,7 @@ def recombine(pairs, e):
 def test_express_lowest_vector_is_pure_complement():
     left, _, basis, _ = fock_pair()
     u = GradedVector.basis_vector(left, ())
-    pairs, e = express_in_c1_plus_complement(u, basis)
+    pairs, e = express(u, basis)
     assert pairs == []
     assert e == u
 
@@ -72,7 +88,7 @@ def test_express_level_one_and_two():
     left, _, basis, _ = fock_pair()
     for key in [(1,), (2,), (1, 1)]:
         u = GradedVector.basis_vector(left, key)
-        pairs, e = express_in_c1_plus_complement(u, basis)
+        pairs, e = express(u, basis)
         assert e.is_zero()  # C_1 swallows every positive level of a Fock module
         assert pairs
         for v, a in pairs:
@@ -87,7 +103,7 @@ def test_express_is_exact_on_all_low_monomials():
     for module, basis in [(left, lbasis), (right, rbasis), (quot, qbasis)]:
         for level in range(0, 4):
             for u in basis_vectors(module, level):
-                pairs, e = express_in_c1_plus_complement(u, basis)
+                pairs, e = express(u, basis)
                 assert recombine(pairs, e) == u
 
 
@@ -143,7 +159,7 @@ def assert_matches_full_column_solve(module, basis):
                 if c
             ]
             expected_comp = solution[len(pair_keys):]
-            pairs, e = express_in_c1_plus_complement(u, basis)
+            pairs, e = express(u, basis)
             assert pairs == expected_pairs, (module.describe(), level)
             coords = e.coords_at(level)
             assert [coords[module.index(key)] for _, key in comp] == expected_comp
@@ -175,25 +191,25 @@ def test_express_quotient_singular_relation():
     # so its decomposition is pure C_1 with no complement part
     quot, basis = quotient_self_pair()
     u = GradedVector.basis_vector(quot, (2,)).scale(Q(4, 3))
-    pairs, e = express_in_c1_plus_complement(u, basis)
+    pairs, e = express(u, basis)
     assert e.is_zero()
     assert recombine(pairs, e) == u
 
 
 def test_express_guards():
-    left, _, basis, _ = fock_pair()
+    left, right, basis, rbasis = fock_pair()
     beyond = GradedVector.basis_vector(left, (6,))
     with pytest.raises(TruncationError):
-        express_in_c1_plus_complement(beyond, basis)
+        express(beyond, basis)
     flagged = GradedVector(left, {(1,): Q(1)}, truncated=True)
     with pytest.raises(TruncationError):
-        express_in_c1_plus_complement(flagged, basis)
+        express(flagged, basis)
     other = GradedVector.basis_vector(left.voa, (1,))
-    with pytest.raises(InputShapeError):
-        express_in_c1_plus_complement(other, basis)
+    with pytest.raises(InputShapeError, match="left basis module"):
+        reduce(other, GradedVector.basis_vector(right, ()), basis, rbasis)
     mixed = GradedVector.basis_vector(left, ()) + GradedVector.basis_vector(left, (1,))
     with pytest.raises(InputShapeError):
-        express_in_c1_plus_complement(mixed, basis)
+        express(mixed, basis)
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +371,7 @@ def reduce_keys(p_key, q_key, lbasis, rbasis):
 def oracle_reduction(p_key, q_key, lbasis, rbasis):
     def splitter(basis):
         def split(x):
-            pairs, e = express_in_c1_plus_complement(x, basis)
+            pairs, e = express(x, basis)
             complement = []
             for i, (level, key) in enumerate(basis.labels):
                 alpha = e.coords_at(level)[basis.module.index(key)]
