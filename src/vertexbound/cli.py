@@ -240,7 +240,6 @@ def _cmd_log_bound(config):
         "orders": list(bound.orders),
         "coarse_bound": bound.coarse_bound,
         "sharp_bound": bound.sharp_bound,
-        "attained": bound.attained,
     }
     return payload, _certification(config.depth)
 

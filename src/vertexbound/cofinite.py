@@ -408,7 +408,6 @@ class LogPowerBound:
     orders: tuple
     coarse_bound: int
     sharp_bound: int
-    attained: bool
 
 
 def _log_step(state: dict, step: int, orders: tuple) -> dict:
@@ -471,11 +470,7 @@ def log_power_bound(n_u: int, n_w: int, n_t: int) -> LogPowerBound:
         raise InputShapeError("nilpotency orders must be positive integers")
     orders = (n_u, n_w, n_t)
     bound_guess = n_u + n_w + n_t - 2
-    previous = {}
-    for vanish, state in enumerate(_log_states(orders)):
-        if not state:
-            break
-        previous = state
+    vanish = next(step for step, state in enumerate(_log_states(orders)) if not state)
     if vanish != bound_guess:
         raise InternalInvariantViolation(
             f"log recursion vanished at {vanish}, expected {bound_guess}"
@@ -484,5 +479,4 @@ def log_power_bound(n_u: int, n_w: int, n_t: int) -> LogPowerBound:
         orders=orders,
         coarse_bound=3 * max(orders),
         sharp_bound=vanish,
-        attained=bool(previous),
     )

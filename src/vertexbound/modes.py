@@ -1,8 +1,12 @@
 """Mode actions ``v_k`` of algebra elements on truncated graded modules.
 
 The generator modes of a realization (oscillator or Virasoro) are exact
-closed forms; the mode of a composite state ``v = g_j u`` is expanded
-through the iterate identity
+closed forms, and so are those of a one-part word, the derivative state
+L(-1)^t g / t! of the generator g: by translation covariance,
+Y(L(-1)v, z) = d/dz Y(v, z) (Frenkel-Huang-Lepowsky, Mem. AMS 494, 1993),
+(L(-1)^t g / t!)_k = (-1)^t binom(k, t) g_{k-t}.
+The mode of a longer composite state ``v = g_j u`` is expanded through
+the iterate identity
 
     (g_j u)_k w = sum_i binom(j, i) (-1)^i
                   [ g_{j-i} (u_{k+i} w) - (-1)^j u_{j+k-i} (g_i w) ],
@@ -209,7 +213,9 @@ class ModeEngine:
     the state built by the descending creation word ``v_word`` in the
     algebra and ``w_key`` is a basis key of the module.  Words need not
     be canonical basis keys; any descending tuple denotes the
-    corresponding product of creation operators on the vacuum.
+    corresponding product of creation operators on the vacuum.  A
+    one-part word ``(p,)`` is ``L(-1)^t g / t!``, t = p - wt(g), with
+    modes ``(-1)^t binom(k, t) g_{k-t}`` (translation covariance, FHL).
 
     Results are ``(nums, den)``: ``{key: int}`` numerators over one
     positive ``int`` denominator, in lowest terms (``den == 1`` on
@@ -244,12 +250,19 @@ class ModeEngine:
         return found
 
     def apply_word(self, v_word: tuple, k: int, w_key) -> tuple:
+        """``v_k w`` as ``(nums, den)``; a one-part word is the image ``g_{k-t}``
+        times ``(-1)^t binom(k, t)``, zero at t = -1 (``L(-1)|0> = 0``)."""
         memo_key = (v_word, k, w_key)
         found = self._memo.get(memo_key)
         if found is not None:
             return found
         if not v_word:
             result = ({w_key: 1} if k == -1 else {}), 1
+        elif len(v_word) == 1:
+            t = v_word[0] - self._gen_weight
+            factor = -binomial(k, t) if t % 2 else binomial(k, t)
+            gen, den = self.gen_image(k - t, w_key) if factor else ({}, 1)
+            result = lowest_terms({key: c * factor for key, c in gen.items()}, den)
         else:
             result = self._expand(v_word, k, w_key)
         self._memo[memo_key] = result

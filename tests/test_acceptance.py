@@ -303,7 +303,6 @@ def test_criterion_7_log_bound(announce):
                         assert log_recursion_state(orders, k) == {}, (orders, k)
                     if sharp >= 1:
                         assert log_recursion_state(orders, sharp - 1), orders
-                        assert bound.attained
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from vertexbound import cli
 from vertexbound.cli import REPORT_SCHEMA, main
+from vertexbound.cofinite import log_recursion_state
 
 
 FOCK_INI = """
@@ -312,7 +313,9 @@ def test_log_bound_payload(tmp_path, capsys):
     assert payload["orders"] == [1, 2, 3]
     assert payload["coarse_bound"] == 9
     assert payload["sharp_bound"] == 4
-    assert payload["attained"] is True
+    # the sharp bound is the first empty state of the log recursion
+    assert log_recursion_state((1, 2, 3), payload["sharp_bound"] - 1)
+    assert "attained" not in payload
 
 
 def test_identity_suite_heisenberg(tmp_path, capsys):

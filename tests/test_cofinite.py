@@ -466,7 +466,8 @@ def test_log_power_bound_examples():
         bound = log_power_bound(*orders)
         assert bound.coarse_bound == coarse
         assert bound.sharp_bound == sharp
-        assert bound.attained
+        # the sharp bound is the first empty state: the one before it is not
+        assert log_recursion_state(orders, sharp - 1)
         assert bound.sharp_bound <= bound.coarse_bound
 
 

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from bruteforce import dense_coords, fraction_apply_word, identity_triple_failures, sugawara_L
+from test_fusion import direct_sum_pair
 from vertexbound import modes
 from vertexbound.errors import InputShapeError, InternalInvariantViolation
 from vertexbound.fusion import heisenberg_intertwiner, join
@@ -412,6 +413,41 @@ def test_engine_results_are_lowest_terms_and_match_the_fraction_expansion(name):
     # integral data stays over 1; the others need a denominator somewhere
     dens = {den for _, den in engine._memo.values()}
     assert (dens == {1}) == (name in ("fock-1", "join-target")), dens
+
+
+def _closed_form_modules():
+    modules = _oracle_modules()
+    names = ("fock-1", "fock-(-3/2)", "verma-1/16", "sigma", "vacuum-quotient", "join-target")
+    return {**{name: modules[name] for name in names},
+            "direct-sum-pair": direct_sum_pair()[0].source_left}
+
+
+@pytest.mark.parametrize("name", list(_closed_form_modules()))
+def test_one_part_words_take_the_closed_form_of_their_derivative_state(name):
+    """``(p,)`` is L(-1)^t g / t! with t = p - wt(g); its modes are
+    ``(-1)^t C(k, t) g_{k-t}``, checked against the iterate expansion on
+    every key and every k that keeps the target level in [0, depth]."""
+    module = _closed_form_modules()[name]
+    gen_weight, depth = module.voa.gen_weight, module.depth
+    engine = engine_for(module)
+    oracle = {}
+    vanishing = 0
+    for p in range(1, depth + gen_weight + 1):
+        for n in range(depth + 1):
+            for key in module.keys(n):
+                for k in range(n + p - 1 - depth, n + p):
+                    nums, den = engine.apply_word((p,), k, key)
+                    assert type(den) is int and den > 0
+                    assert all(type(c) is int and c for c in nums.values())
+                    # so a vanishing result is ({}, 1)
+                    assert gcd(den, *nums.values()) == 1
+                    assert {out: Q(c, den) for out, c in nums.items()} == \
+                        fraction_apply_word(module, (p,), k, key, oracle), (p, k, key)
+                    if p < gen_weight:
+                        # Virasoro's L(-1)|0> = 0
+                        assert (nums, den) == ({}, 1)
+                    vanishing += not nums
+    assert vanishing
 
 
 def test_an_engine_refuses_once_its_module_is_gone():
