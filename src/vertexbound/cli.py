@@ -3,10 +3,10 @@
 Each invocation parses a single config file, realizes the requested
 truncated structures, runs one command on them, and emits a
 schema-versioned JSON report on stdout (or to ``--out``).  Reports are
-deterministic: byte-identical across repeated runs.  ``--threads``
-(and ``[run] threads``) is still accepted and checked to be positive,
-but has no effect; it and the output path are excluded from the
-configuration hash echoed in the report.  Failures are emitted as
+deterministic: byte-identical across repeated runs.  ``--threads`` is
+still accepted and checked to be positive, but has no effect; it and
+the output path are excluded from the configuration hash echoed in the
+report.  The ``[run] threads`` key is refused.  Failures are emitted as
 machine-readable error objects with a distinct exit code per error
 family (see :mod:`vertexbound.errors`).
 

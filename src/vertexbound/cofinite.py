@@ -35,7 +35,7 @@ from .errors import (
 from .laurent import Q, QONE, QZERO
 from .linalg import ExactMatrix, RowSpan
 from .modes import GradedVector, engine_for
-from .voa import DirectSumModule, raw_acc, raw_combine
+from .voa import raw_acc, raw_combine
 
 
 # ----------------------------------------------------------------------
@@ -74,20 +74,6 @@ class CmSubspace:
     @property
     def quotient_dims(self) -> list:
         return [self.levels[n].quotient_dim for n in range(self.depth + 1)]
-
-    def contains(self, vec: GradedVector) -> bool:
-        """Exact membership of a vector in C_m(M), level by level."""
-        if vec.module is not self.module:
-            raise InputShapeError("vector belongs to a different realization")
-        if vec.truncated:
-            raise TruncationError("membership of a truncated vector is not certified")
-        for level in vec.levels():
-            if level > self.depth:
-                raise TruncationError(f"level {level} exceeds the certified depth {self.depth}")
-            row = self.module.coords(vec.components[level], level)
-            if not self.levels[level].span.contains(row):
-                return False
-        return True
 
 
 def _check_cm_guard(module, m: int, depth: int) -> None:
@@ -170,9 +156,9 @@ class ComplementBasis:
     Each ``labels[i] == (level, key)`` names the basis monomial chosen
     at that level; selection is the graded-lex earliest monomial whose
     class is new in ``M / (C_m + already chosen)``.  ``vectors`` is
-    derived from the labels.  For ``m == 1`` (not over a direct sum)
-    ``c1_pairs[n]`` keeps level n's C_1 spanning pairs (``CmLevel.pairs``)
-    for the correlator reduction; otherwise it is None.
+    derived from the labels.  For ``m == 1`` ``c1_pairs[n]`` keeps level
+    n's C_1 spanning pairs (``CmLevel.pairs``) for the correlator
+    reduction; otherwise it is None.
     """
 
     module: object
@@ -181,7 +167,6 @@ class ComplementBasis:
     window: int
     lowest_weight: object
     labels: list = field(default_factory=list)
-    summands: list | None = None
     c1_pairs: dict | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -234,9 +219,12 @@ def choose_complement(module, depth: int, m: int = 1) -> ComplementBasis:
     Requires the quotient dimensions to vanish on ``(N, depth]`` for
     some ``N < depth``; otherwise the module may genuinely fail to be
     C_m-cofinite and :class:`NotCofiniteUpToDepth` is raised.
+
+    A direct sum takes the same path: C_m of a sum is the sum of the
+    summands' C_m, level by level, and the sum lists each summand's keys
+    in turn, so the greedy choice is each summand's own complement,
+    embedded.
     """
-    if isinstance(module, DirectSumModule):
-        return _direct_sum_complement(module, depth, m)
     cm = build_cm(module, m, depth)
     dims = cm.quotient_dims
     window = _last_nonzero(dims)
@@ -257,24 +245,6 @@ def choose_complement(module, depth: int, m: int = 1) -> ComplementBasis:
             for key in _greedy_level_complement(module, cm.levels[n].span, n, dims[n])
         ],
         c1_pairs={n: level.pairs for n, level in cm.levels.items()} if m == 1 else None,
-    )
-
-
-def _direct_sum_complement(module: DirectSumModule, depth: int, m: int) -> ComplementBasis:
-    """Per-summand complements, embedded and sorted by level, then key."""
-    parts = [choose_complement(s, depth, m) for s in module.summands]
-    return ComplementBasis(
-        module=module,
-        m=m,
-        depth=depth,
-        window=max((p.window for p in parts), default=-1),
-        lowest_weight=module.lowest_weight,
-        labels=sorted(
-            (level, (index, key))
-            for index, part in enumerate(parts)
-            for level, key in part.labels
-        ),
-        summands=parts,
     )
 
 

@@ -29,10 +29,10 @@ shortcut or as explicit ``(parts):coeff`` terms::
 Module and intertwiner sections are named (``[module.NAME]``); the
 ``[command]`` section holds per-command parameters, while the command
 itself is chosen on the command line.  The canonical form of a parsed
-configuration excludes volatile plumbing (the ignored thread count
-and the output path), so its hash identifies the mathematical content
-of a run and nothing else.  ``[run]`` takes only ``depth``, ``m``,
-``threads`` and ``out``; any other key is refused with a
+configuration excludes volatile plumbing (the output path), so its
+hash identifies the mathematical content of a run and nothing else.
+``[run]`` takes only ``depth``, ``m`` and ``out``; any other key, such
+as the retired ``threads`` and ``cache_dir``, is refused with a
 :class:`ConfigError`.
 """
 
@@ -137,12 +137,11 @@ class RunConfig:
 
     ``canonical`` is a nested plain-data image of everything that can
     influence a result; :meth:`config_hash` digests it.  Plumbing that
-    cannot (the ignored thread count and the output path) lives outside.
+    cannot (the output path) lives outside.
     """
 
     depth: int
     m: int
-    threads: int
     out: str | None
     voa: VoaSpec | None
     modules: dict
@@ -173,7 +172,7 @@ class RunConfig:
         if not parser.has_section("run"):
             raise ConfigError("config needs a [run] section with a depth")
         run = dict(parser.items("run"))
-        known_run = {"depth", "m", "threads", "out"}
+        known_run = {"depth", "m", "out"}
         for key in run:
             if key not in known_run:
                 raise ConfigError(f"[run]: unknown key {key!r}")
@@ -181,7 +180,6 @@ class RunConfig:
             raise ConfigError("[run]: depth is required")
         depth = parse_integer(run["depth"], "[run] depth", minimum=0)
         m = parse_integer(run.get("m", "1"), "[run] m", minimum=1)
-        threads = parse_integer(run.get("threads", "1"), "[run] threads", minimum=1)
         out = run.get("out") or None
 
         voa_spec = None
@@ -213,7 +211,6 @@ class RunConfig:
         config = cls(
             depth=depth,
             m=m,
-            threads=threads,
             out=out,
             voa=voa_spec,
             modules=modules,

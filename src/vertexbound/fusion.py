@@ -396,10 +396,8 @@ def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     return IntertwinerData(left, right, target, depth, 0, series, Q(1, denom))
 
 
-def zero_intertwiner(source_left, source_right, depth: int | None = None) -> IntertwinerData:
+def zero_intertwiner(source_left, source_right, depth: int) -> IntertwinerData:
     """The trivial datum with empty target; the bottom of the order."""
-    if depth is None:
-        depth = min(source_left.depth, source_right.depth)
     target = DirectSumModule((), depth)
     return IntertwinerData(source_left, source_right, target, depth, 0, {})
 
@@ -720,10 +718,13 @@ def _solve_witness(lower: IntertwinerData, upper: IntertwinerData, spaces: _Alig
     each series key gives one row ``[c_up | c_low]``, and the reduced
     echelon form of those rows is ``[I | f_n^T]`` exactly when a unique
     solution exists.  It is read off the level pair's basis in
-    ``spaces``, reduced again with the upper columns first: past the
-    check that no key has ``c_low != 0`` but ``c_up = 0``, the keys with
-    ``c_up != 0`` are all the keys with a nonzero row.  Commutation with
-    the generator modes is then checked on the solved blocks.
+    ``spaces``, reduced again with the upper columns first.  A key with
+    ``c_low != 0`` but ``c_up = 0`` gives a row ``[0 | c_low]``, whose
+    pivot past the upper columns means no f exists; the loop visits
+    every level that a lower coefficient can sit on, empty upper levels
+    and those below the upper lowest weight included, so that verdict
+    comes before any rank deficiency is raised.  Commutation with the
+    generator modes is then checked on the solved blocks.
     """
     low_t = lower.target
     up_t = upper.target
@@ -736,24 +737,13 @@ def _solve_witness(lower: IntertwinerData, upper: IntertwinerData, spaces: _Alig
         return _zero_witness_or_none(lower, upper)
     shift = int(shift_q)
 
-    # a lower coefficient whose aligned upper coefficient vanishes (or
-    # lies below the lowest weight) cannot be reached by any f
-    for skey, low_entry in lower.series.items():
-        up_entry = upper.series.get(skey, {})
-        for t, coords1 in low_entry.items():
-            n = t - shift
-            if not (0 <= t <= low_t.depth) or n > upper.depth or not any(coords1):
-                continue
-            coords2 = up_entry.get(n) if n >= 0 else None
-            if not coords2 or not any(coords2):
-                return None
-
-    # series matching, one level at a time
+    # series matching, one level at a time, from the upper level aligned
+    # with the lower target's level 0 (negative, and empty, when shift > 0)
     blocks = {}
     deficient = None
-    for n in range(upper.depth + 1):
+    for n in range(min(0, -shift), upper.depth + 1):
         t = n + shift
-        if not (up_t.dim(n) and 0 <= t <= low_t.depth and low_t.dim(t)):
+        if not (0 <= t <= low_t.depth and low_t.dim(t)):
             continue
         d1, d2 = low_t.dim(t), up_t.dim(n)
         basis = spaces.basis(upper, n, t)

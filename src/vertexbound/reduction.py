@@ -43,6 +43,7 @@ those pivot pairs plus the complement monomials of the level.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cofinite import ComplementBasis, cm_level
@@ -54,6 +55,7 @@ from .errors import (
 from .laurent import LaurentPoly, Q, QONE, as_rational
 from .linalg import ExactMatrix
 from .modes import GradedVector, engine_for, mode_action, omega_vector
+from .voa import DirectSumModule
 
 
 # ----------------------------------------------------------------------
@@ -71,10 +73,10 @@ class _SpanningSolver:
     Results are memoized per (level, coordinates).
 
     The pivot pairs are the ones ``choose_complement`` kept when it
-    built C_1 itself (m = 1); other levels are built here.  The solver
-    keeps the module, the depth, the complement labels and those pairs,
-    not the basis that owns it, so a basis is freed by reference
-    counting alone.
+    built C_1 itself (m = 1, direct sums included); only for a C_m
+    complement with m != 1 are they built here.  The solver keeps the
+    module, the depth, the complement labels and those pairs, not the
+    basis that owns it, so a basis is freed by reference counting alone.
     """
 
     def __init__(self, basis: ComplementBasis):
@@ -497,24 +499,26 @@ class FusionBound:
 
 
 def _complement_blocks(basis: ComplementBasis) -> list:
-    if basis.summands is not None:
-        return list(basis.summands)
-    return [basis]
+    """``(module, complement size)`` per summand of a direct sum, else one block."""
+    if not isinstance(basis.module, DirectSumModule):
+        return [(basis.module, len(basis))]
+    sizes = Counter(key[0] for _, key in basis.labels)
+    return [(summand, sizes[i]) for i, summand in enumerate(basis.module.summands)]
 
 
 def fusion_bound(left_basis: ComplementBasis, right_basis: ComplementBasis) -> FusionBound:
     """Aggregate ``sum_{r,k} |I_r| * |J_k|`` over declared summand pairs."""
     provenance = []
     total = 0
-    for lpart in _complement_blocks(left_basis):
-        for rpart in _complement_blocks(right_basis):
-            product = len(lpart) * len(rpart)
+    for lmodule, lsize in _complement_blocks(left_basis):
+        for rmodule, rsize in _complement_blocks(right_basis):
+            product = lsize * rsize
             total += product
             provenance.append({
-                "left": lpart.module.describe(),
-                "right": rpart.module.describe(),
-                "left_dim": len(lpart),
-                "right_dim": len(rpart),
+                "left": lmodule.describe(),
+                "right": rmodule.describe(),
+                "left_dim": lsize,
+                "right_dim": rsize,
                 "product": product,
             })
     return FusionBound(

@@ -377,11 +377,6 @@ def test_non_positive_threads_are_config_errors(tmp_path, capsys):
     assert code == 2
     assert report["error"]["type"] == "ConfigError"
     assert report["error"]["exit_code"] == 2
-    config = write_config(tmp_path, FOCK_INI.replace("m = 1", "m = 1\nthreads = 0"))
-    code, report = run_json(["cm-quotient", "--config", config], capsys)
-    assert code == 2
-    assert report["error"]["type"] == "ConfigError"
-    assert report["error"]["exit_code"] == 2
 
 
 def test_cache_dir_key_is_a_config_error(tmp_path, capsys):
@@ -391,6 +386,17 @@ def test_cache_dir_key_is_a_config_error(tmp_path, capsys):
     assert report["error"]["type"] == "ConfigError"
     assert report["error"]["exit_code"] == 2
     assert "cache_dir" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_threads_key_is_a_config_error(tmp_path, capsys, value):
+    # the [run] key is gone; the --threads flag is still accepted
+    config = write_config(tmp_path, FOCK_INI.replace("m = 1", f"m = 1\nthreads = {value}"))
+    code, report = run_json(["graded-dims", "--config", config], capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["exit_code"] == 2
+    assert "threads" in report["error"]["message"]
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):
@@ -450,7 +456,7 @@ def test_unknown_command_rejected_by_parser(tmp_path, capsys):
 
 
 def test_run_section_defaults_feed_cli(tmp_path, capsys):
-    # threads/out from [run] are honored when flags are absent
+    # out from [run] is honored when the flag is absent
     target = tmp_path / "from_run.json"
     text = FOCK_INI.replace("m = 1", f"m = 1\nout = {target}")
     config = write_config(tmp_path, text)

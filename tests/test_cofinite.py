@@ -13,6 +13,7 @@ from vertexbound import cofinite, linalg
 from vertexbound.cofinite import (
     build_cm,
     choose_complement,
+    cm_level,
     cm_quotient_dims,
     graded_dims,
     log_power_bound,
@@ -252,23 +253,6 @@ def test_surjection_maps_c1_onto_c1():
         assert sympy_rank([dense(row, quot.dim(n)) for row in image_rows]) == cm_quot.levels[n].rank
 
 
-def test_membership_queries():
-    voa, fock = heisenberg_setup()
-    cm = build_cm(fock, 1, 4)
-    assert cm.contains(GradedVector.basis_vector(fock, (1,)))
-    assert not cm.contains(GradedVector.basis_vector(fock, ()))
-
-    vvoa = VirasoroVoa(Q(1, 2), 8)
-    cmv = build_cm(vvoa, 1, 4)
-    assert cmv.contains(GradedVector.basis_vector(vvoa, (2,)))
-
-    flagged = GradedVector.zero(fock, truncated=True)
-    with pytest.raises(TruncationError):
-        cm.contains(flagged)
-    with pytest.raises(InputShapeError):
-        cm.contains(GradedVector.basis_vector(vvoa, (2,)))
-
-
 def test_depth_guards():
     voa, fock = heisenberg_setup(depth=4)
     with pytest.raises(TruncationError):
@@ -310,9 +294,13 @@ def test_complement_of_virasoro_voa():
 
 
 def test_verma_is_not_cofinite_within_depth():
-    _, verma = virasoro_setup(Q(1, 2), Q(1, 16))
+    voa, verma = virasoro_setup(Q(1, 2), Q(1, 16))
     with pytest.raises(NotCofiniteUpToDepth):
         choose_complement(verma, 4)
+    # nor is a direct sum with a Verma summand
+    eps = QuotientModule(VermaModule(voa, Q(1, 2)), [level2_singular_vector(Q(1, 2), Q(1, 2))])
+    with pytest.raises(NotCofiniteUpToDepth):
+        choose_complement(DirectSumModule([eps, verma]), 4)
 
 
 def test_complement_of_direct_sum():
@@ -325,7 +313,8 @@ def test_complement_of_direct_sum():
         {(0, ()): Q(1)},
         {(1, ()): Q(1)},
     ]
-    assert basis.summands is not None and len(basis.summands) == 2
+    # an m = 1 sum keeps the C_1 pairs it built, as any module does
+    assert basis.c1_pairs == {n: cm_level(total, 1, n).pairs for n in range(5)}
 
 
 def test_complement_of_empty_sum():
@@ -333,6 +322,53 @@ def test_complement_of_empty_sum():
     basis = choose_complement(total, 0)
     assert basis.window == -1
     assert basis.vectors == []
+
+
+def embedded_complement(total, depth):
+    """The summands' own complements, embedded in the sum by level, then summand.
+
+    Each summand is complemented alone; its labels keep their order
+    within a level, re-keyed ``(index, key)``.
+    """
+    parts = [choose_complement(s, depth) for s in total.summands]
+    labels = [(level, (i, key)) for i, part in enumerate(parts) for level, key in part.labels]
+    return cofinite.ComplementBasis(
+        module=total,
+        m=1,
+        depth=depth,
+        window=max((part.window for part in parts), default=-1),
+        lowest_weight=min((s.lowest_weight for s in total.summands), default=Q(0)),
+        labels=sorted(labels, key=lambda label: (label[0], label[1][0])),
+    )
+
+
+def direct_sums():
+    from test_fusion import direct_sum_pair
+
+    heisenberg = HeisenbergVoa(6)
+    virasoro = VirasoroVoa(Q(1, 2), 8)
+    sigma, eps = (
+        QuotientModule(VermaModule(virasoro, h), [level2_singular_vector(Q(1, 2), h)])
+        for h in (Q(1, 16), Q(1, 2))
+    )
+    return {
+        "fock-1-plus-fock-2": (DirectSumModule([FockModule(heisenberg, 1), FockModule(heisenberg, 2)]), 4),
+        "fock-1-plus-fock-minus-2": (direct_sum_pair()[0].source_left, 3),
+        "ising-sigma-plus-eps": (DirectSumModule([sigma, eps]), 5),
+        "empty": (DirectSumModule([]), 0),
+    }
+
+
+@pytest.mark.parametrize("name", list(direct_sums()))
+def test_direct_sum_complement_is_the_embedded_summand_complements(name):
+    total, depth = direct_sums()[name]
+    basis = choose_complement(total, depth)
+    # dataclass equality: module, m, depth, window, lowest_weight, labels
+    assert basis == embedded_complement(total, depth)
+    assert basis.c1_pairs == {n: cm_level(total, 1, n).pairs for n in range(depth + 1)}
+    if name == "ising-sigma-plus-eps":
+        assert basis.window == 1
+        assert [level for level, _ in basis.labels] == [0, 0, 1, 1]
 
 
 def test_complement_is_deterministic():

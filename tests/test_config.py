@@ -28,7 +28,7 @@ def test_minimal_defaults():
     config = load(MINIMAL)
     assert config.depth == 3
     assert config.m == 1
-    assert config.threads == 1
+    assert not hasattr(config, "threads")
     assert config.out is None
     assert config.voa is None
     assert config.modules == {}
@@ -47,6 +47,8 @@ def test_unknown_run_key_rejected():
         load("[run]\ndepth = 2\ncolour = blue\n")
     with pytest.raises(ConfigError):
         load("[run]\ndepth = 2\ncache_dir = /tmp/x\n")
+    with pytest.raises(ConfigError):
+        load("[run]\ndepth = 2\nthreads = 1\n")
 
 
 def test_unknown_section_rejected():
@@ -206,7 +208,6 @@ def test_volatile_keys_do_not_change_hash():
     noisy = load("""
     [run]
     depth = 3
-    threads = 8
     out = /tmp/report.json
     """)
     assert base.config_hash() == noisy.config_hash()

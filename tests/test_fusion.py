@@ -626,6 +626,18 @@ def _order_cases():
     joined = join(factor, h.scale(Q(-3, 4)))
     zero = zero_intertwiner(h.source_left, h.source_right, 3)
     level_2_gap = gapped(h)
+    # a join target whose level 2 is empty (dims [1, 1, 0, 3, 5]) under a
+    # datum with level-2 coefficients: no f exists, as the empty upper
+    # level says before any rank deficiency is raised
+    h4 = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 4)
+    gapped_join = join(gapped(h4), gapped(h4).scale(2))
+    # h's levels 0 and 1 read on Fock(0), two levels below h's Fock(2):
+    # under h its only coefficients sit below the upper lowest weight
+    shifted = _retargeted(h, 0)
+    below_only = IntertwinerData(h.source_left, h.source_right, shifted.target, h.depth, 0, {
+        skey: {level: coords for level, coords in shifted.images(skey).items() if level < 2}
+        for skey in h.series
+    })
     return {
         "depth-5 twists": (deep.scale(Q(-3, 2)), deep.scale(Q(5, 4))),
         "join over factor": (joined, factor),
@@ -642,13 +654,31 @@ def _order_cases():
         "gapped with itself": (level_2_gap, level_2_gap),
         "gapped above": (h, level_2_gap),
         "gapped below": (level_2_gap, h),
+        "under an empty upper level": (h4, gapped_join),
+        "over an empty upper level": (gapped_join, h4),
+        "only below the upper lowest weight": (below_only, h),
     }
+
+
+def _direction_outcome(solve, lower, upper):
+    """The JSON of one witness direction, None, or the type and message of its error."""
+    try:
+        witness = solve(lower, upper)
+    except InternalInvariantViolation as exc:
+        return type(exc), str(exc)
+    return None if witness is None else witness.to_json()
 
 
 @pytest.mark.parametrize("case", list(_order_cases()))
 def test_compare_matches_per_direction_solves(case):
     p1, p2 = _order_cases()[case]
     assert _outcome(compare, p1, p2) == _outcome(_per_direction_compare, p1, p2)
+    # each direction alone too: an error raised by the second direction
+    # would hide the first one's verdict from the comparison
+    spaces = fusion._AlignedRowSpaces(p1, p2)
+    for lower, upper in ((p1, p2), (p2, p1)):
+        shared = _direction_outcome(lambda a, b: fusion._solve_witness(a, b, spaces), lower, upper)
+        assert shared == _direction_outcome(per_direction_witness, lower, upper)
 
 
 def test_compare_eliminates_each_level_once(monkeypatch):

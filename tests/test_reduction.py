@@ -166,13 +166,21 @@ def assert_matches_full_column_solve(module, basis):
             assert recombine(pairs, e) == u
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_solver_rebuilds_c1_pairs_only_for_an_m2_complement(monkeypatch, m):
+@pytest.mark.parametrize("summed, m", [
+    pytest.param(False, 1, id="1"),
+    pytest.param(False, 2, id="2"),
+    pytest.param(True, 1, id="direct-sum-1"),
+    pytest.param(True, 2, id="direct-sum-2"),
+])
+def test_solver_rebuilds_c1_pairs_only_for_an_m2_complement(monkeypatch, summed, m):
     # an m = 1 complement keeps the C_1 pairs it built and the solver
     # reads them; an m = 2 one built C_2, so the solver builds C_1 itself;
-    # the decompositions are the full column solve's either way
+    # the decompositions are the full column solve's either way, and a
+    # direct sum V + V behaves as any module
     c = Q(1, 2)
     module = VirasoroQuotientVoa(c, singular_vectors_at(VirasoroVoa(c, 10), 6), depth=10)
+    if summed:
+        module = DirectSumModule([module, module])
     basis = choose_complement(module, 7, m)
     assert (basis.c1_pairs is None) == (m == 2)
     built = []
