@@ -191,7 +191,7 @@ def _greedy_level_complement(module, span: RowSpan, level: int, needed: int) -> 
     for index, key in enumerate(module.keys(level)):
         if len(chosen) == needed:
             break
-        if span.add({index: QONE}):
+        if span.add({index: 1}):
             chosen.append(key)
     if len(chosen) != needed:
         raise InternalInvariantViolation(

@@ -470,7 +470,7 @@ class SpanModule(BaseRealization):
             )
         keys = self.ambient.keys(n)
         raw = {}
-        for col, c in self.spans[n].rows()[i].items():
+        for col, c in self.spans[n].row(i).items():
             for rk, rc in self.ambient.apply_gen(k, keys[col]).items():
                 raw_acc(raw, rk, c * rc)
         coords = self.coords_in_span(self.ambient.coords(raw, n2), n2)

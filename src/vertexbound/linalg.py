@@ -6,21 +6,18 @@ that column, the smallest row index.  Rank, reduced row echelon form,
 nullspace bases, and solutions are therefore reproducible across runs.
 
 :class:`ExactMatrix` and :class:`RowSpan` take the same rows: one sparse
-``{col: value}`` dict of nonzero entries per row, the format the one
-integer kernel, :func:`_eliminate`, works on.  There rows become
-primitive integer rows, elimination is fraction-free, and only the
-finished pivot rows are divided by their pivots, which is where the
-result becomes the (unique) reduced row echelon form again.
-:class:`RowSpan` keeps its rows as ``Fraction`` dicts: it serves many
-short membership queries, for which converting to integers and back
-costs more than it saves.  Dense tuples are only vectors: the
-arguments of ``matvec`` and ``solve`` and the vectors they and
-``nullspace`` return.  Both classes accept ``int`` entries (raw
-mode-engine coefficients), which an ``ExactMatrix`` keeps as given until
-it is eliminated or multiplied, compute only ``Fraction`` values, and
-refuse a column outside the width or any other value (a ``float``, a
-string) with :class:`InputShapeError` rather than reading it as the
-rational it happens to round to.
+``{col: value}`` dict of nonzero entries per row, and both work on
+primitive integer rows with the same fraction-free clearing step,
+:func:`_clear`.  Entries become ``Fraction`` values only on the way out,
+where a finished row is divided by its pivot (the reduced row echelon
+form, which is unique) or a residual by its denominator.  Dense tuples
+are only vectors: the arguments of ``matvec`` and ``solve`` and the
+vectors they and ``nullspace`` return.  Both classes accept ``int``
+entries (raw mode-engine coefficients), which an ``ExactMatrix`` keeps as
+given until it is eliminated or multiplied, hand out only ``Fraction``
+values, and refuse a column outside the width or any other value (a
+``float``, a string) with :class:`InputShapeError` rather than reading it
+as the rational it happens to round to.
 """
 
 from __future__ import annotations
@@ -177,13 +174,15 @@ def _eliminate(rows: list, width: int) -> tuple:
     the gcd of the results); clearing ``col`` from a row with entry f
     against a pivot p then replaces it by ``(p/g) row - (f/g) pivot``,
     g = gcd(p, f), followed by removal of the row's content, so entries
-    stay as small as the row space allows.  This is fraction-free
-    elimination in the sense of Bareiss (Math. Comp. 22, 1968), with
-    content removal in place of his exact divisions.  Only at the end is
-    each pivot row divided by its pivot, giving ``Fraction`` entries; the
-    other rows are empty by then.  The rows are the reduced row echelon
-    form, which is unique, so the result is the same as that of
-    rational elimination with the same pivots.
+    stay as small as the row space allows.  ``RowSpan`` clears with the
+    same step, :func:`_clear`, which stays inline here: a call per
+    cleared row shows on tall blocks.  This is fraction-free elimination
+    in the sense of Bareiss (Math. Comp. 22, 1968), with content removal
+    in place of his exact divisions.  Only at the end is each pivot row
+    divided by its pivot, giving ``Fraction`` entries; the other rows are
+    empty by then.  The rows are the reduced row echelon form, which is
+    unique, so the result is the same as that of rational elimination
+    with the same pivots.
     """
     work = [primitive_row(row) for row in rows]
     nrows = len(work)
@@ -226,6 +225,36 @@ def _eliminate(rows: list, width: int) -> tuple:
     return work, pivots
 
 
+def _clear(target: dict, f: int, pivot: dict, p: int) -> tuple:
+    """``((p/g) target - (f/g) pivot, p/g)``, g = gcd(p, f), for the entries
+    f of the integer row ``target`` and p of ``pivot`` in one column; when
+    p/g is 1, ``target`` itself is updated."""
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        target = {j: v * a for j, v in target.items()}
+    for j, c in pivot.items():
+        s = target.get(j, 0) - b * c
+        if s:
+            target[j] = s
+        else:
+            del target[j]
+    return target, a
+
+
+def _integer_row(row: dict) -> tuple:
+    """A sparse rational row as ``(nums, den)``: ``int`` numerators over one
+    denominator, zero entries dropped; a value that is not an ``int`` or a
+    ``Fraction`` is refused."""
+    if all(type(c) is int for c in row.values()):
+        return {j: c for j, c in row.items() if c}, 1
+    for c in row.values():
+        if type(c) is not Q and type(c) is not int:
+            as_rational(c, "a span entry")
+    den = lcm(*(c.denominator for c in row.values()))
+    return {j: c.numerator * (den // c.denominator) for j, c in row.items() if c}, den
+
+
 def primitive_row(row: dict) -> dict:
     """A sparse rational row as coprime integers, sign and support kept.
 
@@ -233,12 +262,7 @@ def primitive_row(row: dict) -> dict:
     the gcd of the results; zero entries are dropped.  An all-``int`` row,
     as ``compare`` and ``join`` hand over, only loses its content.
     """
-    if all(type(c) is int for c in row.values()):
-        return _without_content({j: c for j, c in row.items() if c})
-    scale = lcm(*(c.denominator for c in row.values()))
-    return _without_content(
-        {j: c.numerator * (scale // c.denominator) for j, c in row.items() if c.numerator}
-    )
+    return _without_content(_integer_row(row)[0])
 
 
 def _without_content(row: dict) -> dict:
@@ -257,13 +281,15 @@ class RowSpan:
     reducing all rows again for each new one would be wasteful.  It
     takes the rows an :class:`ExactMatrix` stores, ``{col: value}``
     dicts, and refuses a column outside ``range(width)`` or a value that
-    is not an ``int`` or a ``Fraction``.
+    is not an ``int`` or a ``Fraction``.  It stores primitive integer
+    rows, each zero at the other rows' pivot columns, so a row's scale
+    never matters; ``rows`` and ``reduce`` hand out ``Fraction`` values.
     """
 
     def __init__(self, width: int):
         self.width = width
         self._columns = frozenset(range(width))
-        self._rows = []  # list of (pivot_col, sparse row dict with pivot 1)
+        self._rows = []  # (pivot_col, primitive int row dict), by pivot column
 
     @property
     def rank(self) -> int:
@@ -273,54 +299,51 @@ class RowSpan:
         """Leading columns of the reduced rows, ascending."""
         return tuple(col for col, _ in self._rows)
 
-    def reduce(self, row: dict) -> dict:
-        """Residual of the row ``row`` after elimination against the span."""
+    def _residual(self, row: dict) -> tuple:
+        """``row`` eliminated against the span as ``(nums, den)``, integers
+        over one denominator."""
         if not self._columns.issuperset(row):
             raise InputShapeError(f"a row has columns outside range({self.width})")
-        # entries that are already Fractions need no copy, nor ints a type check
-        residual = {j: q for j, c in row.items()
-                    if (q := c if type(c) is Q else Q(c) if type(c) is int
-                        else as_rational(c, "a span entry"))}
-        for pivot_col, reduced in self._rows:
-            factor = residual.get(pivot_col)
-            if not factor:
-                continue
-            for j, c in reduced.items():
-                s = residual.get(j, QZERO) - factor * c
-                if s:
-                    residual[j] = s
-                else:
-                    residual.pop(j, None)
-        return residual
+        nums, den = _integer_row(row)
+        for pivot_col, pivot in self._rows:
+            f = nums.get(pivot_col)
+            if f:
+                nums, a = _clear(nums, f, pivot, pivot[pivot_col])
+                den *= a
+        return nums, den
+
+    def reduce(self, row: dict) -> dict:
+        """Residual of the row ``row`` after elimination against the span."""
+        nums, den = self._residual(row)
+        return {j: Q(v, den) for j, v in nums.items()}
 
     def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
+        return not self._residual(row)[0]
 
     def add(self, row: dict) -> bool:
         """Add a row; returns True when it enlarged the span."""
-        residual = self.reduce(row)
-        if not residual:
+        new = _without_content(self._residual(row)[0])
+        if not new:
             return False
-        pivot_col = min(residual)
-        inv = QONE / residual[pivot_col]
-        new = {j: c * inv for j, c in residual.items()}
-        for _, existing in self._rows:
-            factor = existing.get(pivot_col)
-            if not factor:
-                continue
-            for j, c in new.items():
-                s = existing.get(j, QZERO) - factor * c
-                if s:
-                    existing[j] = s
-                else:
-                    existing.pop(j, None)
+        pivot_col = min(new)
+        p = new[pivot_col]
+        for i, (col, existing) in enumerate(self._rows):
+            f = existing.get(pivot_col)
+            if f:
+                self._rows[i] = col, _without_content(_clear(existing, f, new, p)[0])
         self._rows.append((pivot_col, new))
         self._rows.sort(key=lambda item: item[0])
         return True
 
-    def rows(self) -> list:
-        """Copies of the reduced rows as sparse ``{col: value}`` dicts, by pivot column.
+    def row(self, i: int) -> dict:
+        """The reduced row with the i-th pivot column, as ``{col: Fraction}``."""
+        col, row = self._rows[i]
+        p = row[col]
+        return {j: Q(v, p) for j, v in row.items()}
 
-        They are copies, so a caller may add to the span while it walks them.
+    def rows(self) -> list:
+        """The reduced rows as sparse ``{col: value}`` dicts, by pivot column.
+
+        They are new dicts, so a caller may add to the span while it walks them.
         """
-        return [dict(row) for _, row in self._rows]
+        return [self.row(i) for i in range(self.rank)]

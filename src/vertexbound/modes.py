@@ -443,19 +443,20 @@ def _raw_associativity_defect(adjoint, engine, composed, v1_word, v2_word, n, m,
     return defect
 
 
-def _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, report):
-    """Both identities for one ``(v1, v2, w)`` at every guarded mode pair.
+def _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, table, report, failures):
+    """Both identities for one ``(v1, v2, w)`` at every guarded mode pair,
+    counted in ``report``, each failure appended to ``failures``.
 
-    Both identities read their two-mode terms ``a_p (b_q w)`` from one
-    table, built on first use and dropped with the triple; a defect
-    copies an entry before it accumulates into it.
+    Both identities read their two-mode terms ``a_p (b_q w)`` from
+    ``table``, the one table of module vector ``w``, shared by every pair
+    and built on first use; a defect copies an entry before it
+    accumulates into it.
     """
     voa = module.voa
     depth = module.depth
     voa_depth = voa.depth
     w1, w2 = voa.level_of(v1_word), voa.level_of(v2_word)
     w_level = module.level_of(w_key)
-    table = {}
 
     def composed(a_word, p, b_word, q):
         key = (a_word, p, b_word, q)
@@ -481,7 +482,7 @@ def _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, report):
             )
             report.commutator_checked += 1
             if defect:
-                report.failures.append(
+                failures.append(
                     ("commutator", voa.label(v1_word), voa.label(v2_word),
                      n, m, module.label(w_key))
                 )
@@ -497,7 +498,7 @@ def _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, report):
                 )
                 report.associativity_checked += 1
                 if defect:
-                    report.failures.append(
+                    failures.append(
                         ("associativity", voa.label(v1_word), voa.label(v2_word),
                          n, m, module.label(w_key))
                     )
@@ -544,12 +545,20 @@ def run_identity_suite(module) -> IdentitySuiteReport:
     # identically because their formal level is negative are fine);
     # combinations outside it are not enumerated, so every enumerated
     # case is fully certified and nothing inside the guard is skipped
+    # each module vector w is visited once, with one table of two-mode
+    # terms for every pair; failures collect per pair, so that behind the
+    # vacuum and creation ones they read pair by pair, each in w order
     engine, adjoint = engine_for(module), engine_for(voa)
-    for w1 in range(voa.depth + 1):
-        for w2 in range(min(voa.depth + 1, voa.depth + 2 - w1)):
-            for v1_word, v2_word in product(voa.keys(w1), voa.keys(w2)):
-                for w_level in range(module.depth + 1):
-                    for w_key in module.keys(w_level):
-                        _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, report)
+    pairs = [pair for w1 in range(voa.depth + 1)
+             for w2 in range(min(voa.depth + 1, voa.depth + 2 - w1))
+             for pair in product(voa.keys(w1), voa.keys(w2))]
+    by_pair = [[] for _ in pairs]
+    for w_level in range(module.depth + 1):
+        for w_key in module.keys(w_level):
+            table = {}
+            for (v1_word, v2_word), failures in zip(pairs, by_pair):
+                _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, table,
+                              report, failures)
+    report.failures += [failure for failures in by_pair for failure in failures]
     del report.failures[MAX_FAILURES:]
     return report

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .errors import InputShapeError
 from .laurent import Q, QONE, QZERO, as_rational, format_rational
-from .linalg import ExactMatrix, RowSpan
+from .linalg import ExactMatrix, RowSpan, primitive_row
 
 
 # ----------------------------------------------------------------------
@@ -434,10 +434,12 @@ class _QuotientBasis(BaseRealization):
         self.lowest_weight = parent.lowest_weight
         self._levels = {}
         self._singular = []
+        self._descendants = {}
         for vector in singular_vectors:
             raw = {tuple(partition): as_rational(coeff, "a singular-vector coefficient")
                    for partition, coeff in dict(vector).items()}
             self._validate_singular(raw)
+            self._descendants[len(self._singular), ()] = primitive_row(raw)
             self._singular.append(raw)
 
     def _validate_singular(self, raw: dict) -> None:
@@ -465,22 +467,28 @@ class _QuotientBasis(BaseRealization):
             return data
         parent_keys = self.parent.keys(n)
         span = RowSpan(len(parent_keys))
-        for raw in self._singular:
+        for index, raw in enumerate(self._singular):
             s_level = self.parent.level_of(next(iter(raw)))
             for word in partitions_of(n - s_level, 1):
-                vector = raw
-                for part in reversed(word):
-                    image = {}
-                    for key, coeff in vector.items():
-                        raw_combine(image, self.parent.apply_gen(1 - part, key), coeff)
-                    vector = image
-                span.add(self.parent.coords(vector, n))
+                span.add(self.parent.coords(self._descendant(index, word), n))
         # non-pivot columns survive: their monomials form the quotient basis
         pivot_cols = set(span.pivot_columns())
         quotient_keys = tuple(key for i, key in enumerate(parent_keys) if i not in pivot_cols)
         data = (quotient_keys, span, parent_keys)
         self._levels[n] = data
         return data
+
+    def _descendant(self, index: int, word: tuple) -> dict:
+        """L(-word[0]) ... L(-word[-1]) s, s singular vector ``index`` as primitive
+        integers: one mode on the tabulated descendant of ``word[1:]``; raising
+        modes have integer coefficients, so every descendant is ``int``."""
+        vector = self._descendants.get((index, word))
+        if vector is None:
+            vector = {}
+            for key, coeff in self._descendant(index, word[1:]).items():
+                raw_combine(vector, self.parent.apply_gen(1 - word[0], key), coeff)
+            self._descendants[index, word] = vector
+        return vector
 
     def keys(self, n: int) -> tuple:
         return self._level_data(n)[0]

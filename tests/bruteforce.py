@@ -145,6 +145,64 @@ def dense(row: dict, width: int) -> tuple:
     return tuple(row.get(j, Q(0)) for j in range(width))
 
 
+class FractionRowSpan:
+    """The engine's ``RowSpan`` before it moved to integer rows: every
+    reduced row is kept with a leading 1 in ``Fraction`` arithmetic.
+
+    The oracle for :class:`vertexbound.linalg.RowSpan`; it validates
+    nothing and takes ``int`` or ``Fraction`` entries.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self._rows = []  # (pivot_col, sparse row dict with pivot 1)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def pivot_columns(self) -> tuple:
+        return tuple(col for col, _ in self._rows)
+
+    def reduce(self, row: dict) -> dict:
+        residual = {j: Q(c) for j, c in row.items() if c}
+        for pivot_col, reduced in self._rows:
+            factor = residual.get(pivot_col)
+            if not factor:
+                continue
+            for j, c in reduced.items():
+                s = residual.get(j, Q(0)) - factor * c
+                if s:
+                    residual[j] = s
+                else:
+                    residual.pop(j, None)
+        return residual
+
+    def add(self, row: dict) -> bool:
+        residual = self.reduce(row)
+        if not residual:
+            return False
+        pivot_col = min(residual)
+        inv = 1 / residual[pivot_col]
+        new = {j: c * inv for j, c in residual.items()}
+        for _, existing in self._rows:
+            factor = existing.get(pivot_col)
+            if not factor:
+                continue
+            for j, c in new.items():
+                s = existing.get(j, Q(0)) - factor * c
+                if s:
+                    existing[j] = s
+                else:
+                    existing.pop(j, None)
+        self._rows.append((pivot_col, new))
+        self._rows.sort(key=lambda item: item[0])
+        return True
+
+    def rows(self) -> list:
+        return [dict(row) for _, row in self._rows]
+
+
 # ----------------------------------------------------------------------
 # free boson oracle: position-sum mode action on partition states
 
@@ -730,6 +788,35 @@ def identity_triple_failures(module):
                                 failures.append((kind, voa.label(v1_word), voa.label(v2_word),
                                                  n, m, module.label(w_key)))
     return failures, counts["commutator"], counts["associativity"]
+
+
+# ----------------------------------------------------------------------
+# Verma quotients, each relation built word by word
+
+def word_by_word_quotient_level(parent, singular_vectors, n: int) -> tuple:
+    """Level n of ``parent`` modulo the submodule the ``singular_vectors``
+    (``{partition: coeff}`` dicts) generate, as the engine built it
+    before it tabulated descendants by prefix: each creation word
+    L(-word[0]) ... L(-word[-1]) is applied afresh, one part at a time,
+    to the singular vector as given, and the relations span a
+    :class:`FractionRowSpan`.  Returns ``(quotient keys, span, parent
+    keys)``; the quotient keys are the parent keys at non-pivot columns.
+    """
+    parent_keys = parent.keys(n)
+    position = {key: i for i, key in enumerate(parent_keys)}
+    span = FractionRowSpan(len(parent_keys))
+    for vector in singular_vectors:
+        for word in _partitions(n - sum(next(iter(vector)))):
+            state = dict(vector)
+            for part in reversed(word):
+                image = {}
+                for key, coeff in state.items():
+                    _combine_state(image, parent.apply_gen(1 - part, key), coeff)
+                state = image
+            span.add({position[key]: c for key, c in state.items()})
+    pivots = set(span.pivot_columns())
+    keys = tuple(key for i, key in enumerate(parent_keys) if i not in pivots)
+    return keys, span, parent_keys
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,11 @@ Raw coefficient dicts inside the mode engine keep a value as ``int``
 while it is integral; every public value (a ``GradedVector`` coordinate,
 an ``ExactMatrix`` or ``RowSpan`` entry, a report scalar) is a
 ``Fraction``, and no ``float`` appears anywhere.  The first tests check
-the boundary; the last one checks that the Fock(1) engine really stays on
-``int``, so a change that brings ``Fraction`` back inside fails here
-instead of only running slower (the generator action has the same guard
-beside its oracle in ``test_voa.py``).  The free-boson vertex kernel is
+the boundary; the next ones check that the Fock(1) engine, and the spans
+of C_1 and of quotient relations, really stay on ``int``, so a change
+that brings ``Fraction`` back inside fails here instead of only running
+slower (the generator action has the same guard beside its oracle in
+``test_voa.py``).  The free-boson vertex kernel is
 guarded the same way at its own boundary: its series tables keep int
 numerators over one ``Fraction`` factor, every public reader hands out
 ``Fraction`` values, and a division by the common denominator that is
@@ -171,6 +172,34 @@ def test_fock_engine_words_are_int_and_match_the_oracle():
     assert checked > 500
     # intermediate results of the iterate expansion as well
     assert all(den == 1 and _all_ints(raw) for raw, den in engine._memo.values())
+
+
+def _stored_rows_are_ints(span) -> bool:
+    return all(type(c) is int for _, row in span._rows for c in row.values())
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_spans_store_int_rows_and_hand_out_fractions(name):
+    # C_1 spans and quotient relation spans keep primitive integer rows;
+    # rows, row and reduce divide on the way out
+    module = MODULES[name]()
+    spans = [level.span for level in build_cm(module, 1, 2).levels.values()]
+    if isinstance(module, QuotientModule):
+        spans += [module._level_data(n)[1] for n in range(DEPTH + 1)]
+        assert all(_all_ints(vector) for vector in module._descendants.values())
+    assert sum(span.rank for span in spans) >= 3
+    for span in spans:
+        assert _stored_rows_are_ints(span)
+        assert all(type(c) is Q for row in span.rows() for c in row.values())
+        assert all(span.row(i) == row for i, row in enumerate(span.rows()))
+        probe = {j: 2 * j + 1 for j in range(span.width)}
+        assert all(type(c) is Q for c in span.reduce(probe).values())
+    span = RowSpan(3)
+    span.add({0: Q(1, 2), 1: Q(-3, 4)})
+    span.add({1: 6, 2: Q(9, 10)})
+    assert span._rows == [(0, {0: 40, 2: 9}), (1, {1: 20, 2: 3})]
+    assert span.rows() == [{0: Q(1), 2: Q(9, 40)}, {1: Q(1), 2: Q(3, 20)}]
+    assert _stored_rows_are_ints(span)
 
 
 # ----------------------------------------------------------------------

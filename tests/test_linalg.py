@@ -8,7 +8,15 @@ import sympy
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import dense, dense_matmul, dense_matvec, fraction_gauss_jordan, sparse, sympy_rank
+from bruteforce import (
+    FractionRowSpan,
+    dense,
+    dense_matmul,
+    dense_matvec,
+    fraction_gauss_jordan,
+    sparse,
+    sympy_rank,
+)
 from vertexbound.errors import InputShapeError
 from vertexbound.linalg import ExactMatrix, RowSpan
 
@@ -283,6 +291,40 @@ def test_rref_matches_sympy(matrix):
     assert tuple(col for _, col in pivots) == expected_pivots
     assert [[sympy.Rational(c.numerator, c.denominator) for c in dense(row, cols)]
             for row in reduced.data] == expected.tolist()
+
+
+# ----------------------------------------------------------------------
+# the integer RowSpan against the Fraction one it replaced
+
+stream_scalars = st.one_of(
+    rationals,
+    st.integers(-9, 9),
+    st.builds(lambda n, sign: sign * n, NEAR_1E30, st.sampled_from([-1, 1])),
+)
+
+
+def _mixed(row):
+    """The sparse row with integral entries at odd columns as ``int``, so
+    derived (dependent) rows mix both types too."""
+    return {j: c.numerator if type(c) is Q and c.denominator == 1 and j % 2 else c
+            for j, c in sparse(row).items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(scalars=stream_scalars), st.data())
+def test_rowspan_matches_the_fraction_rowspan(matrix, data):
+    rows, cols = matrix
+    span, oracle = RowSpan(cols), FractionRowSpan(cols)
+    probes = [[data.draw(stream_scalars) for _ in range(cols)] for _ in range(2)]
+    for row in rows + probes:
+        for probe in [row] + probes:
+            assert span.reduce(_mixed(probe)) == oracle.reduce(_mixed(probe))
+        assert span.add(_mixed(row)) == oracle.add(_mixed(row))
+        assert span.rank == oracle.rank
+        assert span.pivot_columns() == oracle.pivot_columns()
+        assert span.rows() == oracle.rows()
+        assert all(type(c) is Q for kept in span.rows() for c in kept.values())
+        assert span.contains(_mixed(row))
 
 
 # ----------------------------------------------------------------------

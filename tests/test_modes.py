@@ -361,6 +361,29 @@ def test_identity_suite_matches_the_untabulated_defects(monkeypatch, make, count
     assert report.failures == failures
 
 
+def _doubled_creation_mode():
+    # the algebra is its own module, so doubling a(-2) breaks the creation
+    # axiom v_{-1}|0> = v as well as the triple identities
+    voa = HeisenbergVoa(depth=3)
+    action = voa.apply_gen
+    voa.apply_gen = lambda k, key: (
+        {out: 2 * c for out, c in action(k, key).items()} if k == -1 else action(k, key)
+    )
+    return voa
+
+
+def test_identity_suite_keeps_creation_failures_ahead_of_triple_failures(monkeypatch):
+    monkeypatch.setattr(modes, "MAX_FAILURES", 10 ** 9)
+    failures = run_identity_suite(_doubled_creation_mode()).failures
+    creation = [failure for failure in failures if failure[0] == "creation"]
+    triples, _, _ = identity_triple_failures(_doubled_creation_mode())
+    assert len(creation) == 4 and len(triples) == 459
+    assert failures == creation + triples
+    # the report's cut keeps the head of that order
+    monkeypatch.setattr(modes, "MAX_FAILURES", 6)
+    assert run_identity_suite(_doubled_creation_mode()).failures == failures[:6]
+
+
 def test_engine_memo_is_reused():
     voa = HeisenbergVoa(depth=4)
     fock = FockModule(voa, Q(1))

@@ -17,6 +17,7 @@ from bruteforce import (
     shapovalov_level2,
     sympy_rank,
     virasoro_frozen_cases,
+    word_by_word_quotient_level,
 )
 from vertexbound.errors import InputShapeError
 from vertexbound.fusion import heisenberg_intertwiner, join
@@ -286,6 +287,54 @@ def test_memoized_quotient_generator_images_equal_fresh_reductions(index):
                 fresh = quotient.reduce_parent_raw(quotient.parent.apply_gen(k, key))
                 assert {out: Q(c, den) for out, c in nums.items()} == fresh, (n, key, k)
                 assert engine.gen_image(k, key) is image
+
+
+QUOTIENT_DEPTH = 11
+
+
+def _verma_quotient(c, h, next_level=None):
+    """The Verma quotient by the level-two vector and, if given, the
+    Fraction vector ``singular_vectors_at`` finds at ``next_level``."""
+    verma = VermaModule(VirasoroVoa(c, depth=QUOTIENT_DEPTH), h)
+    vectors = [dict(level2_singular_vector(c, h))]
+    if next_level is not None:
+        vectors += singular_vectors_at(verma, next_level)
+    return QuotientModule(verma, vectors), vectors
+
+
+def _vacuum_quotient():
+    vectors = singular_vectors_at(VirasoroVoa(Q(1, 2), depth=6), 6)
+    return VirasoroQuotientVoa(Q(1, 2), vectors, depth=QUOTIENT_DEPTH), vectors
+
+
+ORACLE_QUOTIENTS = {
+    "ising-sigma": lambda: _verma_quotient(Q(1, 2), Q(1, 16), 4),
+    "ising-epsilon": lambda: _verma_quotient(Q(1, 2), Q(1, 2), 3),
+    "lee-yang": lambda: _verma_quotient(Q(-22, 5), Q(-1, 5), 3),
+    "tricritical": lambda: _verma_quotient(Q(7, 10), Q(1, 10)),
+    "ising-sigma-level-two": lambda: _verma_quotient(Q(1, 2), Q(1, 16)),
+    "vacuum-quotient": _vacuum_quotient,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_QUOTIENTS))
+def test_tabulated_quotient_matches_the_word_by_word_build(name):
+    # relations tabulated by prefix on integers give the keys and residuals
+    # of the old build, which applies each creation word afresh in Fractions
+    quotient, vectors = ORACLE_QUOTIENTS[name]()
+    parent = quotient.parent
+    rng = random.Random(29)
+    for n in range(QUOTIENT_DEPTH + 1):
+        keys, span, parent_keys = word_by_word_quotient_level(parent, vectors, n)
+        assert quotient.keys(n) == keys, n
+        elements = [{key: 1} for key in parent_keys]
+        elements.append({key: Q(rng.randint(-9, 9), rng.randint(1, 5)) for key in parent_keys})
+        for raw in elements:
+            row = {parent_keys.index(key): c for key, c in raw.items() if c}
+            expected = {parent_keys[col]: c for col, c in span.reduce(row).items()}
+            got = quotient.reduce_parent_raw(raw)
+            assert got == expected, (n, raw)
+            assert all(type(c) is Q for c in got.values())
 
 
 def test_quotients_take_singular_vectors_in_the_form_singular_vectors_at_returns():
