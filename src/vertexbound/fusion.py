@@ -523,8 +523,9 @@ def _numerator_coords(span: RowSpan, parts: list, rows: dict, top: int) -> dict:
     """
     factors = [datum.factor for datum, level in parts for _ in range(datum.target.dim(level))]
     pivots = span.pivot_columns()
-    free = [j for j in range(span.width) if j not in pivots]
-    weights = [[factors[p] * row.get(j, QZERO) for p, row in zip(pivots, span.rows())] for j in free]
+    pivot_set, reduced = set(pivots), span.rows()
+    free = [j for j in range(span.width) if j not in pivot_set]
+    weights = [[factors[p] * row.get(j, QZERO) for p, row in zip(pivots, reduced)] for j in free]
     den = lcm(*(f.denominator for f in factors), *(g.denominator for col in weights for g in col))
     checks = [(j, factors[j].numerator * (den // factors[j].denominator),
                [(p, g.numerator * (den // g.denominator)) for p, g in zip(pivots, col) if g])

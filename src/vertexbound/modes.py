@@ -395,113 +395,99 @@ class IdentitySuiteReport:
         }
 
 
-def _raw_commutator_defect(adjoint, engine, composed, v1_word, v2_word, n, m, w_key, top):
-    """lhs - rhs of the commutator identity as numerators over a common
-    denominator; it holds when every numerator is zero."""
-    nums, den = composed(v1_word, n, v2_word, m)
-    defect = dict(nums)
-    nums, d = composed(v2_word, m, v1_word, n)
-    den = add_scaled(defect, den, nums, d, -1)
-    for i in range(0, top):
-        factor = binomial(n, i)
-        if not factor:
-            continue
-        p_nums, p_den = adjoint.apply_word(v1_word, i, v2_word)
-        for p_key, p_coeff in p_nums.items():
-            nums, d = engine.apply_word(p_key, n + m - i, w_key)
-            den = add_scaled(defect, den, nums, p_den * d, -factor * p_coeff)
-    return defect
+def _plan(w1, w2, w_level, depth, voa_depth) -> tuple:
+    """The checks of one weight shape: ``v1`` and ``v2`` of weights ``w1``
+    and ``w2``, ``w`` at ``w_level`` of a module of ``depth`` over an
+    algebra of ``voa_depth``.  None of it depends on the words or on w.
 
-
-def _raw_associativity_defect(adjoint, engine, composed, v1_word, v2_word, n, m, w_key,
-                              w_level, wt1, wt2):
-    """lhs - rhs of the iterate identity as numerators over a common
-    denominator; it holds when every numerator is zero."""
-    defect, den = {}, 1
-    p_nums, p_den = adjoint.apply_word(v1_word, n, v2_word)
-    for p_key, p_coeff in p_nums.items():
-        nums, d = engine.apply_word(p_key, m, w_key)
-        den = add_scaled(defect, den, nums, p_den * d, p_coeff)
-    sign_n = -1 if n % 2 else 1
-    for i in range(0, w_level + wt2 - m):
-        factor = binomial(n, i)
-        if not factor:
-            continue
-        if i % 2:
-            factor = -factor
-        nums, d = composed(v1_word, n - i, v2_word, m + i)
-        den = add_scaled(defect, den, nums, d, -factor)
-    for i in range(0, w_level + wt1):
-        factor = binomial(n, i)
-        if not factor:
-            continue
-        if i % 2:
-            factor = -factor
-        factor = -sign_n * factor
-        nums, d = composed(v2_word, n + m - i, v1_word, i)
-        den = add_scaled(defect, den, nums, d, -factor)
-    return defect
-
-
-def _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, table, report, failures):
-    """Both identities for one ``(v1, v2, w)`` at every guarded mode pair,
-    counted in ``report``, each failure appended to ``failures``.
-
-    Both identities read their two-mode terms ``a_p (b_q w)`` from
-    ``table``, the one table of module vector ``w``, shared by every pair
-    and built on first use; a defect copies an entry before it
-    accumulates into it.
+    Returns ``(slots, checks, n_commutator)``.  A slot ``(tag, p, q)`` is
+    a term the identities read, listed once: ``v1_p v2_q w`` (tag 0),
+    ``v2_p v1_q w`` (tag 1) or ``(v1_p v2)_q w`` (tag 2).  ``checks``
+    lists ``(kind, n, m, terms)`` for the guarded mode pairs in the
+    suite's order; lhs - rhs is the sum of ``factor * slot`` over the
+    ``(slot index, factor)`` terms.
     """
-    voa = module.voa
-    depth = module.depth
-    voa_depth = voa.depth
-    w1, w2 = voa.level_of(v1_word), voa.level_of(v2_word)
-    w_level = module.level_of(w_key)
+    slots, checks = {}, []
+    index = slots.setdefault
+    final = w_level + w1 + w2 - 2
+    n_range = range(w_level + w1 - 1 - depth, w_level + w1)
+    m_range = range(w_level + w2 - 1 - depth, w_level + w2)
+    top = max(w1 + w2, w_level + w1, depth + 1)
+    # the nonzero C(n, i) for every n the checks take, up to the longest sum
+    binomials = {n: [(i, b) for i in range(top) if (b := binomial(n, i))]
+                 for n in {*n_range, *range(w1 + w2 - 1 - voa_depth, w1 + w2)}}
+    # commutator: v1_n v2_m w - v2_m v1_n w = sum_i C(n, i) (v1_i v2)_{n+m-i} w,
+    # with both one-mode intermediates and the final level in the window
+    for m in m_range:
+        for n in n_range:
+            if 0 <= final - n - m <= depth:
+                terms = [(index((0, n, m), len(slots)), 1), (index((1, m, n), len(slots)), -1)]
+                terms += [(index((2, i, n + m - i), len(slots)), -b)
+                          for i, b in binomials[n] if i < w1 + w2]
+                checks.append(("commutator", n, m, terms))
+    n_commutator = len(checks)
+    # iterate: (v1_n v2)_m w = sum_i (-1)^i C(n, i) (v1_{n-i} v2_{m+i} w
+    # - (-1)^n v2_{n+m-i} v1_i w); it also composes v1 modes on w directly
+    for m in m_range if w_level + w1 - 1 <= depth else ():
+        for n in range(w1 + w2 - 1 - voa_depth, w1 + w2):
+            if 0 <= final - n - m <= depth:
+                sign = -1 if n % 2 else 1
+                terms = [(index((2, n, m), len(slots)), 1)]
+                terms += [(index((0, n - i, m + i), len(slots)), b if i % 2 else -b)
+                          for i, b in binomials[n] if i < w_level + w2 - m]
+                terms += [(index((1, n + m - i, i), len(slots)), -sign * b if i % 2 else sign * b)
+                          for i, b in binomials[n] if i < w_level + w1]
+                checks.append(("associativity", n, m, terms))
+    return list(slots), checks, n_commutator
 
-    def composed(a_word, p, b_word, q):
-        key = (a_word, p, b_word, q)
-        found = table.get(key)
-        if found is None:
-            inner, d = engine.apply_word(b_word, q, w_key)
-            acc, den = {}, 1
-            for mid_key, coeff in inner.items():
-                nums, d2 = engine.apply_word(a_word, p, mid_key)
-                den = add_scaled(acc, den, nums, d * d2, coeff)
-            found = table[key] = acc, den
-        return found
 
-    # commutator: both one-mode intermediates and the final level inside
-    # the window
-    for m in range(w_level + w2 - 1 - depth, w_level + w2):
-        for n in range(w_level + w1 - 1 - depth, w_level + w1):
-            final = w_level + w1 + w2 - n - m - 2
-            if not 0 <= final <= depth:
-                continue
-            defect = _raw_commutator_defect(
-                adjoint, engine, composed, v1_word, v2_word, n, m, w_key, w1 + w2
-            )
-            report.commutator_checked += 1
-            if defect:
-                failures.append(
-                    ("commutator", voa.label(v1_word), voa.label(v2_word),
-                     n, m, module.label(w_key))
-                )
-    # associativity additionally composes v1 modes on w directly
-    if w_level + w1 - 1 <= depth:
-        for m in range(w_level + w2 - 1 - depth, w_level + w2):
-            for n in range(w1 + w2 - 1 - voa_depth, w1 + w2):
-                final = w_level + w1 + w2 - n - m - 2
-                if not 0 <= final <= depth:
-                    continue
-                defect = _raw_associativity_defect(
-                    adjoint, engine, composed, v1_word, v2_word, n, m, w_key, w_level, w1, w2
-                )
-                report.associativity_checked += 1
-                if defect:
-                    failures.append(
-                        ("associativity", voa.label(v1_word), voa.label(v2_word),
-                         n, m, module.label(w_key))
-                    )
+def _check_triple(module, engine, adjoint, plan, v1_word, v2_word, products, w_key, table,
+                  report, failures):
+    """Every check of ``plan`` on one ``(v1, v2, w)``, counted in
+    ``report``, each failure appended to ``failures``.
+
+    Each slot is filled once.  A two-mode slot ``a_p (b_q w)`` comes from
+    ``table``, the table of module vector ``w`` that every pair shares
+    and fills on first use; an iterate slot ``(v1_i v2)_k w`` reads the
+    product ``v1_i v2`` from ``products``, the pair's table for every w.
+    A check adds its nonempty slots into one integer defect, and holds
+    when the defect is empty.
+    """
+    slots, checks, n_commutator = plan
+    values = []
+    for tag, p, q in slots:
+        if tag == 2:
+            nums, den = products.get(p) or products.setdefault(
+                p, adjoint.apply_word(v1_word, p, v2_word))
+            acc, acc_den = {}, 1
+            for key, c in nums.items():
+                image, d = engine.apply_word(key, q, w_key)
+                if image:
+                    acc_den = add_scaled(acc, acc_den, image, den * d, c)
+        else:
+            key = (v1_word, p, v2_word, q) if tag == 0 else (v2_word, p, v1_word, q)
+            found = table.get(key)
+            if found is None:
+                inner, den = engine.apply_word(key[2], q, w_key)
+                acc, acc_den = {}, 1
+                for mid_key, c in inner.items():
+                    image, d = engine.apply_word(key[0], p, mid_key)
+                    if image:
+                        acc_den = add_scaled(acc, acc_den, image, den * d, c)
+                found = table[key] = acc, acc_den
+            acc, acc_den = found
+        values.append((acc, acc_den) if acc else None)
+    report.commutator_checked += n_commutator
+    report.associativity_checked += len(checks) - n_commutator
+    for kind, n, m, terms in checks:
+        defect, den = {}, 1
+        for slot, factor in terms:
+            if value := values[slot]:
+                den = add_scaled(defect, den, value[0], value[1], factor)
+        if defect:
+            voa = module.voa
+            failures.append((kind, voa.label(v1_word), voa.label(v2_word), n, m,
+                             module.label(w_key)))
 
 
 MAX_FAILURES = 20
@@ -516,6 +502,9 @@ def run_identity_suite(module) -> IdentitySuiteReport:
     the truncation window.  Also checks the vacuum axioms.  Failures are
     collected (up to ``MAX_FAILURES``) rather than raising, so a report
     always comes back.
+
+    A triple ``(v1, v2, w)`` fills the slots of its weight shape's plan
+    (``_plan``), built once per shape; plans live for one call.
     """
     voa = module.voa
     report = IdentitySuiteReport(module=module.describe(), depth=module.depth)
@@ -544,21 +533,25 @@ def run_identity_suite(module) -> IdentitySuiteReport:
     # either identity inside [0, depth] (compositions that vanish
     # identically because their formal level is negative are fine);
     # combinations outside it are not enumerated, so every enumerated
-    # case is fully certified and nothing inside the guard is skipped
-    # each module vector w is visited once, with one table of two-mode
-    # terms for every pair; failures collect per pair, so that behind the
-    # vacuum and creation ones they read pair by pair, each in w order
+    # case is fully certified and nothing inside the guard is skipped.
+    # Each module vector w is visited once, with one table of two-mode
+    # terms for every pair; a pair keeps its products v1_i v2 and its
+    # failures for every w, so that behind the vacuum and creation
+    # failures they read pair by pair, each in w order
     engine, adjoint = engine_for(module), engine_for(voa)
-    pairs = [pair for w1 in range(voa.depth + 1)
-             for w2 in range(min(voa.depth + 1, voa.depth + 2 - w1))
-             for pair in product(voa.keys(w1), voa.keys(w2))]
-    by_pair = [[] for _ in pairs]
-    for w_level in range(module.depth + 1):
+    depth, voa_depth = module.depth, voa.depth
+    pairs = [(v1_word, v2_word, w1, w2, {}, []) for w1 in range(voa_depth + 1)
+             for w2 in range(min(voa_depth + 1, voa_depth + 2 - w1))
+             for v1_word, v2_word in product(voa.keys(w1), voa.keys(w2))]
+    for w_level in range(depth + 1):
+        plans = {}
         for w_key in module.keys(w_level):
             table = {}
-            for (v1_word, v2_word), failures in zip(pairs, by_pair):
-                _check_triple(module, engine, adjoint, v1_word, v2_word, w_key, table,
-                              report, failures)
-    report.failures += [failure for failures in by_pair for failure in failures]
+            for v1_word, v2_word, w1, w2, products, failures in pairs:
+                plan = plans.get((w1, w2)) or plans.setdefault(
+                    (w1, w2), _plan(w1, w2, w_level, depth, voa_depth))
+                _check_triple(module, engine, adjoint, plan, v1_word, v2_word, products, w_key,
+                              table, report, failures)
+    report.failures += [failure for *_, failures in pairs for failure in failures]
     del report.failures[MAX_FAILURES:]
     return report

@@ -2,7 +2,10 @@ import gc
 import importlib
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 import textwrap
 from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
@@ -329,6 +332,23 @@ def test_identity_suite_heisenberg(tmp_path, capsys):
     assert payload["failures"] == []
     assert payload["commutator_checked"] > 0
     assert payload["associativity_checked"] > 0
+
+
+def test_identity_suites_in_one_process_report_like_fresh_processes(tmp_path, capsys):
+    # a suite's check plans live for one call: runs on other modules and
+    # depths in the same process leave no trace in the next report
+    fock = write_config(tmp_path, FOCK_INI, "fock.ini")
+    ising = write_config(tmp_path, ISING_INI, "ising.ini")
+    runs = [["identity-suite", "--config", fock, "--depth", "3"],
+            ["identity-suite", "--config", ising, "--depth", "4"],
+            ["identity-suite", "--config", fock, "--depth", "2"]]
+    in_process = [run_cli(argv, capsys) for argv in runs]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv, (code, out) in zip(runs, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "vertexbound.cli", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        assert (fresh.returncode, fresh.stdout) == (code, out)
+        assert code == 0 and json.loads(out)["payload"]["all_passed"] is True
 
 
 def test_out_writes_report_file(tmp_path, capsys):

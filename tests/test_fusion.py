@@ -413,6 +413,26 @@ def test_join_targets_are_closed_under_every_generator_mode(case):
             assert (matrix.rows, matrix.cols) == (target.dim(n2), target.dim(n))
 
 
+def test_join_reads_each_level_span_once(monkeypatch):
+    # the membership check divides a span's rows by their pivots once per
+    # level, not once per free column
+    cases = _join_cases()
+    reads = []
+    original = linalg.RowSpan.rows
+
+    def counting_rows(self):
+        reads.append(self)
+        return original(self)
+
+    monkeypatch.setattr(linalg.RowSpan, "rows", counting_rows)
+    for case, factors in cases.items():
+        reads.clear()
+        joined = join(*factors)
+        spans = joined.target.spans
+        assert len(reads) == len(spans) == joined.depth + 1, case
+        assert {id(span) for span in reads} == {id(span) for span in spans.values()}, case
+
+
 def test_join_of_a_gapped_datum_leaves_its_gap_and_the_action_refuses_it():
     # no level-2 coefficient survives the gap, so the joined level 2 is
     # empty; the generator modes into it leave the target, and the first

@@ -254,7 +254,7 @@ def test_mode_action_keeps_integral_fock_data_on_ints(monkeypatch):
     ],
 )
 def test_spot_identities_on_modules(make):
-    # the exhaustive suite on each module; its raw kernels are the one
+    # the exhaustive suite on each module; its check plans are the one
     # checker, with the oracle kernels of tests/bruteforce.py beside them
     report = run_identity_suite(make())
     assert report.all_passed
@@ -327,6 +327,21 @@ def _ising_sigma():
     return QuotientModule(VermaModule(VirasoroVoa(c, depth=5), h), [level2_singular_vector(c, h)])
 
 
+def _ising_sigma_plus_epsilon():
+    # one level of the sum holds keys of both summands, so every plan is
+    # filled from the vectors of two different modules
+    c = Q(1, 2)
+    virasoro = VirasoroVoa(c, depth=5)
+    return DirectSumModule([QuotientModule(VermaModule(virasoro, h), [level2_singular_vector(c, h)])
+                            for h in (Q(1, 16), Q(1, 2))])
+
+
+def _vacuum_quotient_adjoint():
+    # the algebra as its own module, so the creation checks run too
+    c = Q(1, 2)
+    return VirasoroQuotientVoa(c, singular_vectors_at(VirasoroVoa(c, depth=6), 6), depth=6)
+
+
 def _wrong_central_charge():
     broken = VermaModule(VirasoroVoa(Q(1, 2), depth=4), Q(1, 16))
     broken.central_charge = Q(3, 2)
@@ -347,7 +362,10 @@ def _doubled_oscillator_mode():
     (_ising_sigma, (6006, 3751, 65), 0),
     (_wrong_central_charge, (2400, 1544, 58), 18),
     (_doubled_oscillator_mode, (12000, 7732, 58), 3133),
-], ids=["fock-1", "ising-sigma", "wrong-central-charge", "doubled-oscillator-mode"])
+    (_ising_sigma_plus_epsilon, (12012, 7502, 130), 0),
+    (_vacuum_quotient_adjoint, (11305, 6714, 112), 0),
+], ids=["fock-1", "ising-sigma", "wrong-central-charge", "doubled-oscillator-mode",
+        "ising-sigma-plus-epsilon", "vacuum-quotient-adjoint"])
 def test_identity_suite_matches_the_untabulated_defects(monkeypatch, make, counts, n_failures):
     # the whole failure list, before the report's cut, equals the one the
     # oracle kernels give when they build every composition afresh
