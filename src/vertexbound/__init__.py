@@ -14,7 +14,6 @@ from .cofinite import (
     cm_quotient_dims,
     graded_dims,
     log_power_bound,
-    log_recursion_state,
     nilpotency_report,
 )
 from .config import RunConfig
@@ -40,7 +39,6 @@ from .laurent import LaurentPoly, Q
 from .linalg import ExactMatrix
 from .modes import (
     GradedVector,
-    basis_vectors,
     mode_action,
     omega_vector,
     run_identity_suite,
@@ -94,7 +92,6 @@ __all__ = [
     "realize_module",
     "GradedVector",
     "mode_action",
-    "basis_vectors",
     "vacuum_vector",
     "omega_vector",
     "run_identity_suite",
@@ -103,7 +100,6 @@ __all__ = [
     "choose_complement",
     "graded_dims",
     "nilpotency_report",
-    "log_recursion_state",
     "log_power_bound",
     "reduce",
     "assemble_ode",

@@ -24,7 +24,6 @@ most of the mode-engine work there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .errors import (
     InputShapeError,
@@ -402,9 +401,15 @@ def _log_step(state: dict, step: int, orders: tuple) -> dict:
 def _log_states(orders: tuple):
     """The states of log coefficients 0, 1, ..., up to the first empty one.
 
-    Each step raises the monomial degree a + b + c by one and every
-    exponent stays below its order, so the walk ends after at most
-    ``N_U + N_W + N_T - 2`` steps.
+    The walk models ``(i+1) u_{(i+1,n)} w = -Nil_T(u_{(i,n)} w) +
+    (Nil_U u)_{(i,n)} w + u_{(i,n)} (Nil_W w)`` with three commuting
+    nilpotent decorations of orders ``(N_U, N_W, N_T)``.  A state is
+    ``{(a, b, c): coefficient}`` over the surviving monomials
+    ``Nil_T^a Nil_U^b Nil_W^c``; the empty state means the coefficient
+    vanishes identically for every such module triple.  Each step raises
+    the monomial degree a + b + c by one and every exponent stays below
+    its order, so the walk ends after at most ``N_U + N_W + N_T - 2``
+    steps.
     """
     state = {(0, 0, 0): QONE}
     step = 0
@@ -413,19 +418,6 @@ def _log_states(orders: tuple):
         state = _log_step(state, step, orders)
         step += 1
     yield state
-
-
-def log_recursion_state(orders: tuple, k: int) -> dict:
-    """Symbolic state of the k-th log coefficient under the recursion.
-
-    Models ``(i+1) u_{(i+1,n)} w = -Nil_T(u_{(i,n)} w) + (Nil_U u)_{(i,n)} w
-    + u_{(i,n)} (Nil_W w)`` with three commuting nilpotent decorations of
-    orders ``(N_U, N_W, N_T)``.  Returns ``{(a, b, c): coefficient}``
-    over surviving monomials ``Nil_T^a Nil_U^b Nil_W^c``; the empty dict
-    means the coefficient vanishes identically for every such module
-    triple.
-    """
-    return next(islice(_log_states(orders), k, None), {})
 
 
 def log_power_bound(n_u: int, n_w: int, n_t: int) -> LogPowerBound:

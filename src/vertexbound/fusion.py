@@ -311,13 +311,10 @@ class IntertwinerData:
         )
         for u_key, w_key, j in order:
             images = self.images((u_key, w_key, j))
-            # the mode index at level 0, from this key's own weights (the
-            # summands of a direct-sum source differ in lowest weight)
-            top = left.weight_of(u_key) + right.weight_of(w_key) - (self.target.lowest_weight + 1)
             rows = [
                 {
                     "level": level,
-                    "mode_index": format_rational(top - level),
+                    "mode_index": format_rational(self.mode_index(u_key, w_key, level)),
                     "vector": [format_rational(c) for c in coords],
                 }
                 for level, coords in sorted(images.items())

@@ -187,32 +187,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, power: int) -> "LaurentPoly":
-        """Multiply by the monomial ``z^power``."""
-        result = LaurentPoly()
-        result._terms = {p + power: c for p, c in self._terms.items()}
-        return result
-
-    def derivative(self) -> "LaurentPoly":
-        """Formal derivative d/dz; the ``z^0`` term is annihilated."""
-        out = {}
-        for p, c in self._terms.items():
-            if p != 0:
-                out[p - 1] = c * p
-        result = LaurentPoly()
-        result._terms = out
-        return result
-
-    def __call__(self, value) -> Q:
-        """Evaluate at a nonzero exact rational point."""
-        x = as_rational(value, "an evaluation point")
-        if not x and self.min_exponent() is not None and self.min_exponent() < 0:
-            raise InputShapeError("cannot evaluate a pole at z = 0")
-        total = QZERO
-        for p, c in self._terms.items():
-            total += c * x ** p
-        return total
-
     def to_json_terms(self) -> list:
         """Sorted term list with rational coefficients split into strings."""
         return [

@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Everything here is deterministic: row reduction always eliminates with the
-leftmost available pivot column and, among rows with a nonzero entry in
-that column, the smallest row index.  Rank, reduced row echelon form,
-nullspace bases, and solutions are therefore reproducible across runs.
+One kernel does all the elimination: :class:`RowSpan` keeps a row space
+in reduced echelon form as rows stream in, and :class:`ExactMatrix`
+reduces a matrix by adding its rows, in order, to one ``RowSpan``.  Rank,
+reduced row echelon form, nullspace bases and solutions are reproducible
+because the reduced row echelon form of a matrix is unique, whatever the
+order of elimination.
 
-:class:`ExactMatrix` and :class:`RowSpan` take the same rows: one sparse
-``{col: value}`` dict of nonzero entries per row, and both work on
-primitive integer rows with the same fraction-free clearing step,
-:func:`_clear`.  Entries become ``Fraction`` values only on the way out,
-where a finished row is divided by its pivot (the reduced row echelon
-form, which is unique) or a residual by its denominator.  Dense tuples
+Both classes take the same rows: one sparse ``{col: value}`` dict of
+nonzero entries per row.  The span stores primitive integer rows and
+clears a column with one fraction-free step, :func:`_clear`.  Entries
+become ``Fraction`` values only on the way out, where a finished row is
+divided by its pivot or a residual by its denominator.  Dense tuples
 are only vectors: the arguments of ``matvec`` and ``solve`` and the
 vectors they and ``nullspace`` return.  Both classes accept ``int``
 entries (raw mode-engine coefficients), which an ``ExactMatrix`` keeps as
@@ -113,16 +114,19 @@ class ExactMatrix:
     def rref(self):
         """Reduced row echelon form.
 
-        Returns ``(matrix, pivot_columns)`` where the pivots appear in
-        strictly increasing column order, one per leading row.  The
-        pivoting rule (leftmost column, then smallest row index) makes
-        the output canonical for a given matrix.
+        Returns ``(matrix, pivots)``: the nonzero reduced rows, ascending
+        by pivot column and followed by empty rows up to ``self.rows``,
+        and ``pivots`` as ``[(row, col), ...]`` in the same order.  The
+        reduced row echelon form of a matrix is unique, so the output is
+        canonical however the rows are eliminated.
         """
-        reduced, pivots = _eliminate(self.data, self.cols)
+        span = _span_of(self.data, self.cols)
+        reduced = span.rows() + [{} for _ in range(self.rows - span.rank)]
+        pivots = list(enumerate(span.pivot_columns()))
         return ExactMatrix._checked(self.rows, self.cols, reduced), pivots
 
     def rank(self) -> int:
-        return len(_eliminate(self.data, self.cols)[1])
+        return _span_of(self.data, self.cols).rank
 
     def nullspace(self) -> list:
         """Canonical basis of the right kernel.
@@ -152,77 +156,21 @@ class ExactMatrix:
         if len(rhs) != self.rows:
             raise InputShapeError("right-hand side length does not match row count")
         augmented = [{**row, self.cols: b} if b else row for row, b in zip(self.data, rhs)]
-        work, pivots = _eliminate(augmented, self.cols + 1)
+        span = _span_of(augmented, self.cols + 1)
         solution = [QZERO] * self.cols
-        for row_index, col in pivots:
+        for col, row in zip(span.pivot_columns(), span.rows()):
             if col == self.cols:
                 return None
-            solution[col] = work[row_index].get(self.cols, QZERO)
+            solution[col] = row.get(self.cols, QZERO)
         return tuple(solution)
 
 
-def _eliminate(rows: list, width: int) -> tuple:
-    """Gauss-Jordan elimination on sparse ``{col: value}`` row dicts.
-
-    Returns ``(reduced, pivots)``: new row dicts (``rows`` is left as it
-    is) and the pivot list ``[(row, col), ...]`` in elimination order.
-    Deterministic: scans columns left to right and picks the surviving
-    row with the smallest index.
-
-    The elimination itself runs on integers.  Each row is first scaled
-    to a primitive integer row (times the lcm of its denominators, over
-    the gcd of the results); clearing ``col`` from a row with entry f
-    against a pivot p then replaces it by ``(p/g) row - (f/g) pivot``,
-    g = gcd(p, f), followed by removal of the row's content, so entries
-    stay as small as the row space allows.  ``RowSpan`` clears with the
-    same step, :func:`_clear`, which stays inline here: a call per
-    cleared row shows on tall blocks.  This is fraction-free elimination
-    in the sense of Bareiss (Math. Comp. 22, 1968), with content removal
-    in place of his exact divisions.  Only at the end is each pivot row
-    divided by its pivot, giving ``Fraction`` entries; the other rows are
-    empty by then.  The rows are the reduced row echelon form, which is
-    unique, so the result is the same as that of rational elimination
-    with the same pivots.
-    """
-    work = [primitive_row(row) for row in rows]
-    nrows = len(work)
-    pivots = []
-    next_row = 0
-    for col in range(width):
-        pivot_row = None
-        for i in range(next_row, nrows):
-            if col in work[i]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[next_row], work[pivot_row] = work[pivot_row], work[next_row]
-        pivot = work[next_row]
-        p = pivot[col]
-        for i in range(nrows):
-            target = work[i]
-            f = target.get(col)
-            if f is None or i == next_row:
-                continue
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            if a != 1:
-                target = {j: v * a for j, v in target.items()}
-            for j, c in pivot.items():
-                s = target.get(j, 0) - b * c
-                if s:
-                    target[j] = s
-                else:
-                    del target[j]
-            work[i] = _without_content(target)
-        pivots.append((next_row, col))
-        next_row += 1
-        if next_row == nrows:
-            break
-    for i, col in pivots:
-        p = work[i][col]
-        work[i] = {j: Q(v, p) for j, v in work[i].items()}
-    return work, pivots
+def _span_of(rows: list, width: int) -> "RowSpan":
+    """The :class:`RowSpan` of ``rows``, each added in order."""
+    span = RowSpan(width)
+    for row in rows:
+        span.add(row)
+    return span
 
 
 def _clear(target: dict, f: int, pivot: dict, p: int) -> tuple:
@@ -276,14 +224,19 @@ def _without_content(row: dict) -> dict:
 class RowSpan:
     """An incrementally maintained row space in reduced echelon form.
 
-    Supports exact membership queries and rank bookkeeping while rows
-    stream in; used for spanning-set and complement computations where
-    reducing all rows again for each new one would be wasteful.  It
-    takes the rows an :class:`ExactMatrix` stores, ``{col: value}``
-    dicts, and refuses a column outside ``range(width)`` or a value that
-    is not an ``int`` or a ``Fraction``.  It stores primitive integer
-    rows, each zero at the other rows' pivot columns, so a row's scale
-    never matters; ``rows`` and ``reduce`` hand out ``Fraction`` values.
+    The one elimination kernel: spanning-set and complement computations
+    stream rows into it and query membership and rank as they go, and
+    every :class:`ExactMatrix` reduction is one span fed all of the
+    matrix's rows.  It takes the rows an :class:`ExactMatrix` stores,
+    ``{col: value}`` dicts, and refuses a column outside ``range(width)``
+    or a value that is not an ``int`` or a ``Fraction``.  It stores
+    primitive integer rows, each zero at the other rows' pivot columns.
+    A row entering the span is cleared against the stored rows and then
+    clears its own pivot column from them, each with :func:`_clear` and
+    removal of the row's content: fraction-free elimination in the sense
+    of Bareiss (Math. Comp. 22, 1968), with content removal in place of
+    his exact divisions, so entries stay as small as the row space
+    allows.  ``rows`` and ``reduce`` hand out ``Fraction`` values.
     """
 
     def __init__(self, width: int):

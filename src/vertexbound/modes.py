@@ -155,10 +155,6 @@ class GradedVector:
         return f"<{' + '.join(parts) or '0'}{flag}>"
 
 
-def basis_vectors(module, level: int) -> list:
-    return [GradedVector.basis_vector(module, key) for key in module.keys(level)]
-
-
 def vacuum_vector(voa) -> GradedVector:
     return GradedVector.basis_vector(voa, voa.vacuum_key)
 

@@ -57,9 +57,12 @@ def fraction_gauss_jordan(rows: list, width: int) -> list:
     scaled to a leading 1 as soon as it is chosen and cleared from every
     other row, so all intermediate entries are rationals; this is the
     engine's elimination before it moved to integer rows, kept as the
-    oracle for :func:`vertexbound.linalg._eliminate`.  Same pivot rule:
-    leftmost column, then the smallest surviving row index.  Returns
-    ``[(row, col), ...]`` in elimination order.
+    oracle for the reductions of :class:`vertexbound.linalg.ExactMatrix`,
+    which feed the rows to one integer ``RowSpan``.  Pivot rule: leftmost
+    column, then the smallest surviving row index.  Returns
+    ``[(row, col), ...]`` in elimination order.  The reduced row echelon
+    form is unique, so the engine's rows and pivots agree with these
+    whatever order either eliminates in.
     """
     pivots = []
     next_row = 0
@@ -528,6 +531,25 @@ def commutator_defect(data, u_key, w_key, mode: int, final_level: int, j: int = 
     if defect.truncated:
         return None
     return defect
+
+
+# ----------------------------------------------------------------------
+# engine data read through public accessors
+
+def basis_vectors(module, level: int) -> list:
+    """The basis vectors of ``module`` at ``level``, in key order."""
+    from vertexbound.modes import GradedVector
+
+    return [GradedVector.basis_vector(module, key) for key in module.keys(level)]
+
+
+def log_recursion_state(orders: tuple, k: int) -> dict:
+    """The symbolic state of the k-th log coefficient, read off the
+    engine's walk ``cofinite._log_states``; the empty dict once the walk
+    has ended, that is, once the coefficient vanishes identically."""
+    from vertexbound.cofinite import _log_states
+
+    return next(itertools.islice(_log_states(orders), k, None), {})
 
 
 # ----------------------------------------------------------------------

@@ -17,20 +17,28 @@ from fractions import Fraction as Q
 
 import pytest
 
-from bruteforce import apply_witness, correlator, fock_top_correlator, surjective, sympy_rank, witness_holds
+from bruteforce import (
+    apply_witness,
+    basis_vectors,
+    correlator,
+    fock_top_correlator,
+    log_recursion_state,
+    surjective,
+    sympy_rank,
+    witness_holds,
+)
 from vertexbound.cli import main as cli_main
 from vertexbound.cofinite import (
     build_cm,
     choose_complement,
     cm_quotient_dims,
     log_power_bound,
-    log_recursion_state,
 )
 from vertexbound.frobenius import frobenius_series, indicial_exponents
 from vertexbound.fusion import compare, heisenberg_intertwiner, join
 from vertexbound.laurent import LaurentPoly
 from vertexbound.linalg import ExactMatrix
-from vertexbound.modes import GradedVector, basis_vectors, mode_action, run_identity_suite
+from vertexbound.modes import GradedVector, mode_action, run_identity_suite
 from vertexbound.reduction import assemble_ode, fusion_bound, reduce
 from vertexbound.voa import (
     FockModule,

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from bruteforce import log_recursion_state
 from vertexbound import cli
 from vertexbound.cli import REPORT_SCHEMA, main
-from vertexbound.cofinite import log_recursion_state
 
 
 FOCK_INI = """

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import dense, partition_count, sympy_rank
+from bruteforce import basis_vectors, dense, log_recursion_state, partition_count, sympy_rank
 from vertexbound import cofinite, linalg
 from vertexbound.cofinite import (
     build_cm,
@@ -17,7 +17,6 @@ from vertexbound.cofinite import (
     cm_quotient_dims,
     graded_dims,
     log_power_bound,
-    log_recursion_state,
     nilpotency_report,
 )
 from vertexbound.errors import (
@@ -25,7 +24,7 @@ from vertexbound.errors import (
     NotCofiniteUpToDepth,
     TruncationError,
 )
-from vertexbound.modes import GradedVector, basis_vectors, mode_action
+from vertexbound.modes import GradedVector, mode_action
 from vertexbound.voa import (
     DirectSumModule,
     FockModule,

@@ -282,7 +282,6 @@ def _scalar_entry_points(bad):
         lambda: CorrelatorCombination(None, None).scale(bad),
         lambda: LaurentPoly({0: bad}),
         lambda: LaurentPoly.monomial(1, bad),
-        lambda: LaurentPoly.one()(bad),
         lambda: frobenius_series(system, bad, 1),
     ]
 

@@ -8,12 +8,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from bruteforce import fock_top_correlator, full_column_solve, plain_correlator_reduction
+from bruteforce import basis_vectors, fock_top_correlator, full_column_solve, plain_correlator_reduction
 from vertexbound import cofinite, reduction
 from vertexbound.cofinite import choose_complement
 from vertexbound.errors import InputShapeError, TruncationError
 from vertexbound.laurent import LaurentPoly
-from vertexbound.modes import GradedVector, basis_vectors, mode_action, omega_vector
+from vertexbound.modes import GradedVector, mode_action, omega_vector
 from vertexbound.reduction import (
     CorrelatorCombination,
     assemble_ode,
