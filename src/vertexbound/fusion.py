@@ -27,13 +27,16 @@ The concrete generator of examples is the free-boson vertex operator
 Fock(lam) x Fock(mu) -> Fock(lam+mu) (Frenkel-Lepowsky-Meurman, ch. 4),
 assembled from the closed forms of its two oscillator exponentials:
 the annihilating one is tabulated once per w, the creating one once per
-build and applied once per pair (u, w), to the normal-ordered states of
-every splitting of u summed together.  It runs on ints over one common
-denominator D per build, q^(3 depth) depth! for q = lcm(den lam, den mu),
-as lam/mu degrees stay <= 3 depth; a division that leaves a remainder
-raises instead of flooring.  The series keep those int numerators with
-``factor`` 1/D, and a scalar twist multiplies only the factor; joins and
-comparisons eliminate numerators and scale just the reduced basis rows.
+build as merge lists on target-basis indices.  A pair (u, w) sums the
+normal-ordered states of every splitting of u, then adds each state's
+merge lists into one int list per target level, by position, so no
+partition is sorted or looked up per term.  It runs on ints over one
+common denominator D per build, q^(3 depth) depth! for q = lcm(den lam,
+den mu), as lam/mu degrees stay <= 3 depth; a division that leaves a
+remainder raises instead of flooring.  The series keep those int
+numerators with ``factor`` 1/D, and a scalar twist multiplies only the
+factor; joins and comparisons eliminate numerators and scale just the
+reduced basis rows.
 """
 
 from __future__ import annotations
@@ -80,12 +83,15 @@ def _exact(num: int, den: int) -> int:
     return quot
 
 
-def _creation_terms(big_l: int, q: int, depth: int) -> list:
-    """exp(lam sum_{t>=1} a(-t) z^t / t), tabulated by z-power up to depth.
+def _creation_merges(big_l: int, q: int, depth: int, target) -> dict:
+    """exp(lam sum_{t>=1} a(-t) z^t / t) as merge lists on target indices.
 
-    ``terms[s]`` lists ``(nu, L^len(nu) depth!/z_nu, q^len(nu) depth!)`` over
-    the partitions nu of s, for lam^len(nu) / z_nu, where
-    z_nu = prod_t t^{m_t} m_t! for m_t parts equal to t divides s!.
+    The z^s term is sum_nu lam^len(nu) / z_nu a(-nu) over the partitions
+    nu of s, where z_nu = prod_t t^{m_t} m_t! for m_t parts equal to t
+    divides s!.  ``merges[part][s]`` lists ``(j, L^len(nu) depth!/z_nu,
+    q^len(nu) depth!)`` for every partition ``part`` of weight <= depth
+    and s <= depth - |part|, where j is the position of the merged
+    partition part + nu in the target basis at level |part| + s.
     """
     top = factorial(depth)
     terms = []
@@ -100,7 +106,15 @@ def _creation_terms(big_l: int, q: int, depth: int) -> list:
             if mult:
                 row.append((nu, mult, q ** len(nu) * top))
         terms.append(row)
-    return terms
+    return {
+        part: [
+            [(target.index(tuple(sorted(part + nu, reverse=True))), mult, div)
+             for nu, mult, div in terms[s]]
+            for s in range(depth - n + 1)
+        ]
+        for n in range(depth + 1)
+        for part in partitions_of(n)
+    }
 
 
 def _annihilation_states(w_key: tuple, big_l: int, q: int, denom: int) -> dict:
@@ -142,13 +156,14 @@ def _ann_factor(states: dict, n: int, big_m: int, q: int) -> dict:
     return out
 
 
-def _cre_factor(states: dict, n: int, bound: int) -> dict:
+def _cre_factor(states: dict, n: int, bound: int, inserted: dict) -> dict:
     """Creation half: a(-j) z^{j-n} with coefficient C(j-1, n-1), j >= n."""
     out = {}
     for (part, zoff), coeff in states.items():
+        grown = inserted[part]
         for j in range(n, bound - zoff + n + 1):
             value = binomial(j - 1, n - 1) * coeff
-            raw_acc(out, (_insert_part(part, j), zoff + j - n), value)
+            raw_acc(out, (grown[j], zoff + j - n), value)
     return out
 
 
@@ -166,13 +181,16 @@ def _annihilated(table: dict, chosen: tuple, big_m: int, q: int) -> dict:
 
 
 def _fock_vertex_images(u_key: tuple, annihilated: dict, big_m: int, q: int,
-                        creation: list, lw: int, cap: int) -> dict:
+                        inserted: dict, creation: dict, dims: list, lw: int,
+                        cap: int) -> dict:
     """Coefficients of Y(u, z) w in Fock(lam + mu), by target level.
 
-    Returns {t: {partition: x * D}} where the level-t part multiplies
-    z^(lam*mu + t - |u| - |w|), for w at level ``lw``.  ``annihilated``
-    holds the annihilating exponential already applied to w (under the
-    key ``()``), and ``creation`` the tabulated creating exponential.
+    Returns {t: (x * D, ...)}, int coordinates over the target basis at
+    level t of the z^(lam*mu + t - |u| - |w|) part, for w at level
+    ``lw``; all-zero levels are left out.  ``annihilated`` holds the
+    annihilating exponential already applied to w (under the key
+    ``()``), ``inserted[part][j]`` is ``part`` with one more part j, and
+    ``creation`` the merge lists of ``_creation_merges``.
 
     The normal ordering splits each derivative field of u into creation
     and annihilation halves; annihilation halves act first, so the
@@ -180,8 +198,8 @@ def _fock_vertex_images(u_key: tuple, annihilated: dict, big_m: int, q: int,
     parts of u give equal fields, so a splitting is fixed by how many
     copies of each part annihilate, weighted by the binomial count of
     the orderings that reach it.  Creation operators commute, so the
-    normal-ordered states of all splittings are summed first and the
-    creating exponential is applied to the sum once.
+    normal-ordered states of all splittings are summed first, and each
+    summed state adds its merge lists into the level lists by position.
     """
     lu = sum(u_key)
     bound = cap - lu - lw
@@ -196,7 +214,7 @@ def _fock_vertex_images(u_key: tuple, annihilated: dict, big_m: int, q: int,
         for (n, m), a in zip(counts, split):
             weight *= binomial(m, a)
             for _ in range(m - a):
-                states = _cre_factor(states, n, bound)
+                states = _cre_factor(states, n, bound, inserted)
         for key, coeff in states.items():
             if key[1] <= bound:
                 raw_acc(ordered, key, weight * coeff)
@@ -207,12 +225,13 @@ def _fock_vertex_images(u_key: tuple, annihilated: dict, big_m: int, q: int,
             raise InternalInvariantViolation(
                 "vertex kernel lost track of the z-grading"
             )
-        for size, terms in enumerate(creation[:bound - zoff + 1]):
-            raw = out.setdefault(level + size, {})
-            for nu, mult, div in terms:
-                merged = tuple(sorted(part + nu, reverse=True)) if nu else part
-                raw_acc(raw, merged, _exact(coeff * mult, div))
-    return {level: raw for level, raw in out.items() if raw}
+        for size, merges in enumerate(creation[part], level):
+            row = out.get(size)
+            if row is None:
+                row = out[size] = [0] * dims[size]
+            for j, mult, div in merges:
+                row[j] += _exact(coeff * mult, div)
+    return {level: tuple(row) for level, row in sorted(out.items()) if any(row)}
 
 
 # ----------------------------------------------------------------------
@@ -350,9 +369,10 @@ def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     becomes a derivative field split into normal-ordered halves, and the
     two exponentials of lam spread the answer across target levels.
     Both exponentials are closed forms, tabulated for this call only:
-    the creating one once, the annihilating one once per w; the creating
-    one acts once per pair (u, w).  All images up to the truncation
-    depth are exact rationals, and a float charge is refused.
+    the annihilating one once per w, the creating one once as merge
+    lists on target indices, whose sums per target level are the series
+    entries as they stand.  All images up to the truncation depth are
+    exact rationals, and a float charge is refused.
 
     The kernel runs on ints.  With q = lcm(den lam, den mu), each term is
     P(L, M) / (q^d z_nu) for L = lam q, M = mu q, an integer polynomial P
@@ -374,7 +394,10 @@ def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     q = lcm(lam.denominator, mu.denominator)
     big_l, big_m = int(lam * q), int(mu * q)
     denom = q ** _degree_bound(depth) * factorial(depth)
-    creation = _creation_terms(big_l, q, depth)
+    dims = [target.dim(n) for n in range(depth + 1)]
+    creation = _creation_merges(big_l, q, depth, target)
+    inserted = {part: (None,) + tuple(_insert_part(part, j) for j in range(1, depth - n + 1))
+                for n in range(depth + 1) for part in partitions_of(n)}
     w_keys = [w_key for lw in range(depth + 1) for w_key in right.keys(lw)]
     annihilated = {w: {(): _annihilation_states(w, big_l, q, denom)} for w in w_keys}
     series = {}
@@ -382,14 +405,11 @@ def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
         for u_key in left.keys(lu):
             for w_key in w_keys:
                 images = _fock_vertex_images(
-                    u_key, annihilated[w_key], big_m, q, creation, sum(w_key), depth,
+                    u_key, annihilated[w_key], big_m, q,
+                    inserted, creation, dims, sum(w_key), depth,
                 )
-                if not images:
-                    continue
-                series[(u_key, w_key, 0)] = {
-                    level: tuple(raw.get(key, 0) for key in target.keys(level))
-                    for level, raw in sorted(images.items())
-                }
+                if images:
+                    series[(u_key, w_key, 0)] = images
     return IntertwinerData(left, right, target, depth, 0, series, Q(1, denom))
 
 

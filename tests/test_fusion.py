@@ -103,6 +103,9 @@ ORACLE_CASES = [
     # denominators that differ, so the common denominator mixes them
     (Q(1, 6), Q(-5, 4), 4), (Q(0), Q(7, 3), 4), (Q(-4, 9), Q(1, 2), 4),
     (Q(1, 1000000007), Q(3, 1000000009), 3),
+    # the charges and depth of the benchmark's ``order`` comparisons: the
+    # merge lists index every partition up to the depth
+    (Q(1, 2), Q(3, 2), 5),
 ]
 
 
