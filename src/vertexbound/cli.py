@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .cofinite import choose_complement, cm_quotient_dims, graded_dims, log_power_bound
 from .config import RunConfig, parse_integer, parse_partition, parse_rational
@@ -92,20 +93,11 @@ def _intertwiners(config, voa, names) -> list:
 def _cmd_graded_dims(config):
     module = _named_module(config, _padded_voa(config, 1))
     rep = graded_dims(module, config.depth)
-    payload = {
-        "module": rep.module,
-        "depth": rep.depth,
-        "dims": rep.dims,
-        "c1_ranks": rep.c1_ranks,
-        "quotient_dims": rep.quotient_dims,
-        "certified": rep.certified,
-        "window": rep.window,
-    }
     good = rep.certified_depth
     warnings = []
     if good < config.depth:
         warnings.append(f"no spanning certificate above level {good}")
-    return payload, _certification(good, warnings)
+    return asdict(rep), _certification(good, warnings)
 
 
 def _cmd_cm_quotient(config):
@@ -235,13 +227,7 @@ def _cmd_log_bound(config):
     orders = [parse_integer(p, "[command] orders", minimum=1) for p in text.split(",")]
     if len(orders) != 3:
         raise ConfigError("[command]: orders takes three comma-separated integers")
-    bound = log_power_bound(*orders)
-    payload = {
-        "orders": list(bound.orders),
-        "coarse_bound": bound.coarse_bound,
-        "sharp_bound": bound.sharp_bound,
-    }
-    return payload, _certification(config.depth)
+    return asdict(log_power_bound(*orders)), _certification(config.depth)
 
 
 def _cmd_identity_suite(config):

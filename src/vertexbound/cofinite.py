@@ -75,6 +75,14 @@ class CmSubspace:
         return [self.levels[n].quotient_dim for n in range(self.depth + 1)]
 
 
+def _certified_window(module, m: int) -> tuple:
+    """The two level bounds of the C_m guard on ``module``: the highest
+    level whose spanning set is complete, and the highest whose
+    spanning weights the algebra enumerates."""
+    voa = module.voa
+    return module.depth - (voa.gen_weight + m - 1), voa.depth + m - 1
+
+
 def _check_cm_guard(module, m: int, depth: int) -> None:
     if m < 1:
         raise InputShapeError("the mode shift m must be a positive integer")
@@ -83,13 +91,13 @@ def _check_cm_guard(module, m: int, depth: int) -> None:
     voa = module.voa
     if voa is None:
         return  # the zero module has no spanning generators at all
-    max_certified = module.depth - (voa.gen_weight + m - 1)
+    max_certified, max_enumerated = _certified_window(module, m)
     if depth > max_certified:
         raise TruncationError(
             f"C_{m} spanning sets are only complete up to level {max_certified} "
             f"at module depth {module.depth}; requested {depth}"
         )
-    if depth - m + 1 > voa.depth:
+    if depth > max_enumerated:
         raise TruncationError(
             f"algebra depth {voa.depth} cannot enumerate spanning weights up to "
             f"{depth - m + 1}"
@@ -286,9 +294,8 @@ def graded_dims(module, depth: int) -> GradedDimReport:
     c1_ranks: list = []
     quotient: list = []
     window = None
-    voa = module.voa
-    if voa is not None:
-        cert_depth = min(depth, module.depth - voa.gen_weight, voa.depth)
+    if module.voa is not None:
+        cert_depth = min(depth, *_certified_window(module, 1))
         if cert_depth >= 0:
             cm = build_cm(module, 1, cert_depth)
             c1_ranks = [cm.levels[n].rank for n in range(cert_depth + 1)]

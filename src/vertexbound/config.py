@@ -3,8 +3,8 @@
 A run is described by one INI-style text file; every parameter is
 validated here, so the engine below never sees a malformed value.
 Rationals are written ``p/q`` (or as plain integers), partitions as
-comma-separated parts, and singular vectors either as the ``level2``
-shortcut or as explicit ``(parts):coeff`` terms::
+comma-separated parts, all in ASCII decimal digits, and singular vectors
+either as the ``level2`` shortcut or as explicit ``(parts):coeff`` terms::
 
     [run]
     depth = 4
@@ -48,7 +48,8 @@ from .errors import ConfigError, InputShapeError
 from .laurent import Q, format_rational
 from .voa import ModuleSpec, VoaSpec, level2_singular_vector
 
-_TERM_RE = re.compile(r"^\(([\d,\s]*)\)\s*:\s*(\S+)$")
+_TERM_RE = re.compile(r"^\(([0-9,\s]*)\)\s*:\s*(\S+)$")
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def parse_rational(text: str, context: str) -> Q:
@@ -60,10 +61,11 @@ def parse_rational(text: str, context: str) -> Q:
 
 
 def parse_integer(text: str, context: str, minimum: int | None = None) -> int:
-    try:
-        value = int(text.strip())
-    except ValueError as err:
-        raise ConfigError(f"{context}: {text!r} is not an integer") from err
+    """An ASCII decimal integer, as ``laurent.parse_rational`` reads one;
+    digit separators and non-ASCII digits are refused."""
+    if not _INTEGER.fullmatch(text):
+        raise ConfigError(f"{context}: {text!r} is not an integer")
+    value = int(text)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{context}: {value} is below the minimum {minimum}")
     return value

@@ -15,9 +15,10 @@ be surjective: its coefficients at level n then fix the block f_n alone,
 so f is solved one level at a time and its commutation with the
 generator modes is checked afterwards on the solved blocks.  Both
 operations build a paired row space the same way: the paired
-coefficients of a level (pair) are eliminated once, and only the reduced
-basis rows are kept.  A join takes them as its target's level spans; a
-comparison reduces them again with each direction's own columns first.
+coefficients of a level (pair), each block times one integer that
+clears its datum's factor, stream into one ``RowSpan`` until it is
+full.  A join takes that span as its target's level span; a comparison
+reduces its rows again with each direction's own columns first.
 The coefficient span of a genuine intertwining operator is already a
 submodule, by the commutator formula (Frenkel-Huang-Lepowsky, Mem. AMS
 494, 1993), so a join adds nothing to close it: a target that is not
@@ -35,8 +36,7 @@ common denominator D per build, q^(3 depth) depth! for q = lcm(den lam,
 den mu), as lam/mu degrees stay <= 3 depth; a division that leaves a
 remainder raises instead of flooring.  The series keep those int
 numerators with ``factor`` 1/D, and a scalar twist multiplies only the
-factor; joins and comparisons eliminate numerators and scale just the
-reduced basis rows.
+factor; joins and comparisons scale the numerators by integers only.
 """
 
 from __future__ import annotations
@@ -502,59 +502,32 @@ def _paired_rows(parts: list):
     """``(skey, row)`` for each series key with a nonzero paired row.
 
     ``parts`` lists ``(datum, level)``; the sparse row of a key puts each
-    datum's stored numerators at its level after the columns of the
-    datums before it.
+    datum's stored numerators at its level, times ``top * factor``, after
+    the columns of the datums before it.  ``top`` is the lcm of the
+    factors' denominators, so each block multiplier is an ``int`` and the
+    rows are the paired coefficients times ``top``; a datum with factor 0
+    contributes an empty block.
     """
-    offsets = list(accumulate((datum.target.dim(level) for datum, level in parts), initial=0))
+    top = lcm(*(datum.factor.denominator for datum, _ in parts))
+    offsets = accumulate((datum.target.dim(level) for datum, level in parts), initial=0)
+    blocks = [(datum, level, offset, datum.factor.numerator * (top // datum.factor.denominator))
+              for (datum, level), offset in zip(parts, offsets)]
     for skey in dict.fromkeys(k for datum, _ in parts for k in datum.series):
-        row = {offset + j: c
-               for (datum, level), offset in zip(parts, offsets)
+        row = {offset + j: scale * c
+               for datum, level, offset, scale in blocks if scale
                for j, c in enumerate(datum.series.get(skey, {}).get(level, ())) if c}
         if row:
             yield skey, row
 
 
-def _reduced_basis(rows: list, parts: list) -> list:
-    """Rows spanning the paired coefficients of ``parts``, from one elimination
-    of the sparse numerator ``rows``, handed to the kernel without
-    conversion; a block scalar keeps the rank, so only the reduced rows
-    are scaled, and callers reduce them again."""
-    factors = [datum.factor for datum, level in parts for _ in range(datum.target.dim(level))]
-    reduced, pivots = ExactMatrix(len(rows), len(factors), rows).rref()
-    return [{j: factors[j] * c for j, c in reduced.data[i].items()} for i in range(len(pivots))]
-
-
-def _numerator_coords(span: RowSpan, parts: list, rows: dict, top: int) -> dict:
-    """Span coordinates of each paired numerator row of ``parts``, checked on
-    integers, as numerators over ``top``, a common denominator of the
-    data factors.
-
-    With f_j the factor of column j's datum, the scaled row s = f r lies
-    in the span, whose reduced rows B_i lead at the pivot columns p_i,
-    exactly when f_j r_j = sum_i f_{p_i} r_{p_i} B_ij at every free column
-    j; its coordinates are the s_{p_i} = (top f_{p_i}) r_{p_i} / top.  Over one
-    common denominator den the check reads a_j r_j = sum_i r_{p_i} c_ij
-    with a_j = den f_j and c_ij = den f_{p_i} B_ij integers, so no scaled
-    row is built.  Rows of ``Fraction``s (a datum stored with factor 1)
-    take the same exact route, and their numerators stay ``Fraction``s.
-    """
-    factors = [datum.factor for datum, level in parts for _ in range(datum.target.dim(level))]
-    pivots = span.pivot_columns()
-    pivot_set, reduced = set(pivots), span.rows()
-    free = [j for j in range(span.width) if j not in pivot_set]
-    weights = [[factors[p] * row.get(j, QZERO) for p, row in zip(pivots, reduced)] for j in free]
-    den = lcm(*(f.denominator for f in factors), *(g.denominator for col in weights for g in col))
-    checks = [(j, factors[j].numerator * (den // factors[j].denominator),
-               [(p, g.numerator * (den // g.denominator)) for p, g in zip(pivots, col) if g])
-              for j, col in zip(free, weights)]
-    scales = [(p, factors[p].numerator * (top // factors[p].denominator)) for p in pivots]
-    out = {}
-    for skey, row in rows.items():
-        if any(a * row.get(j, 0) != sum(row.get(p, 0) * c for p, c in terms)
-               for j, a, terms in checks):
-            raise InternalInvariantViolation("paired coefficient escaped its own span")
-        out[skey] = tuple(b * row.get(p, 0) for p, b in scales)
-    return out
+def _filled_span(width: int, rows) -> RowSpan:
+    """The ``RowSpan`` of ``rows``, fed only until it is full."""
+    span = RowSpan(width)
+    for row in rows:
+        if span.rank == width:
+            break
+        span.add(row)
+    return span
 
 
 def _has_content(data: IntertwinerData) -> bool:
@@ -578,15 +551,14 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
     The new target is the level-wise span of the paired coefficients
     (Y1(u, z) w, Y2(u, z) w) inside the direct sum of the two targets;
     both factors project back onto it, so the result dominates each in
-    the order.  Each level's span is the reduced basis of its paired
-    rows, eliminated once as numerators, and nothing is added to close
-    it under the action: for genuine intertwining operators it is closed
-    already, and ``SpanModule.apply_gen`` refuses a mode that leaves it.
-    Every paired coefficient is then checked against its level span and
-    expressed in it on its numerators (``_numerator_coords``): the
-    membership check is made at run time, in integers, and a row outside
-    the span raises ``InternalInvariantViolation``.  The result keeps the
-    coordinates as
+    the order.  Each level's paired rows, times ``top`` (``_paired_rows``),
+    stream into its level span until it is full, and nothing is added to
+    close it under the action: for genuine intertwining operators it is
+    closed already, and ``SpanModule.apply_gen`` refuses a mode that
+    leaves it.  Every paired row is then checked against its level span
+    at run time; a row outside it raises ``InternalInvariantViolation``.
+    The span's rows are reduced, so a row's coordinates are its entries
+    at the pivot columns, ints over ``top``.  The result keeps them as
     ``int`` numerators over the factor 1/D, D the lcm of their
     denominators, so a further join eliminates integers again.
     """
@@ -609,12 +581,13 @@ def join(p1: IntertwinerData, p2: IntertwinerData) -> IntertwinerData:
     top = lcm(*(p.factor.denominator for p in factors))
     spans, coords = {}, {}
     for n in range(depth + 1):
-        parts = [(p, n) for p in factors]
-        rows = dict(_paired_rows(parts))
-        spans[n] = RowSpan(ambient.dim(n))
-        for row in _reduced_basis(list(rows.values()), parts):
-            spans[n].add(row)
-        for skey, expressed in _numerator_coords(spans[n], parts, rows, top).items():
+        rows = dict(_paired_rows([(p, n) for p in factors]))
+        span = spans[n] = _filled_span(ambient.dim(n), rows.values())
+        pivots = span.pivot_columns()
+        for skey, row in rows.items():
+            if not span.contains(row):
+                raise InternalInvariantViolation("paired coefficient escaped its own span")
+            expressed = tuple(row.get(p, 0) for p in pivots)
             if any(expressed):
                 coords.setdefault(skey, {})[n] = expressed
     # extra clears the denominators of numerators a datum stores as Fractions
@@ -700,9 +673,10 @@ class _AlignedRowSpaces:
 
     At level n of ``second``'s target and t of ``first``'s, the series
     keys with a nonzero coefficient on either side give the rows
-    ``[c_second | c_first]``.  A pair is eliminated once, on first use,
-    on the stored numerators; only its basis rows (at most d1 + d2) are
-    kept, each block times its datum's factor.  Generator-mode matrices of
+    ``[c_second | c_first]``, each times one integer (``_paired_rows``).
+    On first use a pair's rows stream into one ``RowSpan`` until it is
+    full, and only the span's reduced rows (at most d1 + d2) are kept;
+    a common scalar leaves the row space as it is.  Generator-mode matrices of
     the two targets are built once each, for both witnesses' commutation
     checks, and live as long as this object.
     """
@@ -724,8 +698,9 @@ class _AlignedRowSpaces:
             return [{j - d2 if j >= d2 else j + d1: c for j, c in row.items()}
                     for row in self.basis(self.second, t, n)]
         if (n, t) not in self._bases:
-            parts = [(self.second, n), (self.first, t)]
-            self._bases[(n, t)] = _reduced_basis([row for _, row in _paired_rows(parts)], parts)
+            rows = (row for _, row in _paired_rows([(self.second, n), (self.first, t)]))
+            width = self.second.target.dim(n) + self.first.target.dim(t)
+            self._bases[(n, t)] = _filled_span(width, rows).rows()
         return self._bases[(n, t)]
 
 

@@ -1,7 +1,9 @@
+import json
 import textwrap
 
 import pytest
 
+from vertexbound.cli import main
 from vertexbound.config import (
     RunConfig,
     parse_integer,
@@ -234,3 +236,45 @@ def test_with_depth_rebuilds_hash():
 def test_duplicate_sections_rejected():
     with pytest.raises(ConfigError):
         load("[run]\ndepth = 1\n[run]\ndepth = 2\n")
+
+
+RUN_FILE = """
+    [run]
+    depth = {depth}
+
+    [voa]
+    kind = virasoro
+    central_charge = 1/2
+
+    [module.q]
+    kind = quotient
+    highest_weight = 1/2
+    singular_vectors = {singular}
+
+    [command]
+    module = q
+    left = q
+    right = q
+    left_key = {left_key}
+"""
+
+
+@pytest.mark.parametrize("command,field,text", [
+    ("graded-dims", "depth", "1_0"),
+    ("graded-dims", "depth", "１０"),  # full-width digits
+    ("reduce", "left_key", "2,1_1"),
+    ("graded-dims", "singular", "(２):1"),
+])
+def test_integer_fields_take_ascii_decimals_only(tmp_path, capsys, command, field, text):
+    # int() reads both "1_0" and full-width "10" as 10; run files, like
+    # parse_rational, take ASCII decimal digits alone
+    valid = {"depth": "2", "singular": "level2", "left_key": "1"}
+    codes = []
+    for values in (valid, {**valid, field: text}):
+        path = tmp_path / "run.ini"
+        path.write_text(textwrap.dedent(RUN_FILE.format(**values)), encoding="utf-8")
+        codes.append(main([command, "--config", str(path)]))
+        report = json.loads(capsys.readouterr().out)
+    assert codes == [0, 2]
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["exit_code"] == 2

@@ -236,8 +236,7 @@ def test_join_with_the_zero_datum_recovers_the_factor():
 
 
 def test_join_never_feeds_a_full_level_span(monkeypatch):
-    # only the joined targets' level spans count, not the spans that each
-    # ExactMatrix elimination builds
+    # only the joined targets' level spans count
     adds = []
     original = linalg.RowSpan.add
 
@@ -253,35 +252,6 @@ def test_join_never_feeds_a_full_level_span(monkeypatch):
     level_spans = {id(span) for datum in joined for span in datum.target.spans.values()}
     full_adds = [full for span, full in adds if id(span) in level_spans]
     assert full_adds and not any(full_adds)
-
-
-def test_join_offers_each_direction_once(monkeypatch):
-    # the order workload's shape: three proportional twists, depth 4; only
-    # the joined targets' level spans count, not the spans that each
-    # ExactMatrix elimination builds
-    offers = []
-    original_add = linalg.RowSpan.add
-
-    def recording_add(self, row):
-        offers.append((self, dict(row)))
-        return original_add(self, row)
-
-    monkeypatch.setattr(linalg.RowSpan, "add", recording_add)
-    h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 4)
-    inner = join(h.scale(Q(-3, 2)), h.scale(Q(5, 4)))
-    joined = join(inner, h.scale(2))
-    # every recorded span is still alive, so ids identify spans
-    level_spans = {id(span) for datum in (inner, joined) for span in datum.target.spans.values()}
-    keys = [(id(span), _direction(row)) for span, row in offers if id(span) in level_spans]
-    assert keys and len(set(keys)) == len(keys)
-    assert [joined.target.dim(n) for n in range(5)] == [h.target.dim(n) for n in range(5)]
-    assert compare(joined, h).relation == "equivalent"
-
-
-def _direction(row: dict) -> tuple:
-    """The sparse row scaled to lead with 1, as sorted ``(col, value)`` pairs."""
-    lead = Q(row[min(row)])
-    return tuple(sorted((j, c / lead) for j, c in row.items()))
 
 
 def test_join_rejects_mismatched_sources():
@@ -431,26 +401,25 @@ def test_join_targets_are_closed_under_every_generator_mode(case):
 
 
 def test_join_reads_each_level_span_once(monkeypatch):
-    # the membership check divides a span's rows by their pivots once per
-    # level, not once per free column
+    # coordinates are read at the pivot columns, once per level span; no
+    # span's rows are divided by their pivots
     cases = _join_cases()
     reads = []
-    original = linalg.RowSpan.rows
+    for method in ("rows", "pivot_columns"):
+        original = getattr(linalg.RowSpan, method)
 
-    def counting_rows(self):
-        reads.append(self)
-        return original(self)
+        def counting(self, method=method, original=original):
+            reads.append((method, self))
+            return original(self)
 
-    monkeypatch.setattr(linalg.RowSpan, "rows", counting_rows)
+        monkeypatch.setattr(linalg.RowSpan, method, counting)
     for case, factors in cases.items():
         reads.clear()
         joined = join(*factors)
         spans = joined.target.spans
-        # eliminations read the spans they build; only the level spans count
-        level_spans = {id(span) for span in spans.values()}
-        level_reads = [span for span in reads if id(span) in level_spans]
-        assert len(level_reads) == len(spans) == joined.depth + 1, case
-        assert {id(span) for span in level_reads} == level_spans, case
+        assert len(spans) == joined.depth + 1, case
+        assert [method for method, _ in reads] == ["pivot_columns"] * len(spans), case
+        assert {id(span) for _, span in reads} == {id(span) for span in spans.values()}, case
 
 
 def test_join_of_a_gapped_datum_leaves_its_gap_and_the_action_refuses_it():
@@ -468,9 +437,18 @@ def test_join_of_a_gapped_datum_leaves_its_gap_and_the_action_refuses_it():
 
 
 def test_join_refuses_a_paired_row_outside_its_span(monkeypatch):
-    # a level span that lost a basis row
-    original = fusion._reduced_basis
-    monkeypatch.setattr(fusion, "_reduced_basis", lambda rows, parts: original(rows, parts)[:-1])
+    # a level span that loses its last row once it is filled, before the
+    # first paired row is checked against it
+    class LosingSpan(linalg.RowSpan):
+        lost = False
+
+        def contains(self, row):
+            if not self.lost:
+                self.lost = True
+                self._rows.pop()
+            return super().contains(row)
+
+    monkeypatch.setattr(fusion, "RowSpan", LosingSpan)
     h = heisenberg_intertwiner(1, 2, 3)
     with pytest.raises(InternalInvariantViolation, match="escaped its own span"):
         join(h, h.scale(2))
@@ -722,10 +700,15 @@ def test_compare_matches_per_direction_solves(case):
 
 
 def test_compare_eliminates_each_level_once(monkeypatch):
-    # one tall elimination per aligned level pair; each direction then
-    # reduces at most d1 + d2 basis rows
-    shapes = []
+    # one RowSpan per aligned level pair, shared by both directions; each
+    # direction then reduces at most d1 + d2 of its rows
+    spans, shapes = [], []
     original = linalg.ExactMatrix.rref
+
+    class CountingSpan(linalg.RowSpan):
+        def __init__(self, width):
+            super().__init__(width)
+            spans.append(self)
 
     def counting_rref(self):
         shapes.append((self.rows, self.cols))
@@ -733,11 +716,12 @@ def test_compare_eliminates_each_level_once(monkeypatch):
 
     h = heisenberg_intertwiner(Q(1, 2), Q(3, 2), 5)
     p1, p2 = h.scale(Q(-3, 2)), h.scale(Q(5, 4))
+    monkeypatch.setattr(fusion, "RowSpan", CountingSpan)
     monkeypatch.setattr(linalg.ExactMatrix, "rref", counting_rref)
     assert compare(p1, p2).relation == "equivalent"
-    tall = [(rows, cols) for rows, cols in shapes if rows > cols]
-    assert len(tall) == h.depth + 1
-    assert len(shapes) == 3 * (h.depth + 1)
+    assert len(spans) == h.depth + 1
+    assert len(shapes) == 2 * (h.depth + 1)
+    assert all(rows <= cols for rows, cols in shapes)
 
 
 def test_scale_shares_the_tables_and_multiplies_the_factor(monkeypatch):
@@ -747,22 +731,29 @@ def test_scale_shares_the_tables_and_multiplies_the_factor(monkeypatch):
         assert twist.factor == c * h.factor
         assert twist.series.keys() == h.series.keys()
         assert all(twist.series[skey] is images for skey, images in h.series.items())
-    # the tall eliminations of a comparison get the int numerators as they
-    # are, and hand back Fractions
-    tall, reduced = [], []
-    original = linalg.ExactMatrix.rref
+    # the span of each aligned level pair of a comparison takes the
+    # factor-scaled numerators as ints, and hands back Fractions
+    spans, added, handed = [], [], []
 
-    def recording_rref(self):
-        result = original(self)
-        if self.rows > self.cols:
-            tall.extend(c for row in self.data for c in row.values())
-            reduced.extend(c for row in result[0].data for c in row.values())
-        return result
+    class RecordingSpan(linalg.RowSpan):
+        def __init__(self, width):
+            super().__init__(width)
+            spans.append(self)
 
-    monkeypatch.setattr(linalg.ExactMatrix, "rref", recording_rref)
+        def add(self, row):
+            added.extend(row.values())
+            return super().add(row)
+
+        def rows(self):
+            out = super().rows()
+            handed.extend(c for row in out for c in row.values())
+            return out
+
+    monkeypatch.setattr(fusion, "RowSpan", RecordingSpan)
     assert compare(p1, p2).relation == "equivalent"
-    assert tall and all(type(c) is int for c in tall)
-    assert reduced and all(type(c) is Q for c in reduced)
+    assert len(spans) == h.depth + 1
+    assert added and all(type(c) is int for c in added)
+    assert handed and all(type(c) is Q for c in handed)
 
 
 def _report(outcome) -> str:
