@@ -3,12 +3,13 @@
 Each invocation parses a single config file, realizes the requested
 truncated structures, runs one command on them, and emits a
 schema-versioned JSON report on stdout (or to ``--out``).  Reports are
-deterministic: byte-identical across repeated runs.  ``--threads`` is
-still accepted and checked to be positive, but has no effect; it and
-the output path are excluded from the configuration hash echoed in the
-report.  The ``[run] threads`` key is refused.  Failures are emitted as
-machine-readable error objects with a distinct exit code per error
-family (see :mod:`vertexbound.errors`).
+deterministic: byte-identical across repeated runs.  ``--depth`` and
+``--threads`` take ASCII decimal integers, as run files do.
+``--threads`` is still accepted and checked to be positive, but has no
+effect; it and the output path are excluded from the configuration
+hash echoed in the report.  The ``[run] threads`` key is refused.
+Failures are emitted as machine-readable error objects with a distinct
+exit code per error family (see :mod:`vertexbound.errors`).
 
 ``join`` and ``compare`` build the free-boson intertwiner once per
 command: every name they read must share the source charges, which is
@@ -262,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path of the INI-style run description")
     parser.add_argument("--out", default=None,
                         help="write the report here instead of stdout")
-    parser.add_argument("--depth", type=int, default=None,
+    parser.add_argument("--depth", default=None,
                         help="override the [run] depth")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", default=None,
                         help="accepted for compatibility (must be >= 1); has no effect")
     return parser
 
@@ -286,9 +287,9 @@ def main(argv=None) -> int:
     try:
         config = RunConfig.from_file(args.config)
         if args.depth is not None:
-            config = config.with_depth(args.depth)
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("--threads must be a positive integer")
+            config = config.with_depth(parse_integer(args.depth, "--depth"))
+        if args.threads is not None:
+            parse_integer(args.threads, "--threads", minimum=1)
         payload, certification = _COMMANDS[args.command](config)
         report = {
             "schema": REPORT_SCHEMA,

@@ -26,23 +26,24 @@ closed is refused by its own action the first time a mode leaves it.
 
 The concrete generator of examples is the free-boson vertex operator
 Fock(lam) x Fock(mu) -> Fock(lam+mu) (Frenkel-Lepowsky-Meurman, ch. 4),
-assembled from the closed forms of its two oscillator exponentials:
-the annihilating one is tabulated once per w, the creating one once per
-build as merge lists on target-basis indices.  A pair (u, w) sums the
-normal-ordered states of every splitting of u, then adds each state's
-merge lists into one int list per target level, by position, so no
-partition is sorted or looked up per term.  It runs on ints over one
-common denominator D per build, q^(3 depth) depth! for q = lcm(den lam,
-den mu), as lam/mu degrees stay <= 3 depth; a division that leaves a
-remainder raises instead of flooring.  The series keep those int
-numerators with ``factor`` 1/D, and a scalar twist multiplies only the
-factor; joins and comparisons scale the numerators by integers only.
+built by dynamic programming over basis pairs (u, w).  The pair of the
+two lowest-weight vectors is the creating exponential; a pair with
+w = |mu> follows from a shorter u by the normal-ordered product, and
+any other pair from a shorter w by the Heisenberg commutator formula.
+Each rule adds whole level lists of smaller pairs through index maps
+on the target basis, so no partition is sorted or looked up per term.
+It runs on ints over one common denominator D per build, q^(3 depth)
+depth! for q = lcm(den lam, den mu), as lam/mu degrees stay <= 3 depth;
+a division that leaves a remainder raises instead of flooring.  The
+series keep those int numerators with ``factor`` 1/D, and a scalar
+twist multiplies only the factor; joins and comparisons scale the
+numerators by integers only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from math import factorial, gcd, lcm
 
 from .errors import InputShapeError, InternalInvariantViolation
@@ -57,21 +58,27 @@ from .voa import (
     _insert_part,
     _remove_part,
     mode_matrix,
-    partitions_of,
     raw_acc,
 )
 
 
 # ----------------------------------------------------------------------
-# free-boson vertex operator kernels
+# free-boson vertex operator kernel
 #
-# States are {(partition, zoff): X} where zoff tracks the power of z
-# relative to the overall z^(lam*mu); after all factors are applied the
-# partition weight equals zoff + |u| + |w|.  A coeff X is the int x * D.
+# A table entry {t: (X, ...)} holds, for one source pair (u, w), the int
+# numerators X = x * D of the coefficients of Y(u, z) w at target level
+# t <= depth, all-zero levels left out; it is the pair's series entry.
 
 def _degree_bound(depth: int) -> int:
-    """Largest lam/mu degree of a term: |w|, |u| and the cap, from the
-    annihilating exponential, the zero modes and the creating one."""
+    """Largest lam/mu degree of a term at level t of a pair (u, w).
+
+    The creating exponential gives lam^len(nu) with len(nu) <= t; each
+    part of u adds at most one mu (the zero mode of the normal-ordered
+    product) and each part of w at most one lam (the zero mode of the
+    commutator formula), and no other step raises the degree.  So the
+    degree is <= t + |u| + |w| <= 3 depth, and D = q^(3 depth) depth!
+    clears every term.
+    """
     return 3 * depth
 
 
@@ -83,155 +90,32 @@ def _exact(num: int, den: int) -> int:
     return quot
 
 
-def _creation_merges(big_l: int, q: int, depth: int, target) -> dict:
-    """exp(lam sum_{t>=1} a(-t) z^t / t) as merge lists on target indices.
+def _creating_exponential(big_l: int, q: int, denom: int, target, depth: int) -> dict:
+    """Table entry of (|lam>, |mu>): exp(lam sum_{t>=1} a(-t) z^t / t)|lam+mu>.
 
-    The z^s term is sum_nu lam^len(nu) / z_nu a(-nu) over the partitions
-    nu of s, where z_nu = prod_t t^{m_t} m_t! for m_t parts equal to t
-    divides s!.  ``merges[part][s]`` lists ``(j, L^len(nu) depth!/z_nu,
-    q^len(nu) depth!)`` for every partition ``part`` of weight <= depth
-    and s <= depth - |part|, where j is the position of the merged
-    partition part + nu in the target basis at level |part| + s.
+    The z^t term is sum_nu lam^len(nu) / z_nu a(-nu) over the partitions
+    nu of t, where z_nu = prod_s s^{m_s} m_s! for m_s parts equal to s
+    divides t!.
     """
-    top = factorial(depth)
-    terms = []
-    for s in range(depth + 1):
+    entry = {}
+    for t in range(depth + 1):
         row = []
-        for nu in partitions_of(s):
+        for nu in target.keys(t):
             z_nu = 1
-            for t in set(nu):
-                m = nu.count(t)
-                z_nu *= t ** m * factorial(m)
-            mult = big_l ** len(nu) * (top // z_nu)
-            if mult:
-                row.append((nu, mult, q ** len(nu) * top))
-        terms.append(row)
-    return {
-        part: [
-            [(target.index(tuple(sorted(part + nu, reverse=True))), mult, div)
-             for nu, mult, div in terms[s]]
-            for s in range(depth - n + 1)
-        ]
-        for n in range(depth + 1)
-        for part in partitions_of(n)
-    }
+            for s in set(nu):
+                m = nu.count(s)
+                z_nu *= s ** m * factorial(m)
+            row.append(_exact(denom * big_l ** len(nu), q ** len(nu) * z_nu))
+        if any(row):
+            entry[t] = tuple(row)
+    return entry
 
 
-def _annihilation_states(w_key: tuple, big_l: int, q: int, denom: int) -> dict:
-    """exp(-lam sum_{j>=1} a(j) z^-j / j) applied to denom * a(-w_key)|mu>.
-
-    Removing k_t of the m_t parts equal to t has coefficient
-    prod_t C(m_t, k_t) (-lam)^{k_t} and lowers the z-power by t k_t.
-    """
-    states = {(w_key, 0): denom}
-    if not big_l:
-        return states
-    for t in sorted(set(w_key)):
-        m = w_key.count(t)
-        image = {}
-        for (part, zoff), coeff in states.items():
-            for k in range(m + 1):
-                image[(part, zoff - t * k)] = _exact(coeff * binomial(m, k) * (-big_l) ** k, q ** k)
-                if k < m:
-                    part = _remove_part(part, t)
-        states = image
-    return states
-
-
-def _ann_factor(states: dict, n: int, big_m: int, q: int) -> dict:
-    """Annihilation half of the n-th derivative field.
-
-    (d/dz)^{n-1} a(z)/(n-1)! contributes a(m) z^{-m-n} with coefficient
-    (-1)^{n-1} C(m+n-1, n-1) for m >= 0; a(0) is the charge mu.
-    """
-    sign = 1 if n % 2 else -1
-    out = {}
-    for (part, zoff), coeff in states.items():
-        base = sign * coeff
-        if big_m:
-            raw_acc(out, (part, zoff - n), _exact(base * big_m, q))
-        for m in set(part):
-            value = base * binomial(m + n - 1, n - 1) * m * part.count(m)
-            raw_acc(out, (_remove_part(part, m), zoff - m - n), value)
-    return out
-
-
-def _cre_factor(states: dict, n: int, bound: int, inserted: dict) -> dict:
-    """Creation half: a(-j) z^{j-n} with coefficient C(j-1, n-1), j >= n."""
-    out = {}
-    for (part, zoff), coeff in states.items():
-        grown = inserted[part]
-        for j in range(n, bound - zoff + n + 1):
-            value = binomial(j - 1, n - 1) * coeff
-            raw_acc(out, (grown[j], zoff + j - n), value)
-    return out
-
-
-def _annihilated(table: dict, chosen: tuple, big_m: int, q: int) -> dict:
-    """Annihilation halves of the factors ``chosen`` applied to ``table[()]``.
-
-    Annihilation halves commute, so one entry per multiset of factors
-    serves every u that contains it; ``table`` memoises them.
-    """
-    states = table.get(chosen)
-    if states is None:
-        states = _ann_factor(_annihilated(table, chosen[:-1], big_m, q), chosen[-1], big_m, q)
-        table[chosen] = states
-    return states
-
-
-def _fock_vertex_images(u_key: tuple, annihilated: dict, big_m: int, q: int,
-                        inserted: dict, creation: dict, dims: list, lw: int,
-                        cap: int) -> dict:
-    """Coefficients of Y(u, z) w in Fock(lam + mu), by target level.
-
-    Returns {t: (x * D, ...)}, int coordinates over the target basis at
-    level t of the z^(lam*mu + t - |u| - |w|) part, for w at level
-    ``lw``; all-zero levels are left out.  ``annihilated`` holds the
-    annihilating exponential already applied to w (under the key
-    ``()``), ``inserted[part][j]`` is ``part`` with one more part j, and
-    ``creation`` the merge lists of ``_creation_merges``.
-
-    The normal ordering splits each derivative field of u into creation
-    and annihilation halves; annihilation halves act first, so the
-    creation side can be truncated at the level cap without loss.  Equal
-    parts of u give equal fields, so a splitting is fixed by how many
-    copies of each part annihilate, weighted by the binomial count of
-    the orderings that reach it.  Creation operators commute, so the
-    normal-ordered states of all splittings are summed first, and each
-    summed state adds its merge lists into the level lists by position.
-    """
-    lu = sum(u_key)
-    bound = cap - lu - lw
-    counts = [(n, u_key.count(n)) for n in sorted(set(u_key), reverse=True)]
-    ordered = {}
-    for split in product(*(range(m + 1) for _, m in counts)):
-        chosen = tuple(n for (n, _), a in zip(counts, split) for _ in range(a))
-        states = _annihilated(annihilated, chosen, big_m, q)
-        if not states:
-            continue
-        weight = 1
-        for (n, m), a in zip(counts, split):
-            weight *= binomial(m, a)
-            for _ in range(m - a):
-                states = _cre_factor(states, n, bound, inserted)
-        for key, coeff in states.items():
-            if key[1] <= bound:
-                raw_acc(ordered, key, weight * coeff)
-    out = {}
-    for (part, zoff), coeff in ordered.items():
-        level = zoff + lu + lw
-        if sum(part) != level:
-            raise InternalInvariantViolation(
-                "vertex kernel lost track of the z-grading"
-            )
-        for size, merges in enumerate(creation[part], level):
-            row = out.get(size)
-            if row is None:
-                row = out[size] = [0] * dims[size]
-            for j, mult, div in merges:
-                row[j] += _exact(coeff * mult, div)
-    return {level: tuple(row) for level, row in sorted(out.items()) if any(row)}
+def _add_grown(row: list, src: tuple, positions: list, c: int) -> None:
+    """row += c a(-j) src, ``positions`` sending src's basis to row's."""
+    for p, x in enumerate(src):
+        if x:
+            row[positions[p]] += c * x
 
 
 # ----------------------------------------------------------------------
@@ -364,21 +248,33 @@ class IntertwinerData:
 def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     """The free-boson vertex operator Fock(lam) x Fock(mu) -> Fock(lam+mu).
 
-    Built from the oscillator exponentials: the zero mode contributes
-    the charge and the overall z^(lam*mu), each oscillator factor of u
-    becomes a derivative field split into normal-ordered halves, and the
-    two exponentials of lam spread the answer across target levels.
-    Both exponentials are closed forms, tabulated for this call only:
-    the annihilating one once per w, the creating one once as merge
-    lists on target indices, whose sums per target level are the series
-    entries as they stand.  All images up to the truncation depth are
-    exact rationals, and a float charge is refused.
+    Built by dynamic programming over basis pairs (u, w): each pair's
+    table entry comes from the entries of smaller pairs by one of three
+    rules (Frenkel-Lepowsky-Meurman, ch. 4).
 
-    The kernel runs on ints.  With q = lcm(den lam, den mu), each term is
-    P(L, M) / (q^d z_nu) for L = lam q, M = mu q, an integer polynomial P
-    of degree d <= E = 3 depth (``_degree_bound``) and z_nu | depth!; so
-    states hold x * D for D = q^E depth! and every division is checked
-    exact.  The series keep the int numerators X, and ``factor`` is 1/D.
+    * Base: Y(|lam>, z)|mu> = z^(lam mu) exp(lam sum_t a(-t) z^t / t)|lam+mu>
+      (``_creating_exponential``).
+    * Normal-ordered product on u, at w = |mu>: Y(a(-n)u', z) is
+      :d^(n-1) a(z) / (n-1)! Y(u', z):.  Its creating half puts
+      C(j-1, n-1) a(-j), j >= n, on level t of u' at level t + j; on
+      |mu> only the zero mode of its annihilating half survives, which
+      adds (-1)^(n-1) mu times level t at level t.
+    * Commutator formula on w: Y(u, z) a(-n)w' = a(-n) Y(u, z) w' -
+      sum_{i>=0} C(-n, i) z^(-n-i) Y(a(i)u, z) w', where a(0)u = lam u
+      and a(i)u, i > 0, is i m_i(u) times u with one part i removed, for
+      m_i(u) parts of u equal to i.
+
+    Every rule draws level t from levels <= t, so the truncation at the
+    depth is exact, and a(-j) moves a level onto the next through index
+    maps on the target basis, built once per call.  A float charge is
+    refused.
+
+    The kernel runs on ints.  With q = lcm(den lam, den mu), each term
+    of a coefficient at level t of (u, w) is c lam^a mu^b / z_nu for an
+    integer c and z_nu | depth!.  Its degree a + b is at most t + |u| +
+    |w| <= E = 3 depth (``_degree_bound``), so D = q^E depth! clears it:
+    entries hold x * D, and every division by q is checked exact.  The
+    series keep the int numerators X, and ``factor`` is 1/D.
     """
     lam = as_rational(lam, "the charge lam")
     mu = as_rational(mu, "the charge mu")
@@ -394,22 +290,52 @@ def heisenberg_intertwiner(lam, mu, depth: int, voa=None) -> IntertwinerData:
     q = lcm(lam.denominator, mu.denominator)
     big_l, big_m = int(lam * q), int(mu * q)
     denom = q ** _degree_bound(depth) * factorial(depth)
-    dims = [target.dim(n) for n in range(depth + 1)]
-    creation = _creation_merges(big_l, q, depth, target)
-    inserted = {part: (None,) + tuple(_insert_part(part, j) for j in range(1, depth - n + 1))
-                for n in range(depth + 1) for part in partitions_of(n)}
-    w_keys = [w_key for lw in range(depth + 1) for w_key in right.keys(lw)]
-    annihilated = {w: {(): _annihilation_states(w, big_l, q, denom)} for w in w_keys}
-    series = {}
-    for lu in range(depth + 1):
-        for u_key in left.keys(lu):
-            for w_key in w_keys:
-                images = _fock_vertex_images(
-                    u_key, annihilated[w_key], big_m, q,
-                    inserted, creation, dims, sum(w_key), depth,
-                )
-                if images:
-                    series[(u_key, w_key, 0)] = images
+    levels = range(depth + 1)
+    dims = [target.dim(t) for t in levels]
+    # grow[j][s][p]: position at level s + j of a(-j) times basis monomial p of level s
+    grow = [None] + [[[target.index(_insert_part(part, j)) for part in target.keys(s)]
+                      for s in range(depth + 1 - j)] for j in range(1, depth + 1)]
+    u_keys = [u for lu in levels for u in left.keys(lu)]
+    w_keys = [w for lw in levels for w in right.keys(lw)]
+    table = {((), ()): _creating_exponential(big_l, q, denom, target, depth)}
+    # normal-ordered product on u = (n,) + u', at w = |mu>
+    for u in u_keys[1:]:
+        n, rest = u[0], table[(u[1:], ())]
+        charge = big_m if n % 2 else -big_m
+        entry = {}
+        for t in levels:
+            row = [0] * dims[t]
+            for j in range(n, t + 1):
+                src = rest.get(t - j)
+                if src:
+                    _add_grown(row, src, grow[j][t - j], binomial(j - 1, n - 1))
+            for p, x in enumerate(rest.get(t, ())):
+                row[p] += _exact(charge * x, q)
+            if any(row):
+                entry[t] = tuple(row)
+        table[(u, ())] = entry
+    # commutator formula on w = (n,) + w'
+    for w in w_keys[1:]:
+        n, w_rest = w[0], w[1:]
+        for u in u_keys:
+            rest = table[(u, w_rest)]
+            lowered = [(-binomial(-n, i) * i * u.count(i), table[(_remove_part(u, i), w_rest)])
+                       for i in set(u)]
+            entry = {}
+            for t in levels:
+                row = [0] * dims[t]
+                src = rest.get(t - n)
+                if src:
+                    _add_grown(row, src, grow[n][t - n], 1)
+                for p, x in enumerate(rest.get(t, ())):
+                    row[p] -= _exact(big_l * x, q)
+                for c, lower in lowered:
+                    for p, x in enumerate(lower.get(t, ())):
+                        row[p] += c * x
+                if any(row):
+                    entry[t] = tuple(row)
+            table[(u, w)] = entry
+    series = {(u, w, 0): table[(u, w)] for u in u_keys for w in w_keys if table[(u, w)]}
     return IntertwinerData(left, right, target, depth, 0, series, Q(1, denom))
 
 

@@ -399,6 +399,20 @@ def test_non_positive_threads_are_config_errors(tmp_path, capsys):
     assert report["error"]["exit_code"] == 2
 
 
+@pytest.mark.parametrize("flag", ["--depth", "--threads"])
+@pytest.mark.parametrize("text", ["1_0", "１０", "abc"])
+def test_integer_flags_take_ascii_decimals_only(tmp_path, capsys, flag, text):
+    # the flags follow the run-file rule: int() would read "1_0" and
+    # full-width "10" as 10, and argparse would refuse "abc" on stderr
+    config = write_config(tmp_path, FOCK_INI)
+    assert run_cli(["graded-dims", "--config", config, flag, "2"], capsys)[0] == 0
+    code, report = run_json(["graded-dims", "--config", config, flag, text], capsys)
+    assert code == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["exit_code"] == 2
+    assert flag in report["error"]["message"]
+
+
 def test_cache_dir_key_is_a_config_error(tmp_path, capsys):
     config = write_config(tmp_path, FOCK_INI.replace("m = 1", "m = 1\ncache_dir = /tmp/x"))
     code, report = run_json(["graded-dims", "--config", config], capsys)

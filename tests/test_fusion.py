@@ -38,7 +38,14 @@ from vertexbound.fusion import (
 from vertexbound.laurent import format_rational
 from vertexbound.modes import GradedVector, engine_for, mode_action
 from vertexbound.reduction import fusion_bound
-from vertexbound.voa import DirectSumModule, FockModule, HeisenbergVoa, LevelCapExceeded, mode_matrix
+from vertexbound.voa import (
+    DirectSumModule,
+    FockModule,
+    HeisenbergVoa,
+    LevelCapExceeded,
+    VirasoroVoa,
+    mode_matrix,
+)
 
 
 TOP_DUAL = {0: (Q(1),)}
@@ -104,7 +111,7 @@ ORACLE_CASES = [
     (Q(1, 6), Q(-5, 4), 4), (Q(0), Q(7, 3), 4), (Q(-4, 9), Q(1, 2), 4),
     (Q(1, 1000000007), Q(3, 1000000009), 3),
     # the charges and depth of the benchmark's ``order`` comparisons: the
-    # merge lists index every partition up to the depth
+    # a(-j) index maps cover every partition up to the depth
     (Q(1, 2), Q(3, 2), 5),
 ]
 
@@ -129,6 +136,29 @@ def test_series_match_the_bruteforce_kernel_at_every_level(lam, mu, depth):
                     pairs += 1
     basis = sum(len(h.source_left.keys(n)) for n in range(depth + 1))
     assert pairs == basis * basis
+
+
+@pytest.mark.parametrize("lam,mu", [(Q(1, 2), Q(3, 2)), (Q(-3, 7), Q(0))])
+def test_a_deeper_build_restricts_to_the_shallower_one(lam, mu):
+    # past the brute-force oracle's reach (about 3.4 s at depth 5): every
+    # level t draws on levels <= t only, so the depth-7 images of the
+    # depth-6 pairs, read at levels <= 6, are the depth-6 images
+    deep, shallow = heisenberg_intertwiner(lam, mu, 7), heisenberg_intertwiner(lam, mu, 6)
+    assert deep.factor != shallow.factor
+    restricted = {}
+    for skey in deep.series:
+        if sum(skey[0]) <= 6 and sum(skey[1]) <= 6:
+            images = {t: coords for t, coords in deep.images(skey).items() if t <= 6}
+            if images:
+                restricted[skey] = images
+    assert restricted == {skey: shallow.images(skey) for skey in shallow.series}
+
+
+def test_the_free_boson_operator_refuses_an_algebra_it_cannot_run_over():
+    with pytest.raises(InputShapeError, match="rank-one Heisenberg"):
+        heisenberg_intertwiner(1, 2, 3, VirasoroVoa(Q(1, 2), 3))
+    with pytest.raises(InputShapeError, match="truncates below the requested depth"):
+        heisenberg_intertwiner(1, 2, 4, HeisenbergVoa(3))
 
 
 def test_correlator_is_linear_in_the_functional_and_the_datum():
