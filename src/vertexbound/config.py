@@ -1,10 +1,17 @@
 """Declarative run configuration: parsing, validation, canonical hashing.
 
-A run is described by one INI-style text file; every parameter is
-validated here, so the engine below never sees a malformed value.
-Rationals are written ``p/q`` (or as plain integers), partitions as
-comma-separated parts, all in ASCII decimal digits, and singular vectors
-either as the ``level2`` shortcut or as explicit ``(parts):coeff`` terms::
+A run is described by one INI-style text file.  Every ``[run]``,
+``[voa]``, ``[module.*]`` and ``[intertwiner.*]`` parameter is validated
+here, so the engine below never sees a malformed value.  ``[command]``
+values stay raw strings (``command_params``), and ``cli`` reads each
+where its command uses it: ``left_key``, ``right_key``,
+``series_depth``, ``max_log``, ``exponent`` and ``orders`` are parsed
+with the same ``parse_*`` helpers, and names such as ``module`` are
+looked up among the parsed sections, each failure a
+:class:`ConfigError`.  Rationals are written ``p/q`` (or as plain
+integers), partitions as comma-separated parts, all in ASCII decimal
+digits, and singular vectors either as the ``level2`` shortcut or as
+explicit ``(parts):coeff`` terms::
 
     [run]
     depth = 4

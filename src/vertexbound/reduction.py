@@ -32,13 +32,13 @@ The rewrite is bilinear in ``(p, q)``, so ``reduce`` expands both
 arguments over their basis monomials and sums a table entry per pair of
 monomials.  An entry holds the two moves run once on that pair, its
 subterms read from the table in turn, as a plain ``{(i, j): LaurentPoly}``
-map.  The table hangs off the left basis beside the decomposition memo,
-keyed by the right basis, and is freed with the bases; callers always
-receive a fresh combination, never an entry.
+map.  The pair table hangs off the left basis, keyed by the right basis,
+and is freed with the bases; callers always receive a fresh
+combination, never an entry.
 
-Which ``v_{-1} a`` span ``C_1`` at a level, and in what order, is
-decided once, by ``cofinite.cm_level``; a decomposition solves over
-those pivot pairs plus the complement monomials of the level.
+The moves split basis monomials over ``cofinite.cm_level``'s pivot
+pairs ``v_{-1} a`` plus the complement, read from one table per basis
+and level, each built by one elimination of the level.
 """
 
 from __future__ import annotations
@@ -47,13 +47,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .cofinite import ComplementBasis, cm_level
-from .errors import (
-    InputShapeError,
-    InternalInvariantViolation,
-    TruncationError,
-)
-from .laurent import LaurentPoly, Q, QONE, as_rational
-from .linalg import ExactMatrix
+from .errors import InputShapeError, InternalInvariantViolation, TruncationError
+from .laurent import LaurentPoly, Q, as_rational
+from .linalg import ExactMatrix, RowSpan
 from .modes import GradedVector, engine_for, mode_action, omega_vector
 from .voa import DirectSumModule
 
@@ -61,105 +57,62 @@ from .voa import DirectSumModule
 # ----------------------------------------------------------------------
 # decomposition against the spanning set plus complement
 
-class _SpanningSolver:
-    """Per-level solver writing vectors as ``sum v_{-1} a + complement``.
+def _decompositions(basis: ComplementBasis, n: int) -> dict:
+    """``{key: (pairs, complement)}`` for every basis monomial at level n.
 
-    The columns at level n are the images of ``cm_level(module, 1, n)``'s
-    pivot pairs (ascending generator weight, then basis positions), then
-    the complement monomials of that level.  The pivot pairs are the
-    earliest independent spanning images and ``solve`` sets free
-    variables to zero, so this is the particular solution over every
-    ``v_{-1} a``, from a system that is square for a C_1 complement.
-    Results are memoized per (level, coordinates).
-
-    The pivot pairs are the ones ``choose_complement`` kept when it
-    built C_1 itself (m = 1, direct sums included); only for a C_m
-    complement with m != 1 are they built here.  The solver keeps the
-    module, the depth, the complement labels and those pairs, not the
-    basis that owns it, so a basis is freed by reference counting alone.
+    A monomial is ``sum coeff * v_{-1} a + sum alpha_i p^i``: ``pairs``
+    lists ``(v_key, a_key, coeff)`` and ``complement`` ``(i, alpha)``.
+    The level's matrix M has as columns the images of the C_1 pivot
+    pairs (``cm_level(module, 1, n).pairs``, kept by an m = 1 basis),
+    then the complement monomials of the level.  The rows ``[M | I]``
+    reduce in one ``RowSpan`` to ``[R | E]`` with ``E M = R``, so column
+    k of E at the pivot columns solves ``M x = e_k`` with free variables
+    zero, for a square M (m = 1) or a wider one alike.  One table per
+    level hangs off the basis and holds keys and rationals only.
     """
-
-    def __init__(self, basis: ComplementBasis):
-        self.module = basis.module
-        self.depth = basis.depth
-        self._labels = basis.labels
-        self._c1_pairs = basis.c1_pairs or {}
-        self._levels = {}
-        self._memo = {}
-
-    def _level_data(self, n: int):
-        data = self._levels.get(n)
-        if data is not None:
-            return data
-        module = self.module
-        pair_keys = self._c1_pairs.get(n)
-        if pair_keys is None:
-            pair_keys = cm_level(module, 1, n).pairs
-        rows = [{} for _ in range(module.dim(n))]
-        for j, (v_key, a_key) in enumerate(pair_keys):
-            nums, den = engine_for(module).apply_word(v_key, -1, a_key)
-            for i, c in module.coords(nums, n).items():
-                rows[i][j] = c if den == 1 else Q(c, den)
-        comp_at_level = [
-            (idx, key) for idx, (lv, key) in enumerate(self._labels) if lv == n
-        ]
-        for pos, (_, key) in enumerate(comp_at_level, start=len(pair_keys)):
-            rows[module.index(key)][pos] = QONE
-        matrix = ExactMatrix(len(rows), len(pair_keys) + len(comp_at_level), rows)
-        data = (pair_keys, comp_at_level, matrix)
-        self._levels[n] = data
-        return data
-
-    def decompose(self, vec: GradedVector):
-        """Split a homogeneous vector; returns (pairs, complement part).
-
-        ``pairs`` is a list of ``(v_key, a_key, coeff)`` with
-        ``sum coeff * v_{-1} a + sum alpha_i p^i`` equal to the input;
-        the complement part is ``[(complement_index, alpha)]``.
-        """
-        level = vec.homogeneous_level()
-        if level is None:
-            raise InputShapeError("decomposition requires a nonzero homogeneous vector")
-        if vec.truncated:
-            raise TruncationError("refusing to decompose a truncated vector")
-        if level > self.depth:
-            raise TruncationError(
-                f"level {level} lies outside the certified window (depth {self.depth})"
-            )
-        coords = vec.coords_at(level)
-        memo_key = (level, coords)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        pair_keys, comp_at_level, matrix = self._level_data(level)
-        solution = matrix.solve(list(coords))
-        if solution is None:
+    if n > basis.depth:
+        raise TruncationError(
+            f"level {n} lies outside the certified window (depth {basis.depth})"
+        )
+    tables = getattr(basis, "_decomposition_tables", None)
+    if tables is None:
+        tables = basis._decomposition_tables = {}
+    if n in tables:
+        return tables[n]
+    module = basis.module
+    pair_keys = (basis.c1_pairs or {}).get(n)
+    if pair_keys is None:
+        pair_keys = cm_level(module, 1, n).pairs
+    keys = module.keys(n)
+    rows = [{} for _ in keys]
+    for j, (v_key, a_key) in enumerate(pair_keys):
+        nums, den = engine_for(module).apply_word(v_key, -1, a_key)
+        for i, c in module.coords(nums, n).items():
+            rows[i][j] = c if den == 1 else Q(c, den)
+    complement = [i for i, (level, _) in enumerate(basis.labels) if level == n]
+    for j, i in enumerate(complement, start=len(pair_keys)):
+        rows[module.index(basis.labels[i][1])][j] = 1
+    width = len(pair_keys) + len(complement)
+    span = RowSpan(width + len(keys))
+    for k, row in enumerate(rows):
+        span.add({**row, width + k: 1})
+    table = {key: ([], []) for key in keys}
+    for col, row in zip(span.pivot_columns(), span.rows()):
+        if col >= width:
             raise InternalInvariantViolation(
-                f"level {level} of {self.module.describe()} is not spanned by "
+                f"level {n} of {module.describe()} is not spanned by "
                 "C_1 plus the complement; the basis certificate is broken"
             )
-        pairs = [
-            (v_key, a_key, solution[col])
-            for col, (v_key, a_key) in enumerate(pair_keys)
-            if solution[col]
-        ]
-        offset = len(pair_keys)
-        complement = [
-            (idx, solution[offset + pos])
-            for pos, (idx, _) in enumerate(comp_at_level)
-            if solution[offset + pos]
-        ]
-        result = (pairs, complement)
-        self._memo[memo_key] = result
-        return result
-
-
-def _solver_for(basis: ComplementBasis) -> _SpanningSolver:
-    solver = getattr(basis, "_solver", None)
-    if solver is None:
-        solver = _SpanningSolver(basis)
-        basis._solver = solver
-    return solver
+        for k, value in row.items():
+            if k < width:
+                continue
+            pairs, comp = table[keys[k - width]]
+            if col < len(pair_keys):
+                pairs.append((*pair_keys[col], value))
+            else:
+                comp.append((complement[col - len(pair_keys)], value))
+    tables[n] = table
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +248,7 @@ def reduce(p: GradedVector, q: GradedVector,
 def _table_for(left_basis: ComplementBasis, right_basis: ComplementBasis) -> dict:
     """The ``(p_key, q_key) -> entries`` table of one basis pair.
 
-    It hangs off the left basis beside the decomposition memo and holds
+    It hangs off the left basis beside its decomposition tables and holds
     the right basis, so the ``id`` key cannot be reused while it lives;
     it is freed with the left basis.  A basis paired with itself is not
     held again, which would make it a reference cycle.
@@ -334,17 +287,17 @@ def _reduce(p, q, left_basis, right_basis, budget) -> CorrelatorCombination:
 
 def _pair_entry(p_key, q_key, left_basis, right_basis) -> dict:
     """Both moves run once on the basis monomials ``p_key`` and ``q_key``."""
-    voa = left_basis.module.voa
-    p = GradedVector.basis_vector(left_basis.module, p_key)
-    q = GradedVector.basis_vector(right_basis.module, q_key)
-    lp, lq = p.homogeneous_level(), q.homogeneous_level()
+    left, right = left_basis.module, right_basis.module
+    voa = left.voa
+    lp, lq = left.level_of(p_key), right.level_of(q_key)
+    q = GradedVector.basis_vector(right, q_key)
     out = CorrelatorCombination(left_basis, right_basis)
-    pairs, complement = _solver_for(left_basis).decompose(p)
+    pairs, complement = _decompositions(left_basis, lp)[p_key]
     for v_key, a_key, coeff in pairs:
         # left move: only Y(a,z) v_h q with h >= 0 survives theta
         wt_v = voa.level_of(v_key)
         v_vec = GradedVector.basis_vector(voa, v_key)
-        a_vec = GradedVector.basis_vector(p.module, a_key)
+        a_vec = GradedVector.basis_vector(left, a_key)
         for h in range(0, lq + wt_v):
             vq = mode_action(v_vec, h, q)
             if vq.truncated:
@@ -354,24 +307,25 @@ def _pair_entry(p_key, q_key, left_basis, right_basis) -> dict:
             sub = _reduce(a_vec, vq, left_basis, right_basis, lp + lq - 1)
             out.accumulate(sub, LaurentPoly.monomial(-h - 1, coeff))
     for idx, alpha in complement:
-        part = _reduce_complement_left(idx, q, left_basis, right_basis)
+        part = _reduce_complement_left(idx, q_key, left_basis, right_basis)
         out.accumulate(part, LaurentPoly.monomial(0, alpha))
     return out._entries
 
 
-def _reduce_complement_left(i: int, q, left_basis, right_basis) -> CorrelatorCombination:
+def _reduce_complement_left(i: int, q_key, left_basis, right_basis) -> CorrelatorCombination:
     """Rewrite with the left slot already the complement vector ``p^i``."""
     out = CorrelatorCombination(left_basis, right_basis)
     lp, p_key = left_basis.labels[i]
     p_vec = GradedVector.basis_vector(left_basis.module, p_key)
-    lq = q.homogeneous_level()
-    voa = p_vec.module.voa
-    pairs, complement = _solver_for(right_basis).decompose(q)
+    right = right_basis.module
+    voa = right.voa
+    lq = right.level_of(q_key)
+    pairs, complement = _decompositions(right_basis, lq)[q_key]
     for v_key, b_key, coeff in pairs:
         # right move: commuting v_{-1} across Y leaves the signed tail
         wt_v = voa.level_of(v_key)
         v_vec = GradedVector.basis_vector(voa, v_key)
-        b_vec = GradedVector.basis_vector(q.module, b_key)
+        b_vec = GradedVector.basis_vector(right, b_key)
         for m in range(0, lp + wt_v):
             vp = mode_action(v_vec, m, p_vec)
             if vp.truncated:

@@ -1,5 +1,6 @@
 """Tests for correlator rewriting, the induced ODE, and fusion bounds."""
 
+import dataclasses
 import gc
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 from bruteforce import basis_vectors, fock_top_correlator, full_column_solve, plain_correlator_reduction
 from vertexbound import cofinite, reduction
 from vertexbound.cofinite import choose_complement
-from vertexbound.errors import InputShapeError, TruncationError
+from vertexbound.errors import InputShapeError, InternalInvariantViolation, TruncationError
 from vertexbound.laurent import LaurentPoly
 from vertexbound.modes import GradedVector, mode_action, omega_vector
 from vertexbound.reduction import (
@@ -52,17 +53,24 @@ def express(u, basis):
     """Write ``u = sum_k v^k_{-1} a^k + e`` with ``e`` in the complement.
 
     Returns ``(pairs, e)``: each pair is a ``(v, a)`` of graded vectors,
-    read off the spanning solver that ``reduce`` decomposes with.
+    summed by linearity over the decomposition tables that ``reduce``
+    reads, in the order of the level's ``v_{-1} a`` columns.
     """
-    module = u.module
-    if u.is_zero():
-        return [], GradedVector.zero(module)
-    raw_pairs, complement = reduction._solver_for(basis).decompose(u)
-    pairs = [(GradedVector.basis_vector(module.voa, v_key).scale(coeff),
+    module, voa = u.module, u.module.voa
+    pair_sum, comp_sum = {}, {}
+    for key, c in u.to_raw().items():
+        pairs, complement = reduction._decompositions(basis, module.level_of(key))[key]
+        for v_key, a_key, coeff in pairs:
+            pair_sum[v_key, a_key] = pair_sum.get((v_key, a_key), 0) + c * coeff
+        for idx, alpha in complement:
+            label = basis.labels[idx][1]
+            comp_sum[label] = comp_sum.get(label, 0) + c * alpha
+    order = sorted(pair_sum, key=lambda va: (voa.level_of(va[0]), voa.index(va[0]),
+                                             module.index(va[1])))
+    pairs = [(GradedVector.basis_vector(voa, v_key).scale(pair_sum[v_key, a_key]),
               GradedVector.basis_vector(module, a_key))
-             for v_key, a_key, coeff in raw_pairs]
-    e = GradedVector(module, {basis.labels[idx][1]: alpha for idx, alpha in complement})
-    return pairs, e
+             for v_key, a_key in order if pair_sum[v_key, a_key]]
+    return pairs, GradedVector(module, comp_sum)
 
 
 def recombine(pairs, e):
@@ -205,19 +213,36 @@ def test_express_quotient_singular_relation():
 
 
 def test_express_guards():
+    # the table refuses a level past the basis depth; a flagged or a
+    # mixed-level vector never reaches it, as reduce refuses both
     left, right, basis, rbasis = fock_pair()
     beyond = GradedVector.basis_vector(left, (6,))
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match="level 6"):
         express(beyond, basis)
+    lowest = GradedVector.basis_vector(right, ())
     flagged = GradedVector(left, {(1,): Q(1)}, truncated=True)
-    with pytest.raises(TruncationError):
-        express(flagged, basis)
+    with pytest.raises(TruncationError, match="truncated"):
+        reduce(flagged, lowest, basis, rbasis)
     other = GradedVector.basis_vector(left.voa, (1,))
     with pytest.raises(InputShapeError, match="left basis module"):
-        reduce(other, GradedVector.basis_vector(right, ()), basis, rbasis)
+        reduce(other, lowest, basis, rbasis)
     mixed = GradedVector.basis_vector(left, ()) + GradedVector.basis_vector(left, (1,))
-    with pytest.raises(InputShapeError):
-        express(mixed, basis)
+    with pytest.raises(InputShapeError, match="homogeneous"):
+        reduce(mixed, lowest, basis, rbasis)
+
+
+def test_a_broken_certificate_is_refused():
+    # without its level-one label the sigma complement no longer spans
+    # level one beside C_1; a pair reaching that level is refused
+    left, right, lbasis, rbasis = ising_sigma_eps(5)
+    assert lbasis.labels == [(0, ()), (1, (1,))]
+    broken = dataclasses.replace(lbasis, labels=lbasis.labels[:1])
+    p = GradedVector.basis_vector(left, (1,))
+    q = GradedVector.basis_vector(right, ())
+    for _ in range(2):  # a refused level leaves no table behind
+        with pytest.raises(InternalInvariantViolation, match="level 1 of .* certificate is broken"):
+            reduce(p, q, broken, rbasis)
+    assert not reduce(p, q, lbasis, rbasis).is_zero()
 
 
 # ----------------------------------------------------------------------
