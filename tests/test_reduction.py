@@ -54,7 +54,8 @@ def express(u, basis):
 
     Returns ``(pairs, e)``: each pair is a ``(v, a)`` of graded vectors,
     summed by linearity over the decomposition tables that ``reduce``
-    reads, in the order of the level's ``v_{-1} a`` columns.
+    reads.  The pairs keep the tables' order, so for a monomial ``u``
+    they are listed exactly as ``_decompositions`` lists them.
     """
     module, voa = u.module, u.module.voa
     pair_sum, comp_sum = {}, {}
@@ -65,11 +66,9 @@ def express(u, basis):
         for idx, alpha in complement:
             label = basis.labels[idx][1]
             comp_sum[label] = comp_sum.get(label, 0) + c * alpha
-    order = sorted(pair_sum, key=lambda va: (voa.level_of(va[0]), voa.index(va[0]),
-                                             module.index(va[1])))
-    pairs = [(GradedVector.basis_vector(voa, v_key).scale(pair_sum[v_key, a_key]),
+    pairs = [(GradedVector.basis_vector(voa, v_key).scale(c),
               GradedVector.basis_vector(module, a_key))
-             for v_key, a_key in order if pair_sum[v_key, a_key]]
+             for (v_key, a_key), c in pair_sum.items() if c]
     return pairs, GradedVector(module, comp_sum)
 
 
